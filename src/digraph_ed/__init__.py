@@ -18,6 +18,7 @@ from .digraph import (
     has_antiparallel_pairs,
     load_graph,
     permute,
+    read_graph,
     reverse_edges,
     to_json_dict,
     validate,
@@ -43,6 +44,7 @@ from .statevector import (
     PureState,
     apply_edge_gate,
     apply_two_qubit_dense,
+    bloch_vectors,
     build_graph_state,
     commutation_check,
     dump_amplitudes,
@@ -72,6 +74,7 @@ __all__ = [
     "alpha_sweep",
     "apply_edge_gate",
     "apply_two_qubit_dense",
+    "bloch_vectors",
     "build_graph_state",
     "commutation_check",
     "degrees",
@@ -92,6 +95,7 @@ __all__ = [
     "pauli_expectation",
     "pauli_vector_closed_form",
     "permute",
+    "read_graph",
     "reduced_density_1q",
     "reverse_edges",
     "run_suite",

@@ -26,9 +26,9 @@ import sys
 import numpy as np
 
 from . import digraph, suite as suite_mod
-from .entanglement import GateParams, alpha_sweep, ed_per_vertex, ed_total, fmt17, verify_graph
+from .entanglement import GateParams, alpha_sweep, ed_total, fmt17, verify_graph
 from .errors import CapacityError, DigraphEdError
-from .statevector import build_graph_state
+from .statevector import bloch_vectors, build_graph_state
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -38,9 +38,22 @@ EXIT_CAPABILITY = 64
 DEFAULT_MAX_QUBITS_CLI = 20
 
 
-def _default_cap() -> int:
-    env = os.environ.get("DIGRAPH_ED_MAX_QUBITS")
-    return int(env) if env else DEFAULT_MAX_QUBITS_CLI
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that reports a usage error as one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"error: {self.prog}: {message}\n")
+
+
+def _qubit_cap(text: str) -> int:
+    """Parse a qubit cap (``--max-qubits`` or DIGRAPH_ED_MAX_QUBITS): an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
@@ -70,10 +83,10 @@ def _add_output(p: argparse.ArgumentParser, formats=("csv", "json")) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="digraph-ed", description=__doc__.splitlines()[0])
+    ap = _ArgumentParser(prog="digraph-ed", description=__doc__.splitlines()[0])
     ap.add_argument(
         "--max-qubits",
-        type=int,
+        type=_qubit_cap,
         default=None,
         help=f"qubit cap (default {DEFAULT_MAX_QUBITS_CLI}, env DIGRAPH_ED_MAX_QUBITS)",
     )
@@ -126,7 +139,15 @@ def _angle(args, value: float) -> float:
 
 
 def _cap(args) -> int:
-    return args.max_qubits if args.max_qubits is not None else _default_cap()
+    if args.max_qubits is not None:
+        return args.max_qubits
+    env = os.environ.get("DIGRAPH_ED_MAX_QUBITS")
+    if not env:
+        return DEFAULT_MAX_QUBITS_CLI
+    try:
+        return _qubit_cap(env)
+    except argparse.ArgumentTypeError as e:
+        raise DigraphEdError(f"DIGRAPH_ED_MAX_QUBITS: {e}") from None
 
 
 def _resolve_graph(args) -> digraph.DirectedGraph:
@@ -135,7 +156,8 @@ def _resolve_graph(args) -> digraph.DirectedGraph:
     if from_file == from_gen:
         raise DigraphEdError("supply exactly one graph source: --graph PATH or --kind/--M")
     if from_file:
-        g = digraph.load_graph(args.graph, allow_antiparallel=args.allow_antiparallel)
+        # validated by the command that uses it, under its edge policy
+        g = digraph.read_graph(args.graph)
     else:
         if args.M is None:
             raise DigraphEdError("--kind requires --M")
@@ -172,7 +194,7 @@ def cmd_ed(args) -> int:
     state = build_graph_state(
         g, gp, allow_antiparallel=args.allow_antiparallel, max_qubits=_cap(args)
     )
-    lines = [f"E({i}) = {fmt17(ed_per_vertex(state, i))}" for i in range(g.M)]
+    lines = [f"E({i}) = {fmt17(1.0 - v.norm_sq)}" for i, v in enumerate(bloch_vectors(state))]
     lines.append(f"E_total = {fmt17(ed_total(state))}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK

@@ -236,14 +236,21 @@ def from_json_dict(obj) -> DirectedGraph:
     return DirectedGraph(M, tuple(edges))
 
 
-def load_graph(path, allow_antiparallel: bool = False) -> DirectedGraph:
-    """Read and validate a graph JSON file."""
+def read_graph(path) -> DirectedGraph:
+    """Parse a graph JSON file; structural validation is left to the caller."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             obj = json.load(f)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    g = from_json_dict(obj)
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+    return from_json_dict(obj)
+
+
+def load_graph(path, allow_antiparallel: bool = False) -> DirectedGraph:
+    """Read and validate a graph JSON file."""
+    g = read_graph(path)
     validate(g, allow_antiparallel=allow_antiparallel)
     return g
 

@@ -24,14 +24,19 @@ import numpy as np
 
 from . import digraph
 from .digraph import DirectedGraph
-from .errors import BadGridError, NegativeEigenvalueError, PolicyViolationError
+from .errors import (
+    BadGridError,
+    IndexOutOfRangeError,
+    NegativeEigenvalueError,
+    PolicyViolationError,
+)
 from .statevector import (
     DensityMatrix1Q,
     GateParams,
     PureState,
     PauliVector,
+    bloch_vectors,
     build_graph_state,
-    pauli_expectation,
     reduced_density_1q,
 )
 
@@ -100,16 +105,23 @@ class SweepResult:
 
 
 def ed_per_vertex(state: PureState, i: int) -> float:
-    """Contribution of qubit i: 1 - |Bloch vector|^2, in [0, 1]."""
-    return 1.0 - pauli_expectation(state, i).norm_sq
+    """Contribution of qubit i: 1 - |Bloch vector|^2, in [0, 1].
+
+    Reads every qubit (:func:`~digraph_ed.statevector.bloch_vectors`); to get
+    all M contributions, call that once rather than this M times.
+    """
+    if not 0 <= i < state.M:
+        raise IndexOutOfRangeError(f"qubit {i} out of range for M={state.M}")
+    return 1.0 - bloch_vectors(state)[i].norm_sq
 
 
 def ed_total(state: PureState) -> float:
     """ED per qubit: 1 - mean over qubits of the squared Bloch length."""
-    acc = 0.0
-    for i in range(state.M):
-        acc += pauli_expectation(state, i).norm_sq
-    return 1.0 - acc / state.M
+    return _ed_total(bloch_vectors(state))
+
+
+def _ed_total(vectors: tuple[PauliVector, ...]) -> float:
+    return 1.0 - sum(v.norm_sq for v in vectors) / len(vectors)
 
 
 def ed_closed_form(g: DirectedGraph, theta: float) -> float:
@@ -126,10 +138,14 @@ def ed_closed_form(g: DirectedGraph, theta: float) -> float:
         raise PolicyViolationError(
             "closed form refused: graph has antiparallel pairs; use the statevector route"
         )
+    total = [0] * g.M
+    for a, b in g.edges:
+        total[a] += 1
+        total[b] += 1
     c = math.cos(theta)
     acc = 0.0
-    for rec in digraph.degrees(g):
-        acc += c ** (2 * rec.total)
+    for d in total:
+        acc += c ** (2 * d)
     return 1.0 - acc / g.M
 
 
@@ -210,17 +226,18 @@ def verify_graph(
 ) -> EDReport:
     """Dual-route ED for one graph at the balanced initial state.
 
-    Builds the state with alpha0 = alpha1 = 1/sqrt(2), computes per-vertex
-    and total ED from Pauli expectations, and evaluates the closed form
-    whenever the policy permits; the recorded discrepancy stays below
-    ``DISCREPANCY_TOL`` for every policy-conforming graph.
+    Builds the state with alpha0 = alpha1 = 1/sqrt(2) (which validates ``g``
+    under the given policy), computes per-vertex and total ED from one read
+    of every qubit's Bloch vector, and evaluates the closed form whenever the
+    policy permits; the recorded discrepancy stays below ``DISCREPANCY_TOL``
+    for every policy-conforming graph.
     """
-    digraph.validate(g, allow_antiparallel=allow_antiparallel)
     state = build_graph_state(
         g, gp, ALPHA_INV_SQRT2, ALPHA_INV_SQRT2, allow_antiparallel=allow_antiparallel
     )
-    per_vertex = tuple(ed_per_vertex(state, i) for i in range(g.M))
-    total_sv = ed_total(state)
+    vectors = bloch_vectors(state)
+    per_vertex = tuple(1.0 - v.norm_sq for v in vectors)
+    total_sv = _ed_total(vectors)
     if digraph.has_antiparallel_pairs(g):
         total_cf = None
         disc = None

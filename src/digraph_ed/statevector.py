@@ -11,10 +11,18 @@ The only production gate is the diagonal two-qubit edge gate
                                |10> -> e^{i(theta-psi)} |10>,
                                |11> -> e^{-i(theta+psi)} |11>,
 
-with the first slot the control. Because it is diagonal, application is a
-per-amplitude phase multiply: exactly unitary, order-free across edges. A
-generic dense 4x4 two-qubit path is kept alongside purely so tests can
-cross-validate the fast kernel against straight matrix arithmetic.
+with the first slot the control. All edge gates are diagonal and commute,
+so a graph state is the uniform product state times one phase per basis
+index, which :func:`build_graph_state` writes directly by qubit doubling:
+O(2^M) work whatever the edge count, in one buffer that becomes the
+state's frozen amplitude array (peak memory about one state, at most two).
+:func:`bloch_vectors` reads every qubit's Bloch vector from views of the
+amplitudes, with no copy of the state.
+
+:func:`apply_edge_gate` (one gate as a per-amplitude phase multiply), the
+generic dense 4x4 two-qubit path and :func:`pauli_expectation` are
+independent oracles: the tests and the suite cross-validate the fast kernels
+against them, they are not on the production path.
 
 States are never renormalized; norm drift beyond 1e-9 raises, since with
 phase-only gates any drift signals a kernel bug.
@@ -22,6 +30,7 @@ phase-only gates any drift signals a kernel bug.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -67,14 +76,25 @@ class PureState:
     """Normalized vector of 2^M complex amplitudes (see module bit convention).
 
     The amplitude array is frozen on construction and the unit norm is
-    checked to 1e-9; it is never silently repaired.
+    checked to 1e-9; it is never silently repaired. A read-only complex128
+    array that owns its memory (such as a buffer a builder has just filled
+    and frozen) is adopted as it is; any other input is copied first, so the
+    state never shares memory a caller can still write.
     """
 
     M: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = self.amplitudes
+        adoptable = (
+            isinstance(amps, np.ndarray)
+            and amps.dtype == np.complex128
+            and amps.flags.owndata
+            and not amps.flags.writeable
+        )
+        if not adoptable:
+            amps = np.array(amps, dtype=np.complex128)
         if self.M < 1:
             raise IndexOutOfRangeError(f"M must be positive, got {self.M}")
         if amps.shape != (1 << self.M,):
@@ -84,7 +104,6 @@ class PureState:
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise NotNormalizedError(f"state norm^2 = {norm_sq!r} deviates from 1 beyond {_NORM_TOL}")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -177,6 +196,18 @@ def init_product_state(
     Amplitude at index k is the product over qubits of alpha0 or alpha1
     according to bit i of k. Requires |alpha0|^2 + |alpha1|^2 = 1 to 1e-12.
     """
+    alpha0, alpha1 = _qubit_amplitudes(M, alpha0, alpha1, max_qubits)
+    qubit = np.array([alpha0, alpha1], dtype=np.complex128)
+    amps = np.array([1.0 + 0.0j])
+    for _ in range(M):
+        amps = np.kron(qubit, amps)  # new qubit becomes the next-higher bit
+    return PureState(M, amps)
+
+
+def _qubit_amplitudes(
+    M: int, alpha0: complex, alpha1: complex, max_qubits: int
+) -> tuple[complex, complex]:
+    """Check the qubit count and the single-qubit state of a uniform product state."""
     if M < 1:
         raise IndexOutOfRangeError(f"M must be positive, got {M}")
     if M > max_qubits:
@@ -186,11 +217,7 @@ def init_product_state(
     nrm = abs(alpha0) ** 2 + abs(alpha1) ** 2
     if abs(nrm - 1.0) > 1e-12:
         raise NotNormalizedError(f"|alpha0|^2 + |alpha1|^2 = {nrm!r} deviates from 1 beyond 1e-12")
-    qubit = np.array([alpha0, alpha1], dtype=np.complex128)
-    amps = np.array([1.0 + 0.0j])
-    for _ in range(M):
-        amps = np.kron(qubit, amps)  # new qubit becomes the next-higher bit
-    return PureState(M, amps)
+    return alpha0, alpha1
 
 
 def _check_edge(M: int, edge: tuple[int, int]) -> tuple[int, int]:
@@ -203,11 +230,13 @@ def _check_edge(M: int, edge: tuple[int, int]) -> tuple[int, int]:
 
 
 def apply_edge_gate(state: PureState, edge: tuple[int, int], gp: GateParams) -> PureState:
-    """Diagonal fast path: multiply phases on the control=1 half of the state.
+    """One edge gate as a phase multiply on the control=1 half of the state.
 
     Index k with bit_a(k)=1 picks up e^{i(theta-psi)} when bit_b(k)=0 and
     e^{-i(theta+psi)} when bit_b(k)=1; everything else is untouched, so the
-    norm is preserved exactly.
+    norm is preserved exactly. Chained over the edges from
+    :func:`init_product_state`, this is the gate-by-gate reference that
+    :func:`build_graph_state` is checked against.
     """
     a, b = _check_edge(state.M, edge)
     amps = state.amplitudes.copy()
@@ -218,6 +247,7 @@ def apply_edge_gate(state: PureState, edge: tuple[int, int], gp: GateParams) -> 
     view[tuple(sel)] *= np.exp(1j * (gp.theta - gp.psi))
     sel[state.M - 1 - b] = 1
     view[tuple(sel)] *= np.exp(-1j * (gp.theta + gp.psi))
+    amps.flags.writeable = False
     return PureState(state.M, amps)
 
 
@@ -254,13 +284,71 @@ def build_graph_state(
     """Apply one edge gate per edge of ``g`` to the uniform product state.
 
     All edge gates are diagonal, hence mutually commuting: the result does
-    not depend on the edge order.
+    not depend on the edge order. It is the product state times the phase
+
+        (theta - psi) * sum_a d_out(a) bit_a(k) - 2 theta * sum_{(a,b) in L} bit_a(k) bit_b(k)
+
+    at index k, written here directly by qubit doubling: with the first m
+    qubits in ``amps[:2^m]``, appending qubit m sets the |1> half
+    ``amps[2^m:2^(m+1)]`` to alpha1 e^{i(theta-psi) d_out(m)} e^{-2i theta c_m(k)}
+    times the |0> half, where c_m(k) counts the edges between m and the set
+    bits of k (an antiparallel pair counts twice), then scales the |0> half
+    by alpha0. The phase vector e^{-2i theta c_m(k)} is itself grown by
+    doubling over the lower qubits, inside the |1> half. Total cost is
+    O(2^M) whatever |L|, in one buffer that the returned state adopts.
     """
     validate(g, allow_antiparallel=allow_antiparallel)
-    state = init_product_state(g.M, alpha0, alpha1, max_qubits=max_qubits)
-    for edge in g.edges:
-        state = apply_edge_gate(state, edge, gp)
-    return state
+    alpha0, alpha1 = _qubit_amplitudes(g.M, alpha0, alpha1, max_qubits)
+    d_out = [0] * g.M
+    lower = [[0] * m for m in range(g.M)]  # lower[m][j]: edges between m and j < m
+    for a, b in g.edges:
+        d_out[a] += 1
+        lower[max(a, b)][min(a, b)] += 1
+    # phase picked up per edge between two set bits; validate admits at most two
+    pair_phase = (1.0, cmath.exp(-2j * gp.theta), cmath.exp(-4j * gp.theta))
+    amps = np.empty(1 << g.M, dtype=np.complex128)
+    amps[0] = 1.0
+    for m in range(g.M):
+        n = 1 << m
+        upper = amps[n : 2 * n]
+        upper[0] = alpha1 * cmath.exp(1j * (gp.theta - gp.psi) * d_out[m])
+        for j, count in enumerate(lower[m]):
+            h = 1 << j
+            np.multiply(upper[:h], pair_phase[count], out=upper[h : 2 * h])
+        upper *= amps[:n]
+        amps[:n] *= alpha0
+    amps.flags.writeable = False
+    return PureState(g.M, amps)
+
+
+def bloch_vectors(state: PureState) -> tuple[PauliVector, ...]:
+    """Bloch vectors of all M qubits, in qubit order.
+
+    Same quantities as :func:`pauli_expectation`, read from the float view
+    of the amplitudes (re, im interleaved) without copying it. For qubit i,
+    reshaping that view to (-1, 2, 2^(i+1)) puts the bit-i=0 block f0 and
+    the bit-i=1 block f1 of every amplitude pair side by side, and
+
+        p0 = f0.f0,  p1 = f1.f1,  Re t = f0.f1,  Im t = re0.im1 - im0.re1,
+
+    with t = sum(conj(a0) * a1). p0, p1 and Re t come from one contraction
+    routine over operands of one shape, so for a product state with equal
+    amplitudes they are bitwise equal and the ED is exactly zero.
+    """
+    f = state.amplitudes.view(np.float64)
+    out = []
+    for i in range(state.M):
+        pairs = f.reshape(-1, 2, 2 << i)
+        f0, f1 = pairs[:, 0], pairs[:, 1]
+        p0 = float(np.einsum("rk,rk->", f0, f0))
+        p1 = float(np.einsum("rk,rk->", f1, f1))
+        re = float(np.einsum("rk,rk->", f0, f1))
+        im = float(np.einsum("rk,rk->", f0[:, 0::2], f1[:, 1::2])) - float(
+            np.einsum("rk,rk->", f0[:, 1::2], f1[:, 0::2])
+        )
+        nrm = p0 + p1
+        out.append(PauliVector(2.0 * re / nrm, 2.0 * im / nrm, (p0 - p1) / nrm))
+    return tuple(out)
 
 
 def pauli_expectation(state: PureState, i: int) -> PauliVector:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import entanglement as ent
 from .digraph import DirectedGraph, degrees, generate, graph_hash, permute, reverse_edges
+from .errors import BadParamsError
 from .statevector import (
     GateParams,
     PureState,
@@ -74,8 +75,14 @@ def battery(seed: int, n_graphs: int, max_m: int) -> list[tuple[DirectedGraph, G
     """The seeded graph population: Erdos-Renyi digraphs with random angles.
 
     M uniform on [2, max_m], edge probability from {0.2, 0.5, 0.8}, and
-    theta, psi uniform on (0, pi). Pure function of the arguments.
+    theta, psi uniform on (0, pi). Pure function of the arguments; an empty
+    population or one with no admissible M is refused, since every check
+    would pass on it vacuously.
     """
+    if n_graphs < 1:
+        raise BadParamsError(f"the suite needs at least 1 graph, got {n_graphs}")
+    if max_m < 2:
+        raise BadParamsError(f"the suite needs max_m >= 2, got {max_m}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_graphs):
@@ -276,12 +283,20 @@ def _check_kernel_cross_validation(seed, reps=3) -> CheckResult:
             worst = max(worst, rho_err)
             if rho_err >= 1e-12:
                 bad.append(f"M={M}: partial trace vs Bloch form differ by {rho_err:.3e}")
-    # edge-order freedom on a batch of small graphs
+    # the doubling build against the gate-by-gate chain, then edge-order
+    # freedom, on a batch of small graphs
     for _ in range(5):
         n += 1
         g = generate("erdos_renyi", 6, {"p": 0.5}, int(rng.integers(0, 2**63)))
         gp = GateParams(float(rng.uniform(0, math.pi)), float(rng.uniform(0, math.pi)))
         ref = build_graph_state(g, gp)
+        chain = init_product_state(g.M, ent.ALPHA_INV_SQRT2, ent.ALPHA_INV_SQRT2)
+        for edge in g.edges:
+            chain = apply_edge_gate(chain, edge, gp)
+        err = float(np.max(np.abs(ref.amplitudes - chain.amplitudes)))
+        worst = max(worst, err)
+        if err >= 1e-14:
+            bad.append(f"{graph_hash(g)[:12]}: built state and edge-gate chain differ by {err:.3e}")
         shuffled = DirectedGraph(g.M, tuple(g.edges[i] for i in rng.permutation(g.num_edges)))
         err = float(np.max(np.abs(build_graph_state(shuffled, gp).amplitudes - ref.amplitudes)))
         worst = max(worst, err)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from digraph_ed import cli, entanglement
+from digraph_ed import cli, digraph, entanglement, statevector
 from digraph_ed.cli import EXIT_BAD_INPUT, EXIT_CAPABILITY, EXIT_OK, EXIT_VIOLATION
 
 
@@ -101,6 +101,23 @@ class TestVerify:
         assert cli.main(argv + ["--out", str(p1)]) == EXIT_OK
         assert cli.main(argv + ["--out", str(p2)]) == EXIT_OK
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_graph_file_is_validated_twice(self, tmp_path, capsys, monkeypatch):
+        # once by the state build, once by the closed form; reading does not validate
+        calls = []
+        real = digraph.validate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod in (digraph, statevector):
+            monkeypatch.setattr(mod, "validate", counting)
+        path = tmp_path / "g.json"
+        path.write_text('{"M": 4, "edges": [[0, 1], [2, 1], [3, 0]]}')
+        code, _, _ = run(["verify", "--graph", str(path), "--theta", "0.5"], capsys)
+        assert code == EXIT_OK
+        assert len(calls) == 2
 
     def test_escape_hatch(self, tmp_path, capsys):
         path = tmp_path / "anti.json"
@@ -233,3 +250,31 @@ class TestUsageErrors:
             ["sweep-theta", "--kind", "path", "--M", "2", "--grid", "1"], capsys
         )
         assert code == EXIT_BAD_INPUT
+
+
+class TestInputHardening:
+    """Bad numbers and bad bytes end in exit 2 and one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv,env",
+        [
+            (["ed", "--kind", "path", "--M", "3", "--theta", "0.5"], "abc"),
+            (["suite", "--graphs", "4", "--max-M", "1"], None),
+            (["verify", "--graph", "NON_UTF8", "--theta", "0.5"], None),
+            (["--max-qubits", "-5", "ed", "--kind", "path", "--M", "3", "--theta", "0.5"], None),
+            (["suite", "--graphs", "0"], None),
+        ],
+        ids=["env_cap_not_an_integer", "suite_max_m_1", "non_utf8_graph_file",
+             "negative_max_qubits", "suite_zero_graphs"],
+    )
+    def test_one_error_line_and_exit_2(self, argv, env, tmp_path, capsys, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("DIGRAPH_ED_MAX_QUBITS", env)
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"M": 2, "edges": [], "labels_base": 0} \xe9'.encode("latin-1"))
+        argv = [str(path) if a == "NON_UTF8" else a for a in argv]
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_BAD_INPUT
+        assert "suite: PASS" not in out
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err

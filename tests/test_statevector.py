@@ -14,12 +14,14 @@ from digraph_ed.errors import (
     NotNormalizedError,
     SelfLoopError,
 )
+from digraph_ed import statevector
 from digraph_ed.statevector import (
     DensityMatrix1Q,
     GateParams,
     PureState,
     apply_edge_gate,
     apply_two_qubit_dense,
+    bloch_vectors,
     build_graph_state,
     commutation_check,
     edge_gate_matrix,
@@ -203,6 +205,144 @@ class TestBuildGraphState:
         with pytest.raises(AntiparallelPairError):
             build_graph_state(g, GateParams(0.4, 0.0))
         build_graph_state(g, GateParams(0.4, 0.0), allow_antiparallel=True)
+
+
+def _edge_gate_chain(g, gp, alpha0, alpha1):
+    state = init_product_state(g.M, alpha0, alpha1)
+    for edge in g.edges:
+        state = apply_edge_gate(state, edge, gp)
+    return state.amplitudes
+
+
+def _dense_chain(g, gp, alpha0, alpha1):
+    amps = np.array(
+        [oracles.product_amplitude(g.M, alpha0, alpha1, k) for k in range(1 << g.M)]
+    )
+    u4 = oracles.u4_controlled(gp.theta, gp.psi)
+    for a, b in g.edges:
+        amps = oracles.dense_edge_operator(g.M, a, b, u4) @ amps
+    return amps
+
+
+KERNEL_CASES = {
+    "antiparallel_pairs": (
+        DirectedGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (3, 0))),
+        INV_SQRT2,
+        INV_SQRT2,
+    ),
+    "complex_non_uniform_alphas": (
+        generate("erdos_renyi", 6, {"p": 0.5}, seed=8),
+        0.6 * np.exp(0.3j),
+        0.8 * np.exp(-1.1j),
+    ),
+    "single_qubit": (DirectedGraph(1, ()), 0.8j, 0.6),
+    "all_edges_downward": (
+        DirectedGraph(5, ((4, 0), (4, 2), (3, 1), (2, 0), (1, 0), (4, 3))),
+        0.6,
+        0.8,
+    ),
+}
+
+
+class TestDoublingKernel:
+    """build_graph_state against the gate-by-gate and dense-operator routes."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matches_edge_gate_chain_and_dense_operators(self, case):
+        g, alpha0, alpha1 = KERNEL_CASES[case]
+        for gp in (GateParams(0.7, -1.3), GateParams(math.pi / 2, math.pi / 2), GateParams(-2.9, 0.4)):
+            st = build_graph_state(g, gp, alpha0, alpha1, allow_antiparallel=True)
+            np.testing.assert_allclose(
+                st.amplitudes, _edge_gate_chain(g, gp, alpha0, alpha1), rtol=0, atol=1e-14
+            )
+            np.testing.assert_allclose(
+                st.amplitudes, _dense_chain(g, gp, alpha0, alpha1), rtol=0, atol=1e-14
+            )
+
+    def test_empty_graph_is_product_state_bit_for_bit(self):
+        for M in range(1, 9):
+            for alpha0, alpha1 in ((INV_SQRT2, INV_SQRT2), (0.6, 0.8j), (1.0, 0.0)):
+                st = build_graph_state(DirectedGraph(M, ()), GateParams(1.1, 0.4), alpha0, alpha1)
+                np.testing.assert_array_equal(
+                    st.amplitudes, init_product_state(M, alpha0, alpha1).amplitudes
+                )
+
+    def test_makes_no_edge_gate_calls(self, monkeypatch):
+        calls = []
+        real = statevector.apply_edge_gate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(statevector, "apply_edge_gate", counting)
+        build_graph_state(generate("complete_dag", 6), GateParams(0.9, 0.1))
+        assert calls == []
+        statevector.apply_edge_gate(init_product_state(2, 0.6, 0.8), (0, 1), GateParams(0.9))
+        assert len(calls) == 1  # the counter sees calls made through the module
+
+    def test_capacity_and_alpha_checks(self):
+        g = generate("path", 5)
+        with pytest.raises(CapacityError):
+            build_graph_state(g, GateParams(0.3), max_qubits=4)
+        with pytest.raises(NotNormalizedError):
+            build_graph_state(g, GateParams(0.3), 0.6, 0.7)
+
+    def test_state_owns_its_frozen_buffer(self):
+        st = build_graph_state(generate("cycle", 4), GateParams(0.5, 0.2))
+        assert st.amplitudes.flags.owndata and not st.amplitudes.flags.writeable
+
+
+class TestPureStateOwnership:
+    def test_writeable_input_is_copied(self):
+        amps = np.array([0.6, 0.8j])
+        st = PureState(1, amps)
+        assert not np.shares_memory(st.amplitudes, amps)
+        amps[0] = 5.0  # the caller's array stays writeable and the state unchanged
+        assert st.amplitudes[0] == 0.6
+
+    def test_frozen_owned_buffer_is_adopted(self):
+        amps = np.array([0.6, 0.8j])
+        amps.flags.writeable = False
+        assert PureState(1, amps).amplitudes is amps
+
+    def test_frozen_view_is_copied(self):
+        base = np.array([0.6, 0.8j, 0.0, 0.0])
+        view = base[:2]
+        view.flags.writeable = False
+        assert not np.shares_memory(PureState(1, view).amplitudes, base)
+
+    def test_adopted_buffer_is_norm_checked(self):
+        amps = np.array([1.0 + 0j, 1.0])
+        amps.flags.writeable = False
+        with pytest.raises(NotNormalizedError):
+            PureState(1, amps)
+
+
+class TestBlochVectors:
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(58)
+        for M in range(1, 7):
+            amps = oracles.random_state(rng, M)
+            vectors = bloch_vectors(PureState(M, amps))
+            assert len(vectors) == M
+            for i, v in enumerate(vectors):
+                want = oracles.pauli_expectation_dense(amps, M, i)
+                np.testing.assert_allclose((v.x, v.y, v.z), want, rtol=0, atol=1e-12)
+
+    def test_matches_dense_oracle_on_built_states(self):
+        gp = GateParams(0.8, -0.6)
+        for g in (generate("erdos_renyi", 6, {"p": 0.5}, seed=4), generate("star_in", 5)):
+            st = build_graph_state(g, gp, 0.6, 0.8j)
+            for i, v in enumerate(bloch_vectors(st)):
+                want = oracles.pauli_expectation_dense(st.amplitudes, g.M, i)
+                np.testing.assert_allclose((v.x, v.y, v.z), want, rtol=0, atol=1e-12)
+
+    def test_product_states_are_exactly_pure(self):
+        for M in range(1, 13):
+            for alpha0, alpha1 in ((INV_SQRT2, INV_SQRT2), (1.0, 0.0), (0.0, 1.0)):
+                for v in bloch_vectors(init_product_state(M, alpha0, alpha1)):
+                    assert v.norm_sq == 1.0
 
 
 class TestPauliExpectation:
