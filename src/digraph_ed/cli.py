@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import digraph, suite as suite_mod
-from .entanglement import GateParams, alpha_sweep, ed_total, fmt17, verify_graph
+from .entanglement import GateParams, _ed_total, alpha_sweep, fmt17, verify_graph
 from .errors import CapacityError, DigraphEdError
 from .statevector import bloch_vectors, build_graph_state
 
@@ -45,8 +45,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"error: {self.prog}: {message}\n")
 
 
-def _qubit_cap(text: str) -> int:
-    """Parse a qubit cap (``--max-qubits`` or DIGRAPH_ED_MAX_QUBITS): an integer >= 1."""
+def _positive_int(text: str) -> int:
+    """Parse an integer >= 1 (``--max-qubits``, DIGRAPH_ED_MAX_QUBITS, ``--jobs``)."""
     try:
         value = int(text)
     except ValueError:
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(prog="digraph-ed", description=__doc__.splitlines()[0])
     ap.add_argument(
         "--max-qubits",
-        type=_qubit_cap,
+        type=_positive_int,
         default=None,
         help=f"qubit cap (default {DEFAULT_MAX_QUBITS_CLI}, env DIGRAPH_ED_MAX_QUBITS)",
     )
@@ -128,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--graphs", type=int, default=200)
     p.add_argument("--max-M", dest="max_m", type=int, default=12)
-    p.add_argument("--jobs", type=int, default=1, help="parallel verification workers")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1, help="parallel verification workers"
+    )
     p.set_defaults(func=cmd_suite)
 
     return ap
@@ -145,7 +147,7 @@ def _cap(args) -> int:
     if not env:
         return DEFAULT_MAX_QUBITS_CLI
     try:
-        return _qubit_cap(env)
+        return _positive_int(env)
     except argparse.ArgumentTypeError as e:
         raise DigraphEdError(f"DIGRAPH_ED_MAX_QUBITS: {e}") from None
 
@@ -194,8 +196,9 @@ def cmd_ed(args) -> int:
     state = build_graph_state(
         g, gp, allow_antiparallel=args.allow_antiparallel, max_qubits=_cap(args)
     )
-    lines = [f"E({i}) = {fmt17(1.0 - v.norm_sq)}" for i, v in enumerate(bloch_vectors(state))]
-    lines.append(f"E_total = {fmt17(ed_total(state))}")
+    vectors = bloch_vectors(state)
+    lines = [f"E({i}) = {fmt17(1.0 - v.norm_sq)}" for i, v in enumerate(vectors)]
+    lines.append(f"E_total = {fmt17(_ed_total(vectors))}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -17,7 +17,10 @@ index, which :func:`build_graph_state` writes directly by qubit doubling:
 O(2^M) work whatever the edge count, in one buffer that becomes the
 state's frozen amplitude array (peak memory about one state, at most two).
 :func:`bloch_vectors` reads every qubit's Bloch vector from views of the
-amplitudes, with no copy of the state.
+amplitudes, with no copy of the state, in two reductions: one BLAS Gram
+matrix of the float view for the low qubits, and complex dot products along
+contiguous rows for the rest. Within a qubit, p0, p1 and Re<0|rho|1> come
+from one routine and one operand shape, so product states stay exactly pure.
 
 :func:`apply_edge_gate` (one gate as a per-amplitude phase multiply), the
 generic dense 4x4 two-qubit path and :func:`pauli_expectation` are
@@ -31,6 +34,7 @@ phase-only gates any drift signals a kernel bug.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +54,10 @@ DEFAULT_MAX_QUBITS = 24
 
 _TWO_PI = 2.0 * math.pi
 _NORM_TOL = 1e-9
+#: :func:`bloch_vectors` reads the qubits below this index from one Gram matrix.
+_GRAM_QUBITS = 5
+#: Longest complex dot product in :func:`bloch_vectors`: 2^_DOT_BITS amplitudes.
+_DOT_BITS = 10
 
 
 def _canonical_angle(x: float) -> float:
@@ -321,33 +329,76 @@ def build_graph_state(
     return PureState(g.M, amps)
 
 
+@functools.lru_cache(maxsize=None)
+def _gram_entries(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions, in the Gram of :func:`bloch_vectors`, of what each low qubit sums.
+
+    Gram row and column 2k hold Re a_k and 2k+1 hold Im a_k, for the 2^L
+    amplitudes k of one row of the float view. For qubit i < L, with k0
+    running over the k whose bit i is clear and k1 = k0 + 2^i,
+    ``sym[:, i]`` holds the entries summed into p0 (k0 with k0), p1 (k1 with
+    k1) and Re t (k0 with k1), in one shape and one order: the re-re entry,
+    then the im-im entry, per k0. ``cross[:, i]`` holds the re0-im1 and the
+    im0-re1 entries, whose sums differ by Im t. All lie in the upper triangle.
+    """
+    n = 2 << L
+    k = np.arange(1 << L)
+    r0 = 2 * np.array([k[k & (1 << i) == 0] for i in range(L)])
+    r1 = r0 + 2 * (1 << np.arange(L)[:, None])
+
+    def re_then_im(r, c):
+        return np.stack([r * n + c, (r + 1) * n + c + 1], axis=-1).reshape(L, -1)
+
+    sym = np.stack([re_then_im(r0, r0), re_then_im(r1, r1), re_then_im(r0, r1)])
+    cross = np.stack([r0 * n + r1 + 1, (r0 + 1) * n + r1])
+    sym.flags.writeable = cross.flags.writeable = False
+    return sym, cross
+
+
 def bloch_vectors(state: PureState) -> tuple[PauliVector, ...]:
     """Bloch vectors of all M qubits, in qubit order.
 
-    Same quantities as :func:`pauli_expectation`, read from the float view
-    of the amplitudes (re, im interleaved) without copying it. For qubit i,
-    reshaping that view to (-1, 2, 2^(i+1)) puts the bit-i=0 block f0 and
-    the bit-i=1 block f1 of every amplitude pair side by side, and
+    Same quantities as :func:`pauli_expectation`, with t = sum(conj(a0) * a1)
+    over the amplitude pairs that differ in bit i, read from views of the
+    amplitudes without copying them, in two reductions:
 
-        p0 = f0.f0,  p1 = f1.f1,  Re t = f0.f1,  Im t = re0.im1 - im0.re1,
+    * qubits i < L = min(M, _GRAM_QUBITS): the float view (re, im
+      interleaved) reshaped to (-1, 2^(L+1)) gives one BLAS Gram
+      G = f.T @ f, 2^(L+1) square.
+      Each qubit's p0, p1, Re t and Im t is a sum of entries of G, gathered
+      for all low qubits at once (see :func:`_gram_entries`);
+    * qubits i >= L: the complex view reshaped to (-1, 2, 2^i) puts the
+      bit-i=0 block a0 and the bit-i=1 block a1 side by side, and
+      p0 = a0.a0, p1 = a1.a1 and t = a0.a1 are complex ``np.vecdot`` calls
+      along the contiguous last axis, each summed as a complex array. Rows
+      longer than 2^_DOT_BITS amplitudes are split, so no BLAS dot runs
+      long and the sum over the pieces is pairwise.
 
-    with t = sum(conj(a0) * a1). p0, p1 and Re t come from one contraction
-    routine over operands of one shape, so for a product state with equal
-    amplitudes they are bitwise equal and the ED is exactly zero.
+    Within a qubit, p0, p1 and Re t come from one routine over operands of
+    one shape and are summed in one order, so for a product state with
+    equal amplitudes they are bitwise equal and its ED is exactly zero.
     """
-    f = state.amplitudes.view(np.float64)
+    amps = state.amplitudes
+    L = min(state.M, _GRAM_QUBITS)
+    f = amps.view(np.float64).reshape(-1, 2 << L)
+    gram = (f.T @ f).ravel()
+    sym, cross = _gram_entries(L)
+    p0, p1, re = gram[sym].sum(axis=-1).tolist()
+    im_pos, im_neg = gram[cross].sum(axis=-1)
+    im = (im_pos - im_neg).tolist()
+    for i in range(L, state.M):
+        c = min(i, _DOT_BITS)
+        pairs = amps.reshape(-1, 2, 1 << (i - c), 1 << c)
+        a0, a1 = pairs[:, 0], pairs[:, 1]
+        p0.append(float(np.vecdot(a0, a0).sum().real))
+        p1.append(float(np.vecdot(a1, a1).sum().real))
+        t = np.vecdot(a0, a1).sum()
+        re.append(float(t.real))
+        im.append(float(t.imag))
     out = []
-    for i in range(state.M):
-        pairs = f.reshape(-1, 2, 2 << i)
-        f0, f1 = pairs[:, 0], pairs[:, 1]
-        p0 = float(np.einsum("rk,rk->", f0, f0))
-        p1 = float(np.einsum("rk,rk->", f1, f1))
-        re = float(np.einsum("rk,rk->", f0, f1))
-        im = float(np.einsum("rk,rk->", f0[:, 0::2], f1[:, 1::2])) - float(
-            np.einsum("rk,rk->", f0[:, 1::2], f1[:, 0::2])
-        )
-        nrm = p0 + p1
-        out.append(PauliVector(2.0 * re / nrm, 2.0 * im / nrm, (p0 - p1) / nrm))
+    for q0, q1, r, m in zip(p0, p1, re, im):
+        nrm = q0 + q1
+        out.append(PauliVector(2.0 * r / nrm, 2.0 * m / nrm, (q0 - q1) / nrm))
     return tuple(out)
 
 

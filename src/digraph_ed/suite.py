@@ -23,6 +23,7 @@ from .statevector import (
     PureState,
     apply_edge_gate,
     apply_two_qubit_dense,
+    bloch_vectors,
     build_graph_state,
     commutation_check,
     edge_gate_matrix,
@@ -283,6 +284,16 @@ def _check_kernel_cross_validation(seed, reps=3) -> CheckResult:
             worst = max(worst, rho_err)
             if rho_err >= 1e-12:
                 bad.append(f"M={M}: partial trace vs Bloch form differ by {rho_err:.3e}")
+            # the all-qubit Bloch read against the per-qubit oracle
+            for q, v in enumerate(bloch_vectors(fast)):
+                want = pauli_expectation(fast, q)
+                err = max(abs(v.x - want.x), abs(v.y - want.y), abs(v.z - want.z))
+                worst = max(worst, err)
+                if err >= 1e-14:
+                    bad.append(
+                        f"M={M}: bloch_vectors and pauli_expectation differ on qubit {q}"
+                        f" by {err:.3e}"
+                    )
     # the doubling build against the gate-by-gate chain, then edge-order
     # freedom, on a batch of small graphs
     for _ in range(5):

@@ -46,6 +46,34 @@ class TestEd:
         total = float(lines[-1].split(" = ")[1])
         assert abs(total - 7.0 / 12.0) < 1e-9
 
+    def test_reads_bloch_vectors_once_and_prints_library_values(self, capsys, monkeypatch):
+        g = digraph.generate("erdos_renyi", 7, {"p": 0.4}, seed=3)
+        state = statevector.build_graph_state(g, statevector.GateParams(0.9, 0.4))
+        fmt = entanglement.fmt17
+        want = "".join(
+            f"E({i}) = {fmt(entanglement.ed_per_vertex(state, i))}\n" for i in range(g.M)
+        ) + f"E_total = {fmt(entanglement.ed_total(state))}\n"
+        calls = []
+        real = statevector.bloch_vectors
+        for module in (cli, entanglement):
+            monkeypatch.setattr(
+                module, "bloch_vectors", lambda st: calls.append(st.M) or real(st)
+            )
+        code, out, _ = run(
+            ["ed", "--kind", "erdos_renyi", "--M", "7", "--p", "0.4", "--seed", "3",
+             "--theta", "0.9", "--psi", "0.4"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert out == want
+        assert calls == [7]
+
+    def test_star_output_is_pinned(self, capsys):
+        _, out, _ = run(
+            ["ed", "--kind", "star_out", "--M", "3", "--theta", str(math.pi / 4)], capsys
+        )
+        assert out == "E(0) = 0.75\nE(1) = 0.5\nE(2) = 0.5\nE_total = 0.58333333333333326\n"
+
     def test_deg_flag(self, capsys):
         _, out_rad, _ = run(["ed", "--kind", "path", "--M", "2", "--theta", str(math.pi / 2)], capsys)
         _, out_deg, _ = run(["ed", "--kind", "path", "--M", "2", "--theta", "90", "--deg"], capsys)
@@ -263,9 +291,12 @@ class TestInputHardening:
             (["verify", "--graph", "NON_UTF8", "--theta", "0.5"], None),
             (["--max-qubits", "-5", "ed", "--kind", "path", "--M", "3", "--theta", "0.5"], None),
             (["suite", "--graphs", "0"], None),
+            (["suite", "--jobs", "0"], None),
+            (["suite", "--jobs", "-4"], None),
         ],
         ids=["env_cap_not_an_integer", "suite_max_m_1", "non_utf8_graph_file",
-             "negative_max_qubits", "suite_zero_graphs"],
+             "negative_max_qubits", "suite_zero_graphs", "suite_zero_jobs",
+             "suite_negative_jobs"],
     )
     def test_one_error_line_and_exit_2(self, argv, env, tmp_path, capsys, monkeypatch):
         if env is not None:

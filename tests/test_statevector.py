@@ -1,12 +1,14 @@
 """Statevector engine tests: kernels, expectations, and cross-validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from digraph_ed.digraph import DirectedGraph, generate
+from digraph_ed.entanglement import pauli_vector_closed_form
 from digraph_ed.errors import (
     BadParamsError,
     CapacityError,
@@ -321,8 +323,9 @@ class TestPureStateOwnership:
 
 class TestBlochVectors:
     def test_matches_dense_oracle(self):
+        # M up to 10 covers the Gram qubits and the vecdot qubits
         rng = np.random.default_rng(58)
-        for M in range(1, 7):
+        for M in range(1, 11):
             amps = oracles.random_state(rng, M)
             vectors = bloch_vectors(PureState(M, amps))
             assert len(vectors) == M
@@ -339,10 +342,37 @@ class TestBlochVectors:
                 np.testing.assert_allclose((v.x, v.y, v.z), want, rtol=0, atol=1e-12)
 
     def test_product_states_are_exactly_pure(self):
-        for M in range(1, 13):
+        for M in range(1, 17):
             for alpha0, alpha1 in ((INV_SQRT2, INV_SQRT2), (1.0, 0.0), (0.0, 1.0)):
                 for v in bloch_vectors(init_product_state(M, alpha0, alpha1)):
                     assert v.norm_sq == 1.0
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [("erdos_renyi", {"p": 0.3}), ("complete_dag", {}), ("star_out", {})],
+    )
+    def test_matches_closed_form_at_m16(self, kind, params):
+        g = generate(kind, 16, params, seed=2)
+        gp = GateParams(0.2, 2.9)
+        d_out = np.bincount([a for a, _ in g.edges], minlength=g.M)
+        d_in = np.bincount([b for _, b in g.edges], minlength=g.M)
+        for i, v in enumerate(bloch_vectors(build_graph_state(g, gp))):
+            want = pauli_vector_closed_form(int(d_out[i]), int(d_in[i]), gp)
+            np.testing.assert_allclose(
+                (v.x, v.y, v.z), (want.x, want.y, want.z), rtol=0, atol=1e-13
+            )
+
+    def test_makes_no_copy_of_the_state(self):
+        g = generate("erdos_renyi", 20, {"p": 0.3}, seed=2)
+        st = build_graph_state(g, GateParams(0.7, 0.3))
+        bloch_vectors(st)  # first call fills the index cache
+        tracemalloc.start()
+        try:
+            bloch_vectors(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < st.amplitudes.nbytes / 16
 
 
 class TestPauliExpectation:
