@@ -1,22 +1,37 @@
 """Seeded property battery: every invariant the library promises, end to end.
 
-Each check walks a deterministic population of graphs and parameters derived
-from one seed, records violations keyed by graph hash, and reports the worst
-observed magnitude next to its threshold. Aggregation is order-independent,
-so per-graph verification can fan out across threads without changing the
-report.
+One table, :data:`CHECKS`, holds every invariant as a row
+``(name, threshold, measure)``. A measure walks a deterministic population
+derived from one seed and yields one record per case: a label and the
+``(error, bound)`` pairs seen on it, each error required to stay strictly
+below its bound. :func:`run_check` folds the records into a
+:class:`CheckResult` with the case count, the worst error and the violations.
+``digraph-ed suite`` runs the table through :func:`run_suite`, and the pytest
+acceptance gate parametrises over it, so a new invariant is one new row.
+Aggregation is order-independent, so per-graph verification can fan out
+across threads without changing the report.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import entanglement as ent
-from .digraph import DirectedGraph, degrees, generate, graph_hash, permute, reverse_edges
+from .digraph import (
+    DegreeRecord,
+    DirectedGraph,
+    degrees,
+    generate,
+    graph_hash,
+    permute,
+    reverse_edges,
+)
 from .errors import BadParamsError
 from .statevector import (
     GateParams,
@@ -96,160 +111,150 @@ def battery(seed: int, n_graphs: int, max_m: int) -> list[tuple[DirectedGraph, G
     return out
 
 
-def _verify_reports(cases, seed, jobs):
-    def one(item):
+@dataclass(frozen=True)
+class Population:
+    """The seeded graphs with their dual-route reports and degree records."""
+
+    seed: int
+    cases: tuple[tuple[DirectedGraph, GateParams], ...]
+    reports: tuple[ent.EDReport, ...]
+    degrees: tuple[list[DegreeRecord], ...]
+
+
+def population(seed: int, n_graphs: int, max_m: int, jobs: int = 1) -> Population:
+    """Build :func:`battery` and verify every graph, on ``jobs`` threads."""
+    cases = tuple(battery(seed, n_graphs, max_m))
+
+    def verify(item):
         n, (g, gp) = item
         return ent.verify_graph(g, gp, seed_info=f"suite seed={seed} idx={n}")
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, enumerate(cases)))
+            reports = tuple(pool.map(verify, enumerate(cases)))
     else:
-        reports = [one(item) for item in enumerate(cases)]
-    return reports
+        reports = tuple(map(verify, enumerate(cases)))
+    return Population(seed, cases, reports, tuple(degrees(g) for g, _ in cases))
 
 
-def _check_closed_form_agreement(cases, reports) -> CheckResult:
-    tol = ent.DISCREPANCY_TOL
+# A case's label and its (error, bound) pairs; each error must stay
+# strictly below its bound.
+Record = tuple[str, list[tuple[float, float]]]
+
+
+class Check(NamedTuple):
+    """One invariant: ``measure(pop, threshold)`` yields a record per case."""
+
+    name: str
+    threshold: float
+    measure: Callable[[Population, float], Iterable[Record]]
+
+
+# The least positive float: as a bound, only an exact 0 stays below it.
+_EXACT = math.ulp(0.0)
+
+
+def run_check(check: Check, pop: Population) -> CheckResult:
+    """Fold a measure's records into cases, worst error and violations."""
+    cases = 0
     worst = 0.0
     bad = []
-    for (g, gp), rep in zip(cases, reports):
-        worst = max(worst, rep.discrepancy)
-        if rep.discrepancy >= tol:
-            bad.append(f"{rep.graph_hash[:12]}: |E_sv - E_cf| = {rep.discrepancy:.3e}")
-    return CheckResult("closed_form_agreement", len(cases), tol, worst, tuple(bad))
-
-
-def _check_orientation(cases, reports, seed, limit=50) -> CheckResult:
-    rng = np.random.default_rng([seed, 1])
-    worst = 0.0
-    bad = []
-    subset_cases = cases[:limit]
-    for (g, gp), rep in zip(subset_cases, reports):
-        if g.num_edges == 0:
-            flipped = g
-        else:
-            mask = rng.random(g.num_edges) < 0.5
-            flipped = reverse_edges(g, np.flatnonzero(mask))
-        delta = abs(ent.ed_total(build_graph_state(flipped, gp)) - rep.total_statevector)
-        worst = max(worst, delta)
-        if delta >= 1e-12:
-            bad.append(f"{rep.graph_hash[:12]}: reversal moved E_sv by {delta:.3e}")
-    return CheckResult("orientation_invariance", len(subset_cases), 1e-12, worst, tuple(bad))
-
-
-def _check_relabeling(cases, reports, seed, limit=50) -> CheckResult:
-    rng = np.random.default_rng([seed, 2])
-    worst = 0.0
-    bad = []
-    subset_cases = cases[:limit]
-    for (g, gp), rep in zip(subset_cases, reports):
-        perm = rng.permutation(g.M)
-        delta = abs(
-            ent.ed_total(build_graph_state(permute(g, perm), gp)) - rep.total_statevector
-        )
-        worst = max(worst, delta)
-        if delta >= 1e-12:
-            bad.append(f"{rep.graph_hash[:12]}: relabeling moved E_sv by {delta:.3e}")
-    return CheckResult("relabeling_invariance", len(subset_cases), 1e-12, worst, tuple(bad))
-
-
-def _check_psi_invariance(cases, seed, limit=5, n_psi=10) -> CheckResult:
-    rng = np.random.default_rng([seed, 3])
-    worst = 0.0
-    bad = []
-    subset = cases[:limit]
-    for g, gp in subset:
-        values = [
-            ent.ed_total(build_graph_state(g, GateParams(gp.theta, float(psi))))
-            for psi in rng.uniform(-math.pi, math.pi, size=n_psi)
-        ]
-        spread = max(values) - min(values)
-        worst = max(worst, spread)
-        if spread >= 1e-12:
-            bad.append(f"{graph_hash(g)[:12]}: E_sv spread over psi = {spread:.3e}")
-    return CheckResult("psi_invariance", len(subset), 1e-12, worst, tuple(bad))
-
-
-def _check_maximal(cases) -> CheckResult:
-    worst = 0.0
-    bad = []
-    n = 0
-    half_pi = math.pi / 2.0
-    for g, gp in cases:
-        if min(rec.total for rec in degrees(g)) < 1:
-            continue
-        n += 1
-        err = abs(ent.ed_total(build_graph_state(g, GateParams(half_pi, gp.psi))) - 1.0)
-        worst = max(worst, err)
-        if err >= 1e-12:
-            bad.append(f"{graph_hash(g)[:12]}: |E_sv - 1| = {err:.3e} at theta=pi/2")
-    # the fully separable reference point must sit at zero exactly
-    empty = DirectedGraph(3, ())
-    n += 1
-    e_empty = ent.ed_total(build_graph_state(empty, GateParams(1.0, 0.5)))
-    worst = max(worst, abs(e_empty))
-    if e_empty != 0.0:
-        bad.append(f"empty graph: E_sv = {e_empty!r} != 0")
-    return CheckResult("maximal_entanglement", n, 1e-12, worst, tuple(bad))
-
-
-def _check_alpha_optimality(grid=101) -> CheckResult:
-    sweep = ent.alpha_sweep(GateParams(math.pi / 2.0, 0.0), grid)
-    bad = []
-    for name, got in (
-        ("argmax_E", sweep.argmax_E),
-        ("argmax_S", sweep.argmax_S),
-        ("argmin_DHS", sweep.argmin_DHS),
-    ):
-        if got != 0.5:
-            bad.append(f"{name} = {got!r}, expected 0.50 on the grid")
-    half = grid // 2
-    e_up = [s[1] for s in sweep.samples[: half + 1]]
-    s_up = [s[2] for s in sweep.samples[: half + 1]]
-    d_down = [s[3] for s in sweep.samples[: half + 1]]
-    if any(b <= a for a, b in zip(e_up, e_up[1:])):
-        bad.append("E not strictly increasing on t in [0, 0.5]")
-    if any(b <= a for a, b in zip(s_up, s_up[1:])):
-        bad.append("S not strictly increasing on t in [0, 0.5]")
-    if any(b >= a for a, b in zip(d_down, d_down[1:])):
-        bad.append("D_HS not strictly decreasing on t in [0, 0.5]")
-    worst = abs(sweep.argmax_E - 0.5)
-    return CheckResult("alpha_optimality", grid, 0.0, worst, tuple(bad))
-
-
-def _check_per_vertex_law(cases, reports) -> CheckResult:
-    worst = 0.0
-    bad = []
-    n = 0
-    for (g, gp), rep in zip(cases, reports):
-        c = math.cos(gp.theta)
-        for rec, ev in zip(degrees(g), rep.per_vertex):
-            n += 1
-            err = abs(ev - (1.0 - c ** (2 * rec.total)))
+    for label, pairs in check.measure(pop, check.threshold):
+        cases += 1
+        for j, (err, bound) in enumerate(pairs):
             worst = max(worst, err)
-            if err >= 1e-10:
-                bad.append(f"{rep.graph_hash[:12]}: per-vertex law off by {err:.3e}")
-    return CheckResult("per_vertex_law", n, 1e-10, worst, tuple(bad))
+            if not err < bound:
+                where = label if len(pairs) == 1 else f"{label} #{j}"
+                bad.append(f"{check.name}: {where}: {err:.3e} not below {bound:.0e}")
+    return CheckResult(check.name, cases, check.threshold, worst, tuple(bad))
 
 
-def _check_gates(seed, n_params=20) -> CheckResult:
-    rng = np.random.default_rng([seed, 4])
-    bad = []
+def _ed(g: DirectedGraph, gp: GateParams) -> float:
+    return ent.ed_total(build_graph_state(g, gp))
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a)))
+
+
+def _bloch_gap(u, v) -> float:
+    return max(abs(u.x - v.x), abs(u.y - v.y), abs(u.z - v.z))
+
+
+def _angles(rng, low: float, high: float) -> GateParams:
+    return GateParams(float(rng.uniform(low, high)), float(rng.uniform(low, high)))
+
+
+def _closed_form_agreement(pop, tol):
+    for rep in pop.reports:
+        yield rep.graph_hash[:12], [(rep.discrepancy, tol)]
+
+
+def _orientation_invariance(pop, tol):
+    rng = np.random.default_rng([pop.seed, 1])
+    for (g, gp), rep in zip(pop.cases[:50], pop.reports):
+        flipped = g
+        if g.num_edges:
+            flipped = reverse_edges(g, np.flatnonzero(rng.random(g.num_edges) < 0.5))
+        yield rep.graph_hash[:12], [(abs(_ed(flipped, gp) - rep.total_statevector), tol)]
+
+
+def _relabeling_invariance(pop, tol):
+    rng = np.random.default_rng([pop.seed, 2])
+    for (g, gp), rep in zip(pop.cases[:50], pop.reports):
+        relabeled = permute(g, rng.permutation(g.M))
+        yield rep.graph_hash[:12], [(abs(_ed(relabeled, gp) - rep.total_statevector), tol)]
+
+
+def _psi_invariance(pop, tol):
+    rng = np.random.default_rng([pop.seed, 3])
+    for (g, gp), rep in zip(pop.cases[:5], pop.reports):
+        values = [
+            _ed(g, GateParams(gp.theta, float(psi)))
+            for psi in rng.uniform(-math.pi, math.pi, size=10)
+        ]
+        yield rep.graph_hash[:12], [(max(values) - min(values), tol)]
+
+
+def _maximal_entanglement(pop, tol):
+    for (g, gp), recs, rep in zip(pop.cases, pop.degrees, pop.reports):
+        if min(rec.total for rec in recs) >= 1:
+            err = abs(_ed(g, GateParams(math.pi / 2, gp.psi)) - 1.0)
+            yield rep.graph_hash[:12], [(err, tol)]
+    # the fully separable reference point must sit at zero exactly
+    yield "empty graph", [(abs(_ed(DirectedGraph(3, ()), GateParams(1.0, 0.5))), _EXACT)]
+
+
+def _alpha_optimality(pop, tol):
+    sweep = ent.alpha_sweep(GateParams(math.pi / 2, 0.0), 101)
+    peak = len(sweep.samples) // 2
+    for k, (t, e, s, d) in enumerate(sweep.samples):
+        if k == peak:
+            extrema = (sweep.argmax_E, sweep.argmax_S, sweep.argmin_DHS)
+            pairs = [(abs(x - 0.5), _EXACT) for x in extrema]
+        else:
+            # one grid step toward t = 0.5 raises E and S and lowers D_HS, strictly
+            _, e1, s1, d1 = sweep.samples[k + 1 if k < peak else k - 1]
+            pairs = [(e - e1, tol), (s - s1, tol), (d1 - d, tol)]
+        yield f"t={t:.2f}", pairs
+
+
+def _per_vertex_law(pop, tol):
+    for (g, gp), recs, rep in zip(pop.cases, pop.degrees, pop.reports):
+        c = math.cos(gp.theta)
+        for i, (rec, ev) in enumerate(zip(recs, rep.per_vertex)):
+            err = abs(ev - (1.0 - c ** (2 * rec.total)))
+            yield f"{rep.graph_hash[:12]} vertex {i}", [(err, tol)]
+
+
+def _gate_correctness(pop, tol):
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    cz_err = float(
-        np.max(np.abs(edge_gate_matrix(GateParams(math.pi / 2, math.pi / 2)) - cz))
-    )
-    if cz_err >= 1e-15:
-        bad.append(f"edge gate at (pi/2, pi/2) differs from CZ by {cz_err:.3e}")
-    worst = cz_err
-    for _ in range(n_params):
-        gp = GateParams(float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-math.pi, math.pi)))
-        c = commutation_check(gp)
-        worst = max(worst, c)
-        if c >= 1e-14:
-            bad.append(f"commutator norm {c:.3e} at theta={gp.theta:.3f}, psi={gp.psi:.3f}")
-    return CheckResult("gate_correctness", n_params + 1, 1e-14, worst, tuple(bad))
+    gate = edge_gate_matrix(GateParams(math.pi / 2, math.pi / 2))
+    yield "edge gate at (pi/2, pi/2) vs CZ", [(_max_abs(gate - cz), 1e-15)]
+    rng = np.random.default_rng([pop.seed, 4])
+    for _ in range(20):
+        gp = _angles(rng, -math.pi, math.pi)
+        yield f"commutators at ({gp.theta:.3f}, {gp.psi:.3f})", [(commutation_check(gp), tol)]
 
 
 def _random_state(rng, M: int) -> PureState:
@@ -257,138 +262,94 @@ def _random_state(rng, M: int) -> PureState:
     return PureState(M, v / np.linalg.norm(v))
 
 
-def _check_kernel_cross_validation(seed, reps=3) -> CheckResult:
-    rng = np.random.default_rng([seed, 5])
-    worst = 0.0
-    bad = []
-    n = 0
+def _kernel_cross_validation(pop, tol):
+    rng = np.random.default_rng([pop.seed, 5])
     for M in range(2, 9):
-        for _ in range(reps):
-            n += 1
+        for r in range(3):
             state = _random_state(rng, M)
             a, b = rng.choice(M, size=2, replace=False)
-            gp = GateParams(float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-math.pi, math.pi)))
+            gp = _angles(rng, -math.pi, math.pi)
             fast = apply_edge_gate(state, (a, b), gp)
             dense = apply_two_qubit_dense(state, (a, b), edge_gate_matrix(gp))
-            err = float(np.max(np.abs(fast.amplitudes - dense.amplitudes)))
-            worst = max(worst, err)
-            if err >= 1e-14:
-                bad.append(f"M={M}: fast/dense kernels differ by {err:.3e}")
+            pairs = [(_max_abs(fast.amplitudes - dense.amplitudes), tol)]
             # Bloch consistency: partial trace against 1/2 (I + r . sigma)
             i = int(rng.integers(M))
-            r = pauli_expectation(fast, i)
-            bloch = 0.5 * np.array(
-                [[1.0 + r.z, r.x - 1j * r.y], [r.x + 1j * r.y, 1.0 - r.z]]
-            )
-            rho_err = float(np.max(np.abs(reduced_density_1q(fast, i).matrix - bloch)))
-            worst = max(worst, rho_err)
-            if rho_err >= 1e-12:
-                bad.append(f"M={M}: partial trace vs Bloch form differ by {rho_err:.3e}")
+            v = pauli_expectation(fast, i)
+            bloch = 0.5 * np.array([[1.0 + v.z, v.x - 1j * v.y], [v.x + 1j * v.y, 1.0 - v.z]])
+            pairs.append((_max_abs(reduced_density_1q(fast, i).matrix - bloch), 1e-12))
             # the all-qubit Bloch read against the per-qubit oracle
-            for q, v in enumerate(bloch_vectors(fast)):
-                want = pauli_expectation(fast, q)
-                err = max(abs(v.x - want.x), abs(v.y - want.y), abs(v.z - want.z))
-                worst = max(worst, err)
-                if err >= 1e-14:
-                    bad.append(
-                        f"M={M}: bloch_vectors and pauli_expectation differ on qubit {q}"
-                        f" by {err:.3e}"
-                    )
+            pairs += [
+                (_bloch_gap(v, pauli_expectation(fast, q)), tol)
+                for q, v in enumerate(bloch_vectors(fast))
+            ]
+            yield f"M={M} state {r}", pairs
     # the doubling build against the gate-by-gate chain, then edge-order
     # freedom, on a batch of small graphs
     for _ in range(5):
-        n += 1
         g = generate("erdos_renyi", 6, {"p": 0.5}, int(rng.integers(0, 2**63)))
-        gp = GateParams(float(rng.uniform(0, math.pi)), float(rng.uniform(0, math.pi)))
+        gp = _angles(rng, 0.0, math.pi)
         ref = build_graph_state(g, gp)
         chain = init_product_state(g.M, ent.ALPHA_INV_SQRT2, ent.ALPHA_INV_SQRT2)
         for edge in g.edges:
             chain = apply_edge_gate(chain, edge, gp)
-        err = float(np.max(np.abs(ref.amplitudes - chain.amplitudes)))
-        worst = max(worst, err)
-        if err >= 1e-14:
-            bad.append(f"{graph_hash(g)[:12]}: built state and edge-gate chain differ by {err:.3e}")
         shuffled = DirectedGraph(g.M, tuple(g.edges[i] for i in rng.permutation(g.num_edges)))
-        err = float(np.max(np.abs(build_graph_state(shuffled, gp).amplitudes - ref.amplitudes)))
-        worst = max(worst, err)
-        if err >= 1e-15:
-            bad.append(f"edge-order shuffle moved amplitudes by {err:.3e}")
-    return CheckResult("kernel_cross_validation", n, 1e-14, worst, tuple(bad))
+        yield graph_hash(g)[:12], [
+            (_max_abs(ref.amplitudes - chain.amplitudes), tol),
+            (_max_abs(build_graph_state(shuffled, gp).amplitudes - ref.amplitudes), 1e-15),
+        ]
 
 
-def _check_pauli_closed_forms(seed) -> CheckResult:
-    rng = np.random.default_rng([seed, 6])
-    worst = 0.0
-    bad = []
-    n = 0
+def _center_record(d_out: int, d_in: int, gp: GateParams, tol: float) -> Record:
+    """Vertex 0 with d_out outgoing and d_in incoming leaves, against the closed form."""
+    edges = tuple((0, 1 + k) for k in range(d_out)) + tuple(
+        (1 + d_out + k, 0) for k in range(d_in)
+    )
+    got = pauli_expectation(build_graph_state(DirectedGraph(1 + d_out + d_in, edges), gp), 0)
+    want = ent.pauli_vector_closed_form(d_out, d_in, gp)
+    return f"d_out={d_out}, d_in={d_in}", [(_bloch_gap(got, want), tol)]
 
-    def compare(g, center, d_out, d_in, gp):
-        nonlocal worst, n
-        n += 1
-        got = pauli_expectation(build_graph_state(g, gp), center)
-        want = ent.pauli_vector_closed_form(d_out, d_in, gp)
-        err = max(abs(got.x - want.x), abs(got.y - want.y), abs(got.z - want.z))
-        worst = max(worst, err)
-        if err >= 1e-10:
-            bad.append(
-                f"{graph_hash(g)[:12]}: closed-form Bloch vector off by {err:.3e} "
-                f"(d_out={d_out}, d_in={d_in})"
-            )
 
+def _pauli_closed_forms(pop, tol):
+    rng = np.random.default_rng([pop.seed, 6])
     for d in range(1, 7):
-        gp = GateParams(float(rng.uniform(0, math.pi)), float(rng.uniform(0, math.pi)))
-        compare(generate("star_out", d + 1), 0, d, 0, gp)
-        compare(generate("star_in", d + 1), 0, 0, d, gp)
+        gp = _angles(rng, 0.0, math.pi)
+        yield _center_record(d, 0, gp, tol)  # star_out
+        yield _center_record(0, d, gp, tol)  # star_in
     # mixed in/out attachments around one center vertex
     for d_out, d_in in ((1, 1), (2, 1), (1, 2), (3, 2)):
-        gp = GateParams(float(rng.uniform(0, math.pi)), float(rng.uniform(0, math.pi)))
-        M = 1 + d_out + d_in
-        edges = tuple((0, 1 + k) for k in range(d_out)) + tuple(
-            (1 + d_out + k, 0) for k in range(d_in)
-        )
-        compare(DirectedGraph(M, edges), 0, d_out, d_in, gp)
-    return CheckResult("pauli_closed_forms", n, 1e-10, worst, tuple(bad))
+        yield _center_record(d_out, d_in, _angles(rng, 0.0, math.pi), tol)
 
 
-def _check_degree_sufficiency(max_m=8) -> CheckResult:
-    worst = 0.0
-    bad = []
-    n = 0
-    theta = 0.9
-    gp = GateParams(theta, 0.4)
-    for M in range(3, max_m + 1):
-        n += 1
-        chain = generate("path", M)
+def _degree_sufficiency(pop, tol):
+    gp = GateParams(0.9, 0.4)
+    for M in range(3, 9):
         zigzag = DirectedGraph(
             M, tuple((i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(M - 1))
         )
-        delta = abs(
-            ent.ed_total(build_graph_state(chain, gp))
-            - ent.ed_total(build_graph_state(zigzag, gp))
-        )
-        worst = max(worst, delta)
-        if delta >= 1e-12:
-            bad.append(f"M={M}: equal degree multisets gave E_sv apart by {delta:.3e}")
-    return CheckResult("degree_sufficiency", n, 1e-12, worst, tuple(bad))
+        yield f"M={M}", [(abs(_ed(generate("path", M), gp) - _ed(zigzag, gp)), tol)]
+
+
+# Every invariant the suite checks, in report order. A new invariant is one
+# new row: a name, its headline threshold and a measure.
+CHECKS: tuple[Check, ...] = (
+    Check("closed_form_agreement", ent.DISCREPANCY_TOL, _closed_form_agreement),
+    Check("orientation_invariance", 1e-12, _orientation_invariance),
+    Check("relabeling_invariance", 1e-12, _relabeling_invariance),
+    Check("psi_invariance", 1e-12, _psi_invariance),
+    Check("maximal_entanglement", 1e-12, _maximal_entanglement),
+    Check("alpha_optimality", 0.0, _alpha_optimality),
+    Check("per_vertex_law", 1e-10, _per_vertex_law),
+    Check("gate_correctness", 1e-14, _gate_correctness),
+    Check("kernel_cross_validation", 1e-14, _kernel_cross_validation),
+    Check("pauli_closed_forms", 1e-10, _pauli_closed_forms),
+    Check("degree_sufficiency", 1e-12, _degree_sufficiency),
+)
 
 
 def run_suite(
     seed: int = 0, n_graphs: int = 200, max_m: int = 12, jobs: int = 1
 ) -> SuiteReport:
-    """Run the full battery; any violation flips the report to failing."""
-    cases = battery(seed, n_graphs, max_m)
-    reports = _verify_reports(cases, seed, jobs)
-    checks = (
-        _check_closed_form_agreement(cases, reports),
-        _check_orientation(cases, reports, seed),
-        _check_relabeling(cases, reports, seed),
-        _check_psi_invariance(cases, seed),
-        _check_maximal(cases),
-        _check_alpha_optimality(),
-        _check_per_vertex_law(cases, reports),
-        _check_gates(seed),
-        _check_kernel_cross_validation(seed),
-        _check_pauli_closed_forms(seed),
-        _check_degree_sufficiency(),
-    )
+    """Run every row of :data:`CHECKS`; any violation flips the report to failing."""
+    pop = population(seed, n_graphs, max_m, jobs)
+    checks = tuple(run_check(check, pop) for check in CHECKS)
     return SuiteReport(seed=seed, n_graphs=n_graphs, max_m=max_m, checks=checks)

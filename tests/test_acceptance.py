@@ -1,204 +1,27 @@
-"""Acceptance gate: the full criteria battery at its stated tolerances.
+"""Acceptance gate: every row of the suite's check table on 200 seeded digraphs.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
-per criterion.
+per criterion. The criteria, their tolerances and case counts live once, in
+``digraph_ed.suite.CHECKS``; ``digraph-ed suite`` runs the same table.
 """
 
-import math
-import time
-from contextlib import contextmanager
-
-import numpy as np
 import pytest
 
-import oracles
-from digraph_ed.digraph import DirectedGraph, degrees, generate, permute, reverse_edges
-from digraph_ed.entanglement import (
-    alpha_sweep,
-    ed_per_vertex,
-    ed_total,
-    pauli_vector_closed_form,
-    verify_graph,
-)
-from digraph_ed.statevector import (
-    GateParams,
-    PureState,
-    apply_edge_gate,
-    apply_two_qubit_dense,
-    build_graph_state,
-    commutation_check,
-    edge_gate_matrix,
-    pauli_expectation,
-)
-from digraph_ed.suite import battery
+from digraph_ed.suite import CHECKS, population, run_check
 
 SEED = 20260808
-N_GRAPHS = 200
-MAX_M = 12
-
-
-@contextmanager
-def criterion(num, name):
-    try:
-        yield
-    except BaseException:
-        print(f"ACCEPTANCE {num:02d} {name}: FAIL")
-        raise
-    else:
-        print(f"ACCEPTANCE {num:02d} {name}: PASS")
 
 
 @pytest.fixture(scope="module")
-def population():
+def pop():
     """200 seeded Erdos-Renyi digraphs, M in [2, 12], with random angles."""
-    return battery(SEED, N_GRAPHS, MAX_M)
+    return population(SEED, 200, 12)
 
 
-@pytest.fixture(scope="module")
-def reports(population):
-    return [verify_graph(g, gp) for g, gp in population]
-
-
-def test_criterion_01_closed_form_reproduction(population, reports):
-    with criterion(1, "dual-route agreement on 200 seeded digraphs"):
-        start = time.monotonic()
-        assert len(population) == 200
-        assert {g.M for g, _ in population} <= set(range(2, 13))
-        for rep in reports:
-            assert rep.discrepancy < 1e-10
-        elapsed = time.monotonic() - start
-        assert elapsed < 60.0
-
-
-def test_criterion_02_orientation_insensitivity(population, reports):
-    with criterion(2, "orientation insensitivity under edge reversal"):
-        rng = np.random.default_rng(SEED + 2)
-        for (g, gp), rep in list(zip(population, reports))[:50]:
-            subset = (
-                np.flatnonzero(rng.random(g.num_edges) < 0.5) if g.num_edges else []
-            )
-            flipped = reverse_edges(g, subset)
-            delta = abs(ed_total(build_graph_state(flipped, gp)) - rep.total_statevector)
-            assert delta < 1e-12
-
-
-def test_criterion_03_relabeling_invariance(population, reports):
-    with criterion(3, "relabeling invariance under vertex permutation"):
-        rng = np.random.default_rng(SEED + 3)
-        for (g, gp), rep in list(zip(population, reports))[:50]:
-            relabeled = permute(g, rng.permutation(g.M))
-            delta = abs(ed_total(build_graph_state(relabeled, gp)) - rep.total_statevector)
-            assert delta < 1e-12
-
-
-def test_criterion_04_psi_invariance(population):
-    with criterion(4, "psi invariance at fixed graph and theta"):
-        rng = np.random.default_rng(SEED + 4)
-        g, gp = population[0]
-        values = [
-            ed_total(build_graph_state(g, GateParams(gp.theta, float(psi))))
-            for psi in rng.uniform(0.0, math.pi, size=10)
-        ]
-        assert max(values) - min(values) < 1e-12
-
-
-def test_criterion_05_maximal_entanglement(population):
-    with criterion(5, "maximal entanglement at theta = pi/2, zero when separable"):
-        checked = 0
-        for g, gp in population:
-            if min(rec.total for rec in degrees(g)) < 1:
-                continue
-            checked += 1
-            e = ed_total(build_graph_state(g, GateParams(math.pi / 2, gp.psi)))
-            assert abs(e - 1.0) < 1e-12
-        assert checked > 0
-        empty = DirectedGraph(4, ())
-        assert ed_total(build_graph_state(empty, GateParams(math.pi / 2, 0.3))) == 0.0
-
-
-def test_criterion_06_initial_state_optimality():
-    with criterion(6, "alpha sweep extrema all at t = 0.50 on the grid"):
-        sweep = alpha_sweep(GateParams(math.pi / 2, 0.0), 101)
-        assert sweep.argmax_E == 0.5
-        assert sweep.argmax_S == 0.5
-        assert sweep.argmin_DHS == 0.5
-
-
-def test_criterion_07_per_vertex_law(population, reports):
-    with criterion(7, "per-vertex law 1 - cos^(2d) on every suite vertex"):
-        for (g, gp), rep in zip(population, reports):
-            c = math.cos(gp.theta)
-            for rec, ev in zip(degrees(g), rep.per_vertex):
-                assert abs(ev - (1.0 - c ** (2 * rec.total))) < 1e-10
-
-
-def test_criterion_08_gate_correctness():
-    with criterion(8, "edge gate at (pi/2, pi/2) is CZ; all gates commute"):
-        cz = np.diag([1.0, 1.0, 1.0, -1.0])
-        got = edge_gate_matrix(GateParams(math.pi / 2, math.pi / 2))
-        assert float(np.max(np.abs(got - cz))) < 1e-15
-        rng = np.random.default_rng(SEED + 8)
-        for _ in range(20):
-            gp = GateParams(
-                float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(-math.pi, math.pi))
-            )
-            assert commutation_check(gp) < 1e-14
-
-
-def test_criterion_09_kernel_cross_validation():
-    with criterion(9, "diagonal fast path equals dense 4x4 path"):
-        rng = np.random.default_rng(SEED + 9)
-        for M in range(2, 9):
-            for _ in range(3):
-                amps = oracles.random_state(rng, M)
-                st = PureState(M, amps)
-                a, b = (int(v) for v in rng.choice(M, size=2, replace=False))
-                gp = GateParams(
-                    float(rng.uniform(-math.pi, math.pi)),
-                    float(rng.uniform(-math.pi, math.pi)),
-                )
-                fast = apply_edge_gate(st, (a, b), gp)
-                dense = apply_two_qubit_dense(st, (a, b), edge_gate_matrix(gp))
-                assert float(np.max(np.abs(fast.amplitudes - dense.amplitudes))) < 1e-14
-
-
-def test_criterion_10_pauli_vector_closed_forms():
-    with criterion(10, "star Bloch vectors match the per-case closed forms"):
-        rng = np.random.default_rng(SEED + 10)
-        for d in range(1, 7):
-            theta = float(rng.uniform(0.1, math.pi - 0.1))
-            psi = float(rng.uniform(0.1, math.pi - 0.1))
-            gp = GateParams(theta, psi)
-            c = math.cos(theta) ** d
-
-            # pure-out star: phase d * psi
-            got = pauli_expectation(build_graph_state(generate("star_out", d + 1), gp), 0)
-            want = (c * math.cos(d * psi), -c * math.sin(d * psi), 0.0)
-            assert max(abs(got.x - want[0]), abs(got.y - want[1]), abs(got.z)) < 1e-10
-
-            # pure-in star: phase d * theta
-            got = pauli_expectation(build_graph_state(generate("star_in", d + 1), gp), 0)
-            want = (c * math.cos(d * theta), -c * math.sin(d * theta), 0.0)
-            assert max(abs(got.x - want[0]), abs(got.y - want[1]), abs(got.z)) < 1e-10
-
-            # package closed form reproduces both printed cases
-            pv = pauli_vector_closed_form(d, 0, gp)
-            assert abs(pv.x - c * math.cos(d * psi)) < 1e-12
-            pv = pauli_vector_closed_form(0, d, gp)
-            assert abs(pv.x - c * math.cos(d * theta)) < 1e-12
-
-        # mixed case, resolved: the phase composes as d_out*psi + d_in*theta,
-        # not as d_in*(psi + theta); the statevector arbitrates between them.
-        theta, psi = 0.7, 0.4
-        gp = GateParams(theta, psi)
-        d_out, d_in = 2, 1
-        g = DirectedGraph(4, ((0, 1), (0, 2), (3, 0)))
-        got = pauli_expectation(build_graph_state(g, gp), 0)
-        r = math.cos(theta) ** 3
-        composed = d_out * psi + d_in * theta
-        combined = d_in * (psi + theta)
-        assert abs(got.x - r * math.cos(composed)) < 1e-10
-        assert abs(got.y + r * math.sin(composed)) < 1e-10
-        assert abs(got.x - r * math.cos(combined)) > 1e-3
-        pv = pauli_vector_closed_form(d_out, d_in, gp)
-        assert abs(pv.x - got.x) < 1e-10 and abs(pv.y - got.y) < 1e-10
+@pytest.mark.parametrize("check", CHECKS, ids=[check.name for check in CHECKS])
+def test_criterion(check, pop):
+    result = run_check(check, pop)
+    passed = result.ok and result.cases > 0
+    print(f"ACCEPTANCE {check.name}: {'PASS' if passed else 'FAIL'}")
+    assert result.ok, "\n".join(result.violations[:5])
+    assert result.cases > 0

@@ -71,10 +71,6 @@ class TestDegrees:
         g = digraph.generate("erdos_renyi", 9, {"p": 0.5}, seed=11)
         assert sum(r.total for r in digraph.degrees(g)) == 2 * g.num_edges
 
-    def test_record_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            digraph.DegreeRecord(1, 1, 3)
-
 
 class TestGenerate:
     def test_star_out(self):

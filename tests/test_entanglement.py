@@ -1,5 +1,6 @@
 """ED measures, closed forms, sweeps, and the dual-route verification."""
 
+import itertools
 import json
 import math
 
@@ -119,17 +120,23 @@ class TestPauliVectorClosedForm:
             assert v.z == 0.0
 
     def test_matches_statevector_on_stars(self):
-        gp = GateParams(0.8, 1.3)
-        for d in range(1, 7):
-            out_star = build_graph_state(generate("star_out", d + 1), gp)
-            got = pauli_expectation(out_star, 0)
-            want = pauli_vector_closed_form(d, 0, gp)
-            assert max(abs(got.x - want.x), abs(got.y - want.y), abs(got.z - want.z)) < 1e-10
-
-            in_star = build_graph_state(generate("star_in", d + 1), gp)
-            got = pauli_expectation(in_star, 0)
-            want = pauli_vector_closed_form(0, d, gp)
-            assert max(abs(got.x - want.x), abs(got.y - want.y), abs(got.z - want.z)) < 1e-10
+        # the printed star forms: cos^d(theta) e^{-i d psi} for the pure-out
+        # center, cos^d(theta) e^{-i d theta} for the pure-in center
+        for theta, psi, d in itertools.product((0.8, 0.35, 2.4), (1.3, 2.6), range(1, 7)):
+            gp = GateParams(theta, psi)
+            c = math.cos(theta) ** d
+            for kind, d_out, d_in, phase in (
+                ("star_out", d, 0, d * psi),
+                ("star_in", 0, d, d * theta),
+            ):
+                printed = (c * math.cos(phase), -c * math.sin(phase), 0.0)
+                got = pauli_expectation(build_graph_state(generate(kind, d + 1), gp), 0)
+                want = pauli_vector_closed_form(d_out, d_in, gp)
+                np.testing.assert_allclose(
+                    (got.x, got.y, got.z), (want.x, want.y, want.z), rtol=0, atol=1e-10
+                )
+                np.testing.assert_allclose((got.x, got.y, got.z), printed, rtol=0, atol=1e-10)
+                np.testing.assert_allclose((want.x, want.y, want.z), printed, rtol=0, atol=1e-12)
 
     def test_mixed_case_phase_resolution(self):
         # Candidate phases for a vertex with both edge directions: the

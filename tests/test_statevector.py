@@ -377,10 +377,11 @@ class TestBlochVectors:
 
 class TestPauliExpectation:
     def test_plus_product_state(self):
-        st = init_product_state(4, INV_SQRT2, INV_SQRT2)
-        for i in range(4):
-            v = pauli_expectation(st, i)
-            assert (v.x, v.y, v.z) == (1.0, 0.0, 0.0)
+        for M in (1, 4, 16):
+            st = init_product_state(M, INV_SQRT2, INV_SQRT2)
+            for i in range(M):
+                v = pauli_expectation(st, i)
+                assert (v.x, v.y, v.z) == (1.0, 0.0, 0.0)
 
     def test_zero_ket(self):
         v = pauli_expectation(init_product_state(1, 1.0, 0.0), 0)
@@ -403,6 +404,18 @@ class TestPauliExpectation:
                 got = pauli_expectation(st, i)
                 want = oracles.pauli_expectation_dense(amps, M, i)
                 np.testing.assert_allclose((got.x, got.y, got.z), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("M,theta,psi", [(16, 2.5, -1.0), (20, 0.3, 2.0)])
+    def test_matches_closed_form_on_large_stars(self, M, theta, psi):
+        gp = GateParams(theta, psi)
+        st = build_graph_state(generate("star_out", M), gp)
+        for i in range(M):
+            d_out, d_in = (M - 1, 0) if i == 0 else (0, 1)
+            got = pauli_expectation(st, i)
+            want = pauli_vector_closed_form(d_out, d_in, gp)
+            np.testing.assert_allclose(
+                (got.x, got.y, got.z), (want.x, want.y, want.z), rtol=0, atol=1e-14
+            )
 
     def test_bloch_bound_holds(self):
         rng = np.random.default_rng(5)

@@ -37,6 +37,9 @@ def test_small_run_passes_every_check():
     for c in report.checks:
         assert c.ok, c.summary()
         assert c.worst < max(c.threshold, 1e-13)
+    # the empty-graph reference is one case; the population must add more
+    maximal = report.checks[EXPECTED_CHECKS.index("maximal_entanglement")]
+    assert maximal.cases > 1
 
 
 def test_parallel_aggregation_matches_serial():
