@@ -13,7 +13,7 @@ Angles are radians unless --deg is given. Floats are printed at 17
 significant digits so identical configurations produce byte-identical
 artifacts. Exit codes: 0 success, 1 invariant violation found, 2 bad
 input/config, 64 capability exceeded (M over the qubit cap, default 20,
-overridable via --max-qubits or DIGRAPH_ED_MAX_QUBITS).
+overridable via --max-qubits or DIGRAPH_ED_MAX_QUBITS up to the engine's 24).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import digraph, suite as suite_mod
 from .entanglement import GateParams, _ed_total, alpha_sweep, fmt17, verify_graph
 from .errors import CapacityError, DigraphEdError
-from .statevector import bloch_vectors, build_graph_state
+from .statevector import DEFAULT_MAX_QUBITS, bloch_vectors, build_graph_state
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -46,7 +46,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    """Parse an integer >= 1 (``--max-qubits``, DIGRAPH_ED_MAX_QUBITS, ``--jobs``)."""
+    """Parse an integer >= 1 (``--M``, ``--jobs``)."""
     try:
         value = int(text)
     except ValueError:
@@ -56,16 +56,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _qubit_cap(text: str) -> int:
+    """Parse a qubit cap (``--max-qubits``, DIGRAPH_ED_MAX_QUBITS): 1 to the engine's cap."""
+    value = _positive_int(text)
+    if value > DEFAULT_MAX_QUBITS:
+        raise argparse.ArgumentTypeError(f"must be <= {DEFAULT_MAX_QUBITS}, got {value}")
+    return value
+
+
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", metavar="PATH", help="graph JSON file")
     p.add_argument("--kind", choices=digraph.GENERATOR_KINDS, help="generator kind")
-    p.add_argument("--M", type=int, help="number of vertices/qubits")
+    p.add_argument("--M", type=_positive_int, help="number of vertices/qubits")
     p.add_argument("--p", type=float, help="edge probability (erdos_renyi)")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument(
         "--allow-antiparallel",
         action="store_true",
-        help="admit (a,b)+(b,a) pairs; ED comes from the statevector only",
+        help="admit (a,b)+(b,a) pairs; each acts as one double-angle gate, "
+        "a factor cos(2 theta) in the closed form",
     )
 
 
@@ -86,15 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(prog="digraph-ed", description=__doc__.splitlines()[0])
     ap.add_argument(
         "--max-qubits",
-        type=_positive_int,
+        type=_qubit_cap,
         default=None,
-        help=f"qubit cap (default {DEFAULT_MAX_QUBITS_CLI}, env DIGRAPH_ED_MAX_QUBITS)",
+        help=f"qubit cap, at most {DEFAULT_MAX_QUBITS} "
+        f"(default {DEFAULT_MAX_QUBITS_CLI}, env DIGRAPH_ED_MAX_QUBITS)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph and write its JSON")
     p.add_argument("--kind", choices=digraph.GENERATOR_KINDS, required=True)
-    p.add_argument("--M", type=int, required=True)
+    p.add_argument("--M", type=_positive_int, required=True)
     p.add_argument("--p", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH")
@@ -140,16 +150,18 @@ def _angle(args, value: float) -> float:
     return math.radians(value) if getattr(args, "deg", False) else value
 
 
-def _cap(args) -> int:
-    if args.max_qubits is not None:
-        return args.max_qubits
-    env = os.environ.get("DIGRAPH_ED_MAX_QUBITS")
-    if not env:
-        return DEFAULT_MAX_QUBITS_CLI
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError as e:
-        raise DigraphEdError(f"DIGRAPH_ED_MAX_QUBITS: {e}") from None
+def _check_cap(args, M: int) -> None:
+    if M > args.max_qubits:
+        raise CapacityError(M, args.max_qubits)
+
+
+def _generate(args) -> digraph.DirectedGraph:
+    """The ``--kind``/``--M`` graph, refused before generation if M is over the cap."""
+    _check_cap(args, args.M)
+    if args.kind == "erdos_renyi" and args.p is None:
+        raise DigraphEdError("erdos_renyi requires --p")
+    params = {} if args.p is None else {"p": args.p}
+    return digraph.generate(args.kind, args.M, params, args.seed)
 
 
 def _resolve_graph(args) -> digraph.DirectedGraph:
@@ -157,19 +169,13 @@ def _resolve_graph(args) -> digraph.DirectedGraph:
     from_gen = args.kind is not None
     if from_file == from_gen:
         raise DigraphEdError("supply exactly one graph source: --graph PATH or --kind/--M")
-    if from_file:
-        # validated by the command that uses it, under its edge policy
-        g = digraph.read_graph(args.graph)
-    else:
+    if from_gen:
         if args.M is None:
             raise DigraphEdError("--kind requires --M")
-        if args.kind == "erdos_renyi" and args.p is None:
-            raise DigraphEdError("erdos_renyi requires --p")
-        params = {} if args.p is None else {"p": args.p}
-        g = digraph.generate(args.kind, args.M, params, args.seed)
-    cap = _cap(args)
-    if g.M > cap:
-        raise CapacityError(g.M, cap)
+        return _generate(args)
+    # validated by the command that uses it, under its edge policy
+    g = digraph.read_graph(args.graph)
+    _check_cap(args, g.M)
     return g
 
 
@@ -181,21 +187,30 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _emit_rows(columns, rows, fmt: str, out_path) -> None:
+    """Write float rows as CSV (header line first) or as a JSON list of objects."""
+    if fmt == "csv":
+        text = ",".join(columns) + "\n" + "".join(
+            ",".join(fmt17(v) for v in row) + "\n" for row in rows
+        )
+    else:
+        objects = (
+            "{" + ", ".join(f'"{c}": {fmt17(v)}' for c, v in zip(columns, row)) + "}"
+            for row in rows
+        )
+        text = "[" + ", ".join(objects) + "]\n"
+    _emit(text, out_path)
+
+
 def cmd_gen(args) -> int:
-    if args.kind == "erdos_renyi" and args.p is None:
-        raise DigraphEdError("erdos_renyi requires --p")
-    params = {} if args.p is None else {"p": args.p}
-    g = digraph.generate(args.kind, args.M, params, args.seed)
-    _emit(digraph.dump_graph(g), args.out)
+    _emit(digraph.dump_graph(_generate(args)), args.out)
     return EXIT_OK
 
 
 def cmd_ed(args) -> int:
     g = _resolve_graph(args)
     gp = GateParams(_angle(args, args.theta), _angle(args, args.psi))
-    state = build_graph_state(
-        g, gp, allow_antiparallel=args.allow_antiparallel, max_qubits=_cap(args)
-    )
+    state = build_graph_state(g, gp, allow_antiparallel=args.allow_antiparallel)
     vectors = bloch_vectors(state)
     lines = [f"E({i}) = {fmt17(1.0 - v.norm_sq)}" for i, v in enumerate(vectors)]
     lines.append(f"E_total = {fmt17(_ed_total(vectors))}")
@@ -214,10 +229,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _null_or(v) -> str:
-    return "null" if v is None else fmt17(v)
-
-
 def cmd_sweep_theta(args) -> int:
     g = _resolve_graph(args)
     if args.grid < 2:
@@ -231,41 +242,14 @@ def cmd_sweep_theta(args) -> int:
         rows.append(
             (float(theta), rep.total_statevector, rep.total_closed_form, rep.discrepancy)
         )
-    if args.format == "csv":
-        text = "theta,E_sv,E_cf,discrepancy\n" + "".join(
-            f"{fmt17(t)},{fmt17(e)},"
-            f"{'' if cf is None else fmt17(cf)},{'' if d is None else fmt17(d)}\n"
-            for t, e, cf, d in rows
-        )
-    else:
-        body = ", ".join(
-            "{"
-            + f'"theta": {fmt17(t)}, "E_sv": {fmt17(e)}, '
-            + f'"E_cf": {_null_or(cf)}, "discrepancy": {_null_or(d)}'
-            + "}"
-            for t, e, cf, d in rows
-        )
-        text = "[" + body + "]\n"
-    _emit(text, args.out)
+    _emit_rows(("theta", "E_sv", "E_cf", "discrepancy"), rows, args.format, args.out)
     return EXIT_OK
 
 
 def cmd_sweep_alpha(args) -> int:
     gp = GateParams(_angle(args, args.theta), _angle(args, args.psi))
     sweep = alpha_sweep(gp, args.grid)
-    if args.format == "csv":
-        text = "t,E,S_nats,D_HS\n" + "".join(
-            f"{fmt17(t)},{fmt17(e)},{fmt17(s)},{fmt17(d)}\n" for t, e, s, d in sweep.samples
-        )
-    else:
-        body = ", ".join(
-            "{"
-            + f'"t": {fmt17(t)}, "E": {fmt17(e)}, "S_nats": {fmt17(s)}, "D_HS": {fmt17(d)}'
-            + "}"
-            for t, e, s, d in sweep.samples
-        )
-        text = "[" + body + "]\n"
-    _emit(text, args.out)
+    _emit_rows(("t", "E", "S_nats", "D_HS"), sweep.samples, args.format, args.out)
     return EXIT_OK
 
 
@@ -281,6 +265,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.max_qubits is None:
+            env = os.environ.get("DIGRAPH_ED_MAX_QUBITS")
+            try:
+                args.max_qubits = _qubit_cap(env) if env else DEFAULT_MAX_QUBITS_CLI
+            except argparse.ArgumentTypeError as e:
+                parser.error(f"DIGRAPH_ED_MAX_QUBITS: {e}")
     except SystemExit as e:  # argparse reports usage errors with code 2
         return int(e.code) if e.code else EXIT_OK
     try:

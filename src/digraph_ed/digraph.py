@@ -3,8 +3,9 @@
 Vertices are labeled 0..M-1 internally; graph files may use 1-based labels
 (see ``from_json_dict``). Edges are ordered pairs (a, b). The default policy
 forbids self-loops, duplicate edges, and antiparallel pairs; the last can be
-admitted explicitly, in which case downstream consumers fall back to the
-statevector route for entanglement values.
+admitted explicitly. Both ED routes cover such a pair: its two gates compose
+into one double-angle gate, which enters the closed form as a factor
+cos(2 theta) in place of cos(theta)^2.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def has_antiparallel_pairs(g: DirectedGraph) -> bool:
 def degrees(g: DirectedGraph) -> list[DegreeRecord]:
     """Per-vertex degree records, counting incident edges.
 
-    Works for escape-hatch graphs too (antiparallel pairs allowed): each
+    Works for graphs with antiparallel pairs too: each
     edge contributes one to its tail's out-degree and one to its head's
     in-degree.
     """

@@ -4,14 +4,16 @@ The ED per qubit of a pure state is 1 minus the mean squared Bloch-vector
 length over the qubits: 0 for product states, 1 when every single-qubit
 reduced state is maximally mixed. For states built by
 :func:`~digraph_ed.statevector.build_graph_state` from a policy-valid graph
-the measure collapses to a function of the degree sequence alone,
+the measure collapses to a function of the vertex degrees alone,
 
-    E = 1 - (1/M) * sum_i cos(theta)^(2 d(i)),
+    E = 1 - (1/M) * sum_i cos(theta)^(2 (d(i) - 2 p(i))) * cos(2 theta)^(2 p(i)),
 
-independent of psi, of edge orientations, and of vertex labels. This module
-computes ED from first principles (Pauli expectations on the statevector),
-evaluates the closed form, and provides the sweep and verification helpers
-used to check one against the other.
+with p(i) the antiparallel pairs among the d(i) edges at vertex i (a pair's
+two gates act as one of double angle; without pairs this is the paper's
+cos(theta)^(2 d(i)) law), independent of psi, of edge orientations, and of
+vertex labels. This module computes ED from first principles (Pauli
+expectations on the statevector), evaluates the closed form, and provides
+the sweep and verification helpers used to check one against the other.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import (
     BadGridError,
     IndexOutOfRangeError,
     NegativeEigenvalueError,
-    PolicyViolationError,
 )
 from .statevector import (
     DensityMatrix1Q,
@@ -55,15 +56,14 @@ def fmt17(x: float) -> str:
 class EDReport:
     """Per-vertex and total ED for one graph, with the closed-form cross-check.
 
-    ``total_closed_form`` and ``discrepancy`` are None when the graph was
-    admitted under the antiparallel escape hatch, which the closed form does
-    not cover.
+    ``policy`` is ``"allow_antiparallel"`` when the graph has antiparallel
+    pairs and ``"default"`` otherwise; the closed form covers both.
     """
 
     per_vertex: tuple[float, ...]
     total_statevector: float
-    total_closed_form: float | None
-    discrepancy: float | None
+    total_closed_form: float
+    discrepancy: float
     graph_hash: str
     gp: GateParams
     policy: str
@@ -71,13 +71,11 @@ class EDReport:
 
     def to_json(self) -> str:
         """Serialize with fixed key names and 17-significant-digit floats."""
-        cf = "null" if self.total_closed_form is None else fmt17(self.total_closed_form)
-        disc = "null" if self.discrepancy is None else fmt17(self.discrepancy)
         fields = [
             ('"per_vertex": [' + ", ".join(fmt17(v) for v in self.per_vertex) + "]"),
             f'"total_sv": {fmt17(self.total_statevector)}',
-            f'"total_cf": {cf}',
-            f'"discrepancy": {disc}',
+            f'"total_cf": {fmt17(self.total_closed_form)}',
+            f'"discrepancy": {fmt17(self.discrepancy)}',
             f'"theta": {fmt17(self.gp.theta)}',
             f'"psi": {fmt17(self.gp.psi)}',
             f'"graph_hash": {json.dumps(self.graph_hash)}',
@@ -125,42 +123,44 @@ def _ed_total(vectors: tuple[PauliVector, ...]) -> float:
 
 
 def ed_closed_form(g: DirectedGraph, theta: float) -> float:
-    """Degree-only evaluation: 1 - (1/M) sum_i cos(theta)^(2 d(i)).
+    """Degree-only evaluation: 1 - (1/M) sum_i cos(theta)^(2 (d - 2p)) cos(2 theta)^(2p).
 
-    Uses total degrees only, so it is independent of psi and of edge
-    orientations by construction. Refused (PolicyViolationError) for graphs
-    with antiparallel pairs: repeated interaction between the same two
-    vertices falls outside the cos^(2d) law, and callers must use
-    :func:`ed_total` on the built state instead.
+    d is a vertex's total degree and p its number of antiparallel pairs
+    (each pair is two of its d edges). Independent of psi and of edge
+    orientations by construction. Without pairs every cos(2 theta) factor is
+    exactly 1.0, so the value is the paper's cos(theta)^(2d) law bit for bit.
     """
     digraph.validate(g, allow_antiparallel=True)
-    if digraph.has_antiparallel_pairs(g):
-        raise PolicyViolationError(
-            "closed form refused: graph has antiparallel pairs; use the statevector route"
-        )
     total = [0] * g.M
+    pairs = [0] * g.M
+    edge_set = set(g.edges)
     for a, b in g.edges:
         total[a] += 1
         total[b] += 1
+        pairs[a] += (b, a) in edge_set
     c = math.cos(theta)
+    c2 = math.cos(2.0 * theta)
     acc = 0.0
-    for d in total:
-        acc += c ** (2 * d)
+    for d, p in zip(total, pairs):
+        acc += c ** (2 * (d - 2 * p)) * c2 ** (2 * p)
     return 1.0 - acc / g.M
 
 
-def pauli_vector_closed_form(d_out: int, d_in: int, gp: GateParams) -> PauliVector:
+def pauli_vector_closed_form(d_out: int, d_in: int, gp: GateParams, pairs: int = 0) -> PauliVector:
     """Bloch vector of a vertex with d_out outgoing and d_in incoming edges.
 
-    cos(theta)^(d_out + d_in) * (cos(phi), -sin(phi), 0), where the phase
+    r * (cos(phi), -sin(phi), 0) with r = cos(theta)^(d_out + d_in - 2 pairs)
+    * cos(2 theta)^pairs, where ``pairs`` counts the vertex's antiparallel
+    partners (each takes one outgoing and one incoming edge), and the phase
     accumulates psi once per outgoing (control-side) edge and theta once per
     incoming (target-side) edge: phi = d_out*psi + d_in*theta. The phase
-    composition is pinned against the statevector route in the test suite;
-    the squared length depends on the total degree only.
+    composition is pinned against the statevector route in the test suite.
     """
     if d_out < 0 or d_in < 0:
         raise ValueError(f"degrees must be non-negative, got ({d_out}, {d_in})")
-    r = math.cos(gp.theta) ** (d_out + d_in)
+    if not 0 <= pairs <= min(d_out, d_in):
+        raise ValueError(f"pairs must lie in [0, min(d_out, d_in)], got {pairs}")
+    r = math.cos(gp.theta) ** (d_out + d_in - 2 * pairs) * math.cos(2.0 * gp.theta) ** pairs
     phi = d_out * gp.psi + d_in * gp.theta
     return PauliVector(r * math.cos(phi), -r * math.sin(phi), 0.0)
 
@@ -228,31 +228,23 @@ def verify_graph(
 
     Builds the state with alpha0 = alpha1 = 1/sqrt(2) (which validates ``g``
     under the given policy), computes per-vertex and total ED from one read
-    of every qubit's Bloch vector, and evaluates the closed form whenever the
-    policy permits; the recorded discrepancy stays below ``DISCREPANCY_TOL``
-    for every policy-conforming graph.
+    of every qubit's Bloch vector, and evaluates the closed form; the
+    recorded discrepancy stays below ``DISCREPANCY_TOL`` for every graph the
+    policy admits.
     """
     state = build_graph_state(
         g, gp, ALPHA_INV_SQRT2, ALPHA_INV_SQRT2, allow_antiparallel=allow_antiparallel
     )
     vectors = bloch_vectors(state)
-    per_vertex = tuple(1.0 - v.norm_sq for v in vectors)
     total_sv = _ed_total(vectors)
-    if digraph.has_antiparallel_pairs(g):
-        total_cf = None
-        disc = None
-        policy = "allow_antiparallel"
-    else:
-        total_cf = ed_closed_form(g, gp.theta)
-        disc = abs(total_sv - total_cf)
-        policy = "default"
+    total_cf = ed_closed_form(g, gp.theta)
     return EDReport(
-        per_vertex=per_vertex,
+        per_vertex=tuple(1.0 - v.norm_sq for v in vectors),
         total_statevector=total_sv,
         total_closed_form=total_cf,
-        discrepancy=disc,
+        discrepancy=abs(total_sv - total_cf),
         graph_hash=digraph.graph_hash(g),
         gp=gp,
-        policy=policy,
+        policy="allow_antiparallel" if digraph.has_antiparallel_pairs(g) else "default",
         seed_info=seed_info,
     )

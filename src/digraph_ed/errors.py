@@ -36,7 +36,8 @@ class AntiparallelPairError(GraphError):
         self.pair = (a, b)
         super().__init__(
             f"antiparallel pair ({a}, {b}) / ({b}, {a}); "
-            "pass allow_antiparallel=True to admit it (statevector path only)"
+            "pass allow_antiparallel=True to admit it (its two gates act as one "
+            "double-angle gate: factor cos(2 theta) per pair)"
         )
 
 
@@ -67,10 +68,6 @@ class CapacityError(DigraphEdError):
         self.M = M
         self.cap = cap
         super().__init__(f"M={M} qubits exceeds the cap of {cap}")
-
-
-class PolicyViolationError(DigraphEdError, ValueError):
-    """The closed-form evaluator was asked about a graph it does not cover."""
 
 
 class NegativeEigenvalueError(DigraphEdError, ValueError):

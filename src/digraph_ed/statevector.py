@@ -431,13 +431,14 @@ def reduced_density_1q(state: PureState, i: int) -> DensityMatrix1Q:
 
     Entries are divided by the raw trace (the squared state norm) so the
     result traces to one exactly in the common case; this matches the
-    Rayleigh-quotient convention of :func:`pauli_expectation`.
+    Rayleigh-quotient convention of :func:`pauli_expectation`, and like it
+    sums each entry pairwise (``np.sum`` of one elementwise product).
     """
     a0, a1 = state.qubit_slices(i)
-    p0 = float(np.vdot(a0, a0).real)
-    p1 = float(np.vdot(a1, a1).real)
+    p0 = float(np.sum(a0.conj() * a0).real)
+    p1 = float(np.sum(a1.conj() * a1).real)
     tr = p0 + p1
-    rho01 = complex(np.vdot(a1, a0)) / tr  # sum a0 * conj(a1), normalized
+    rho01 = complex(np.sum(a0 * a1.conj())) / tr
     return DensityMatrix1Q(complex(p0 / tr), rho01, np.conj(rho01), complex(p1 / tr))
 
 

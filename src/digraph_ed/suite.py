@@ -190,6 +190,19 @@ def _closed_form_agreement(pop, tol):
         yield rep.graph_hash[:12], [(rep.discrepancy, tol)]
 
 
+def _antiparallel_closed_form(pop, tol):
+    # the 2-cycle, then battery graphs with M <= 8 with each edge doubled
+    # into an antiparallel pair with probability 1/2
+    rng = np.random.default_rng([pop.seed, 7])
+    graphs = [(DirectedGraph(2, ((0, 1), (1, 0))), GateParams(0.6, 0.8))]
+    for g, gp in [case for case in pop.cases if case[0].M <= 8][:23]:
+        doubled = tuple((b, a) for a, b in g.edges if rng.random() < 0.5)
+        graphs.append((DirectedGraph(g.M, g.edges + doubled), gp))
+    for g, gp in graphs:
+        rep = ent.verify_graph(g, gp, allow_antiparallel=True)
+        yield rep.graph_hash[:12], [(rep.discrepancy, tol)]
+
+
 def _orientation_invariance(pop, tol):
     rng = np.random.default_rng([pop.seed, 1])
     for (g, gp), rep in zip(pop.cases[:50], pop.reports):
@@ -333,6 +346,7 @@ def _degree_sufficiency(pop, tol):
 # new row: a name, its headline threshold and a measure.
 CHECKS: tuple[Check, ...] = (
     Check("closed_form_agreement", ent.DISCREPANCY_TOL, _closed_form_agreement),
+    Check("antiparallel_closed_form", ent.DISCREPANCY_TOL, _antiparallel_closed_form),
     Check("orientation_invariance", 1e-12, _orientation_invariance),
     Check("relabeling_invariance", 1e-12, _relabeling_invariance),
     Check("psi_invariance", 1e-12, _psi_invariance),

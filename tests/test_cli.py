@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from digraph_ed import cli, digraph, entanglement, statevector
+from digraph_ed import cli, digraph, entanglement, statevector, suite
 from digraph_ed.cli import EXIT_BAD_INPUT, EXIT_CAPABILITY, EXIT_OK, EXIT_VIOLATION
 
 
@@ -157,7 +157,8 @@ class TestVerify:
         )
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["total_cf"] is None and doc["policy"] == "allow_antiparallel"
+        assert abs(doc["total_cf"] - (1.0 - math.cos(1.0) ** 2)) < 1e-15
+        assert doc["discrepancy"] < 1e-10 and doc["policy"] == "allow_antiparallel"
 
 
 class TestSweeps:
@@ -244,7 +245,7 @@ class TestSuiteCommand:
         )
         assert code == EXIT_OK
         assert "suite: PASS" in out
-        assert out.count(": ok") == 11  # one line per check
+        assert out.count(": ok") == len(suite.CHECKS)  # one line per check
 
     def test_injected_closed_form_perturbation_fails_suite(self, capsys, monkeypatch):
         orig = entanglement.ed_closed_form
@@ -293,10 +294,15 @@ class TestInputHardening:
             (["suite", "--graphs", "0"], None),
             (["suite", "--jobs", "0"], None),
             (["suite", "--jobs", "-4"], None),
+            (["--max-qubits", "25", "ed", "--kind", "path", "--M", "3", "--theta", "0.5"], None),
+            (["ed", "--kind", "path", "--M", "3", "--theta", "0.5"], "25"),
+            (["gen", "--kind", "path", "--M", "0"], None),
+            (["verify", "--kind", "path", "--M", "-3", "--theta", "0.5"], None),
         ],
         ids=["env_cap_not_an_integer", "suite_max_m_1", "non_utf8_graph_file",
              "negative_max_qubits", "suite_zero_graphs", "suite_zero_jobs",
-             "suite_negative_jobs"],
+             "suite_negative_jobs", "max_qubits_over_engine_cap",
+             "env_cap_over_engine_cap", "gen_zero_M", "verify_negative_M"],
     )
     def test_one_error_line_and_exit_2(self, argv, env, tmp_path, capsys, monkeypatch):
         if env is not None:
@@ -309,3 +315,23 @@ class TestInputHardening:
         assert "suite: PASS" not in out
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--kind", "complete_dag", "--M", "1000"],
+            ["verify", "--kind", "complete_dag", "--M", "1000", "--theta", "1"],
+            ["ed", "--kind", "star_out", "--M", "100000", "--theta", "1"],
+            ["sweep-theta", "--kind", "erdos_renyi", "--M", "21", "--p", "0.5"],
+        ],
+        ids=["gen", "verify", "ed", "sweep_theta"],
+    )
+    def test_cap_is_checked_before_generating(self, argv, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generated a graph over the qubit cap")
+
+        monkeypatch.setattr(digraph, "generate", refuse)
+        code, _, err = run(argv, capsys)
+        assert code == EXIT_CAPABILITY
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "exceeds the cap of 20" in lines[0], err

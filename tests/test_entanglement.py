@@ -20,7 +20,7 @@ from digraph_ed.entanglement import (
     verify_graph,
     von_neumann_entropy,
 )
-from digraph_ed.errors import BadGridError, NegativeEigenvalueError, PolicyViolationError
+from digraph_ed.errors import BadGridError, NegativeEigenvalueError
 from digraph_ed.statevector import (
     DensityMatrix1Q,
     GateParams,
@@ -95,10 +95,15 @@ class TestClosedForm:
             sv = ed_total(build_graph_state(g, gp))
             assert abs(sv - ed_closed_form(g, gp.theta)) < 1e-10
 
-    def test_refuses_antiparallel(self):
+    def test_antiparallel_pair_factor(self):
+        # the 2-cycle: one pair per vertex, 1 - cos(2 theta)^2
         g = DirectedGraph(2, ((0, 1), (1, 0)))
-        with pytest.raises(PolicyViolationError):
-            ed_closed_form(g, 0.4)
+        assert abs(ed_closed_form(g, 0.4) - (1.0 - math.cos(0.8) ** 2)) < 1e-15
+        # a pair plus a single edge at vertex 1: degrees (2, 3, 1), pairs (1, 1, 0)
+        g = DirectedGraph(3, ((0, 1), (1, 2), (1, 0)))
+        c, c2 = math.cos(0.4), math.cos(0.8)
+        want = 1.0 - (c2**2 + c**2 * c2**2 + c**2) / 3.0
+        assert abs(ed_closed_form(g, 0.4) - want) < 1e-15
 
 
 class TestPauliVectorClosedForm:
@@ -177,6 +182,10 @@ class TestPauliVectorClosedForm:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             pauli_vector_closed_form(-1, 0, GateParams(0.5, 0.0))
+        # a pair takes one outgoing and one incoming edge
+        for d_out, d_in, pairs in ((2, 1, 2), (1, 2, 2), (3, 3, -1)):
+            with pytest.raises(ValueError):
+                pauli_vector_closed_form(d_out, d_in, GateParams(0.5, 0.0), pairs)
 
 
 class TestHsDistance:
@@ -308,11 +317,11 @@ class TestVerifyGraph:
         assert rep.total_closed_form == 0.0
         assert rep.discrepancy == 0.0
 
-    def test_escape_hatch_routes_to_statevector_only(self):
+    def test_antiparallel_pairs_get_both_routes(self):
         g = DirectedGraph(2, ((0, 1), (1, 0)))
         rep = verify_graph(g, GateParams(0.6, 0.8), allow_antiparallel=True)
-        assert rep.total_closed_form is None
-        assert rep.discrepancy is None
+        assert abs(rep.total_closed_form - (1.0 - math.cos(1.2) ** 2)) < 1e-15
+        assert rep.discrepancy < 1e-10
         assert rep.policy == "allow_antiparallel"
         # dense oracle agrees with the statevector total
         st = build_graph_state(g, GateParams(0.6, 0.8), allow_antiparallel=True)
@@ -322,7 +331,7 @@ class TestVerifyGraph:
         # For the 2-cycle the per-vertex value is 1 - cos^2(2 theta): the two
         # gates compose into a double-angle interaction, which neither
         # "degree = incident edges" (cos^4) nor "degree = neighbor count"
-        # (cos^2) reproduces. This is why the closed form refuses such graphs.
+        # (cos^2) reproduces; the closed form counts the pair as cos(2 theta).
         theta = 0.6
         g = DirectedGraph(2, ((0, 1), (1, 0)))
         st = build_graph_state(g, GateParams(theta, 0.9), allow_antiparallel=True)
@@ -360,10 +369,11 @@ class TestEDReportJson:
         assert doc["theta"] == rep.gp.theta
         assert doc["seed_info"] == "unit test"
 
-    def test_null_fields_under_escape_hatch(self):
+    def test_numbers_under_antiparallel_policy(self):
         g = DirectedGraph(2, ((0, 1), (1, 0)))
         rep = verify_graph(g, GateParams(0.6, 0.8), allow_antiparallel=True)
         doc = json.loads(rep.to_json())
-        assert doc["total_cf"] is None
-        assert doc["discrepancy"] is None
+        assert doc["total_cf"] == rep.total_closed_form
+        assert doc["discrepancy"] == rep.discrepancy
+        assert rep.discrepancy < 1e-10
         assert doc["policy"] == "allow_antiparallel"

@@ -1,8 +1,9 @@
 """Property-based tests for the invariants the library promises.
 
 Graphs are drawn policy-valid by construction (one orientation per chosen
-vertex pair), angles from [-pi, pi]. All runs are derandomized so the suite
-is reproducible.
+vertex pair; :func:`digraphs_with_pairs` may also take both, for the
+antiparallel policy), angles from [-pi, pi]. All runs are derandomized so
+the suite is reproducible.
 """
 
 import math
@@ -24,11 +25,13 @@ from digraph_ed.entanglement import (
     ed_per_vertex,
     ed_total,
     hs_distance,
+    pauli_vector_closed_form,
     von_neumann_entropy,
 )
 from digraph_ed.statevector import (
     GateParams,
     PureState,
+    bloch_vectors,
     build_graph_state,
     pauli_expectation,
     reduced_density_1q,
@@ -47,6 +50,41 @@ def digraphs(draw, min_m=2, max_m=6):
     flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
     edges = tuple((b, a) if f else (a, b) for (a, b), f in zip(chosen, flips))
     return DirectedGraph(M, edges)
+
+
+@st.composite
+def digraphs_with_pairs(draw, max_m=6):
+    """Graphs that need ``allow_antiparallel``: a chosen vertex pair gets one
+    orientation or both, in a shuffled edge order."""
+    M = draw(st.integers(2, max_m))
+    pairs = [(a, b) for a in range(M) for b in range(a + 1, M)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    ways = draw(
+        st.lists(st.sampled_from(("ab", "ba", "both")), min_size=len(chosen), max_size=len(chosen))
+    )
+    edges = []
+    for (a, b), way in zip(chosen, ways):
+        if way != "ba":
+            edges.append((a, b))
+        if way != "ab":
+            edges.append((b, a))
+    return DirectedGraph(M, tuple(draw(st.permutations(edges))))
+
+
+@given(g=digraphs_with_pairs(), theta=angles, psi=angles)
+@settings(**COMMON)
+def test_pair_closed_form(g, theta, psi):
+    """Every Bloch vector, and the ED, follow the closed form at the vertex's
+    degrees and antiparallel pair count."""
+    gp = GateParams(theta, psi)
+    vectors = bloch_vectors(build_graph_state(g, gp, allow_antiparallel=True))
+    edge_set = set(g.edges)
+    for i, (rec, v) in enumerate(zip(degrees(g), vectors)):
+        pairs = sum((b, a) in edge_set for a, b in g.edges if a == i)
+        want = pauli_vector_closed_form(rec.out_degree, rec.in_degree, gp, pairs)
+        assert max(abs(v.x - want.x), abs(v.y - want.y), abs(v.z - want.z)) < 1e-12
+    sv = 1.0 - sum(v.norm_sq for v in vectors) / g.M
+    assert abs(sv - ed_closed_form(g, gp.theta)) < 1e-10
 
 
 @given(g=digraphs(), theta=angles, psi=angles)

@@ -476,6 +476,17 @@ class TestReducedDensity:
                 reduced_density_1q(st, i).matrix, recon, rtol=0, atol=1e-12
             )
 
+    def test_matches_closed_form_on_large_star(self):
+        # long sums: a single BLAS dot drifted to ~3e-13 here
+        gp = GateParams(0.3, 2.0)
+        st = build_graph_state(generate("star_out", 20), gp)
+        for i in range(20):
+            v = pauli_vector_closed_form(*((19, 0) if i == 0 else (0, 1)), gp)
+            want = 0.5 * np.array([[1.0 + v.z, v.x - 1j * v.y], [v.x + 1j * v.y, 1.0 - v.z]])
+            np.testing.assert_allclose(
+                reduced_density_1q(st, i).matrix, want, rtol=0, atol=1e-14
+            )
+
     def test_eigenvalue_closed_form_matches_lapack(self):
         rng = np.random.default_rng(79)
         for _ in range(10):

@@ -6,6 +6,7 @@ from digraph_ed.suite import battery, run_suite
 
 EXPECTED_CHECKS = [
     "closed_form_agreement",
+    "antiparallel_closed_form",
     "orientation_invariance",
     "relabeling_invariance",
     "psi_invariance",
