@@ -12,13 +12,15 @@ suite        run the seeded property battery; nonzero exit on any violation
 Angles are radians unless --deg is given. Floats are printed at 17
 significant digits so identical configurations produce byte-identical
 artifacts. Exit codes: 0 success, 1 invariant violation found, 2 bad
-input/config, 64 capability exceeded (M over the qubit cap, default 20,
-overridable via --max-qubits or DIGRAPH_ED_MAX_QUBITS up to the engine's 24).
+input/config, 64 capability exceeded (M, or suite --max-M, over the qubit
+cap, default 20, overridable via --max-qubits or DIGRAPH_ED_MAX_QUBITS up to
+the engine's 24).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import digraph, suite as suite_mod
 from .entanglement import GateParams, _ed_total, alpha_sweep, fmt17, verify_graph
-from .errors import CapacityError, DigraphEdError
+from .errors import AntiparallelPairError, CapacityError, DigraphEdError
 from .statevector import DEFAULT_MAX_QUBITS, bloch_vectors, build_graph_state
 
 EXIT_OK = 0
@@ -108,31 +110,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ed", help="print per-vertex and total ED")
     _add_graph_source(p)
     _add_angles(p)
-    p.set_defaults(func=cmd_ed)
 
     p = sub.add_parser("verify", help="emit the dual-route EDReport as JSON")
     _add_graph_source(p)
     _add_angles(p)
     p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep-theta", help="sweep theta over [0, pi]")
     _add_graph_source(p)
     _add_angles(p, theta=False)
     p.add_argument("--grid", type=int, default=101, help="number of grid points")
     _add_output(p)
-    p.set_defaults(func=cmd_sweep_theta)
 
     p = sub.add_parser("sweep-alpha", help="initial-state sweep on the single-edge pair")
     _add_angles(p)
     p.add_argument("--grid", type=int, default=101, help="number of grid points")
     _add_output(p)
-    p.set_defaults(func=cmd_sweep_alpha)
 
     p = sub.add_parser("suite", help="run the seeded property battery")
     p.add_argument("--seed", type=int, default=0)
@@ -141,9 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=_positive_int, default=1, help="parallel verification workers"
     )
-    p.set_defaults(func=cmd_suite)
 
     return ap
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
 
 
 def _angle(args, value: float) -> float:
@@ -254,6 +256,7 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    _check_cap(args, args.max_m)
     report = suite_mod.run_suite(
         seed=args.seed, n_graphs=args.graphs, max_m=args.max_m, jobs=args.jobs
     )
@@ -262,7 +265,7 @@ def cmd_suite(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.max_qubits is None:
@@ -273,11 +276,17 @@ def main(argv=None) -> int:
                 parser.error(f"DIGRAPH_ED_MAX_QUBITS: {e}")
     except SystemExit as e:  # argparse reports usage errors with code 2
         return int(e.code) if e.code else EXIT_OK
+    # looked up per call, so a rebound command (a test double, a tracer) is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except CapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPABILITY
+    except AntiparallelPairError as e:
+        error = AntiparallelPairError(*e.pair, remedy="pass --allow-antiparallel")
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except (DigraphEdError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -32,11 +32,11 @@ class DuplicateEdgeError(GraphError):
 class AntiparallelPairError(GraphError):
     """Both (a, b) and (b, a) are present; rejected under the default policy."""
 
-    def __init__(self, a: int, b: int):
+    def __init__(self, a: int, b: int, remedy: str = "pass allow_antiparallel=True"):
         self.pair = (a, b)
         super().__init__(
             f"antiparallel pair ({a}, {b}) / ({b}, {a}); "
-            "pass allow_antiparallel=True to admit it (its two gates act as one "
+            f"{remedy} to admit it (its two gates act as one "
             "double-angle gate: factor cos(2 theta) per pair)"
         )
 

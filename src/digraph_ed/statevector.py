@@ -19,8 +19,12 @@ state's frozen amplitude array (peak memory about one state, at most two).
 :func:`bloch_vectors` reads every qubit's Bloch vector from views of the
 amplitudes, with no copy of the state, in two reductions: one BLAS Gram
 matrix of the float view for the low qubits, and complex dot products along
-contiguous rows for the rest. Within a qubit, p0, p1 and Re<0|rho|1> come
-from one routine and one operand shape, so product states stay exactly pure.
+contiguous rows for the rest. Above 2^_DOT_BITS amplitudes the rows are
+chunks whose self-dots every high qubit shares, so each high qubit reads the
+state once more, for its cross term only, and the qubits up to _BLOCK_BITS
+do that together, one cache-sized block at a time. Within a qubit, p0, p1
+and Re<0|rho|1> come from one routine and one operand shape, so product
+states stay exactly pure.
 
 :func:`apply_edge_gate` (one gate as a per-amplitude phase multiply), the
 generic dense 4x4 two-qubit path and :func:`pauli_expectation` are
@@ -58,6 +62,9 @@ _NORM_TOL = 1e-9
 _GRAM_QUBITS = 5
 #: Longest complex dot product in :func:`bloch_vectors`: 2^_DOT_BITS amplitudes.
 _DOT_BITS = 10
+#: :func:`bloch_vectors` reads qubits _DOT_BITS.._BLOCK_BITS-1 in blocks of
+#: 2^_BLOCK_BITS amplitudes (1 MiB), which stay in a core's L2 cache.
+_BLOCK_BITS = 16
 
 
 def _canonical_angle(x: float) -> float:
@@ -367,34 +374,68 @@ def bloch_vectors(state: PureState) -> tuple[PauliVector, ...]:
       G = f.T @ f, 2^(L+1) square.
       Each qubit's p0, p1, Re t and Im t is a sum of entries of G, gathered
       for all low qubits at once (see :func:`_gram_entries`);
-    * qubits i >= L: the complex view reshaped to (-1, 2, 2^i) puts the
-      bit-i=0 block a0 and the bit-i=1 block a1 side by side, and
+    * qubits L <= i < _DOT_BITS: the complex view reshaped to (-1, 2, 2^i)
+      puts the bit-i=0 block a0 and the bit-i=1 block a1 side by side, and
       p0 = a0.a0, p1 = a1.a1 and t = a0.a1 are complex ``np.vecdot`` calls
-      along the contiguous last axis, each summed as a complex array. Rows
-      longer than 2^_DOT_BITS amplitudes are split, so no BLAS dot runs
-      long and the sum over the pieces is pairwise.
+      along the contiguous last axis, each summed as a complex array;
+    * qubits i >= _DOT_BITS: a0 and a1 are whole chunks of 2^_DOT_BITS
+      amplitudes, so no BLAS dot runs long and the sum over the chunks is
+      pairwise. Every such qubit sums the same chunk self-dots, so these
+      are computed once per call: p0 and p1 sum the self-dots of the chunks
+      whose bit i is 0 and 1. Each qubit then reads the state once for t.
+      For qubits below _BLOCK_BITS that read walks the state in blocks of
+      2^_BLOCK_BITS amplitudes, doing all of them (and the self-dots) in
+      one block while it is in cache, and writes the row dots into one
+      array per qubit, summed at the end; higher qubits pair blocks, one
+      pass each.
 
     Within a qubit, p0, p1 and Re t come from one routine over operands of
     one shape and are summed in one order, so for a product state with
     equal amplitudes they are bitwise equal and its ED is exactly zero.
     """
     amps = state.amplitudes
-    L = min(state.M, _GRAM_QUBITS)
+    M = state.M
+    L = min(M, _GRAM_QUBITS)
     f = amps.view(np.float64).reshape(-1, 2 << L)
     gram = (f.T @ f).ravel()
     sym, cross = _gram_entries(L)
     p0, p1, re = gram[sym].sum(axis=-1).tolist()
     im_pos, im_neg = gram[cross].sum(axis=-1)
     im = (im_pos - im_neg).tolist()
-    for i in range(L, state.M):
-        c = min(i, _DOT_BITS)
-        pairs = amps.reshape(-1, 2, 1 << (i - c), 1 << c)
+    ts = []
+    for i in range(L, min(M, _DOT_BITS)):
+        pairs = amps.reshape(-1, 2, 1 << i)
         a0, a1 = pairs[:, 0], pairs[:, 1]
         p0.append(float(np.vecdot(a0, a0).sum().real))
         p1.append(float(np.vecdot(a1, a1).sum().real))
-        t = np.vecdot(a0, a1).sum()
-        re.append(float(t.real))
-        im.append(float(t.imag))
+        ts.append(np.vecdot(a0, a1).sum())
+    if M > _DOT_BITS:
+        # qubits i >= _DOT_BITS pair whole chunks of 2^_DOT_BITS amplitudes, so
+        # their p0 and p1 are sums of the same chunk self-dots
+        chunks = amps.reshape(-1, 1 << _DOT_BITS)
+        norms = np.empty(len(chunks), np.complex128)
+        blocked = range(_DOT_BITS, min(M, _BLOCK_BITS))
+        dots = [np.empty((1 << (M - 1 - i), 1 << (i - _DOT_BITS)), np.complex128) for i in blocked]
+        step = 1 << (min(M, _BLOCK_BITS) - _DOT_BITS)
+        for first in range(0, len(chunks), step):
+            block = chunks[first : first + step]
+            np.vecdot(block, block, out=norms[first : first + step])
+            for i, dot in zip(blocked, dots):
+                pairs = block.reshape(-1, 2, 1 << (i - _DOT_BITS), 1 << _DOT_BITS)
+                row = first >> (i + 1 - _DOT_BITS)
+                np.vecdot(pairs[:, 0], pairs[:, 1], out=dot[row : row + len(pairs)])
+        for i in range(_DOT_BITS, M):
+            # contiguous copies, so p0 and p1 are summed in the order t is
+            half = norms.reshape(-1, 2, 1 << (i - _DOT_BITS))
+            p0.append(float(np.ascontiguousarray(half[:, 0]).sum().real))
+            p1.append(float(np.ascontiguousarray(half[:, 1]).sum().real))
+            if i < _BLOCK_BITS:
+                ts.append(dots[i - _DOT_BITS].sum())
+            else:
+                pairs = chunks.reshape(-1, 2, 1 << (i - _DOT_BITS), 1 << _DOT_BITS)
+                ts.append(np.vecdot(pairs[:, 0], pairs[:, 1]).sum())
+    re.extend(float(t.real) for t in ts)
+    im.extend(float(t.imag) for t in ts)
     out = []
     for q0, q1, r, m in zip(p0, p1, re, im):
         nrm = q0 + q1

@@ -90,3 +90,26 @@ def random_state(rng, M):
     """Haar-ish random normalized amplitude vector."""
     v = rng.normal(size=1 << M) + 1j * rng.normal(size=1 << M)
     return v / np.linalg.norm(v)
+
+
+def bloch_vectors_by_row_dots(amps, M, first, dot_bits=10):
+    """(<x>, <y>, <z>) of qubits first..M-1, three dot passes over the state each.
+
+    The plain form of the dot-product pass of ``bloch_vectors``: per qubit i,
+    the state reshaped to (-1, 2, 2^(i-c), 2^c) with c = min(i, dot_bits)
+    gives rows a0 and a1, and p0 = a0.a0, p1 = a1.a1 and t = a0.a1 are
+    ``np.vecdot`` calls over the whole state, each summed as a complex
+    array. The fast pass computes the same row dots and sums them in the
+    same order, so the two must agree bit for bit.
+    """
+    out = []
+    for i in range(first, M):
+        c = min(i, dot_bits)
+        pairs = np.asarray(amps).reshape(-1, 2, 1 << (i - c), 1 << c)
+        a0, a1 = pairs[:, 0], pairs[:, 1]
+        p0 = float(np.vecdot(a0, a0).sum().real)
+        p1 = float(np.vecdot(a1, a1).sum().real)
+        t = np.vecdot(a0, a1).sum()
+        nrm = p0 + p1
+        out.append((2.0 * float(t.real) / nrm, 2.0 * float(t.imag) / nrm, (p0 - p1) / nrm))
+    return out

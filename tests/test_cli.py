@@ -150,8 +150,11 @@ class TestVerify:
     def test_escape_hatch(self, tmp_path, capsys):
         path = tmp_path / "anti.json"
         path.write_text('{"M": 2, "edges": [[0, 1], [1, 0]]}')
-        code, _, _ = run(["verify", "--graph", str(path), "--theta", "0.5"], capsys)
+        code, _, err = run(["verify", "--graph", str(path), "--theta", "0.5"], capsys)
         assert code == EXIT_BAD_INPUT  # rejected under default policy
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: antiparallel pair (0, 1)"), err
+        assert "pass --allow-antiparallel to admit it" in err  # the flag, not the keyword
         code, out, _ = run(
             ["verify", "--graph", str(path), "--allow-antiparallel", "--theta", "0.5"], capsys
         )
@@ -315,6 +318,30 @@ class TestInputHardening:
         assert "suite: PASS" not in out
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+    @pytest.mark.parametrize(
+        "argv,env,cap",
+        [
+            (["suite", "--graphs", "1", "--max-M", "21"], None, 20),
+            (["--max-qubits", "8", "suite", "--graphs", "1", "--max-M", "21"], "24", 8),
+            (["suite", "--graphs", "1", "--max-M", "21"], "8", 8),
+        ],
+        ids=["suite_max_m_over_default_cap", "suite_max_m_over_flag_cap",
+             "suite_max_m_over_env_cap"],
+    )
+    def test_suite_max_m_is_checked_before_the_battery(
+        self, argv, env, cap, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a battery over the qubit cap")
+
+        if env is not None:
+            monkeypatch.setenv("DIGRAPH_ED_MAX_QUBITS", env)
+        monkeypatch.setattr(suite, "population", refuse)
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_CAPABILITY
+        assert out == ""
+        assert err == f"error: M=21 qubits exceeds the cap of {cap}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -341,8 +341,22 @@ class TestBlochVectors:
                 want = oracles.pauli_expectation_dense(st.amplitudes, g.M, i)
                 np.testing.assert_allclose((v.x, v.y, v.z), want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("M", [11, 17, 18])
+    @pytest.mark.parametrize("kind", ["erdos_renyi", "star_out", "complete_dag", "random"])
+    def test_dot_pass_matches_plain_row_dots_exactly(self, kind, M):
+        # M=11 has one block; M=17 and 18 walk the blocked qubits over 2 and 4
+        if kind == "random":
+            st = PureState(M, oracles.random_state(np.random.default_rng(M), M))
+        else:
+            params = {"p": 0.3} if kind == "erdos_renyi" else {}
+            st = build_graph_state(generate(kind, M, params, seed=M), GateParams(0.7, -1.3))
+        got = [(v.x, v.y, v.z) for v in bloch_vectors(st)[statevector._GRAM_QUBITS :]]
+        assert got == oracles.bloch_vectors_by_row_dots(
+            st.amplitudes, M, statevector._GRAM_QUBITS, statevector._DOT_BITS
+        )
+
     def test_product_states_are_exactly_pure(self):
-        for M in range(1, 17):
+        for M in range(1, 18):
             for alpha0, alpha1 in ((INV_SQRT2, INV_SQRT2), (1.0, 0.0), (0.0, 1.0)):
                 for v in bloch_vectors(init_product_state(M, alpha0, alpha1)):
                     assert v.norm_sq == 1.0
