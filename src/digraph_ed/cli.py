@@ -14,7 +14,9 @@ significant digits so identical configurations produce byte-identical
 artifacts. Exit codes: 0 success, 1 invariant violation found, 2 bad
 input/config, 64 capability exceeded (M, or suite --max-M, over the qubit
 cap, default 20, overridable via --max-qubits or DIGRAPH_ED_MAX_QUBITS up to
-the engine's 24).
+the engine's 24). Every ``--seed`` is an integer >= 0; a sweep's ``--grid``
+is checked at parse time: 2 (sweep-theta) or 3 (sweep-alpha) to MAX_GRID
+(100000) points.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ EXIT_BAD_INPUT = 2
 EXIT_CAPABILITY = 64
 
 DEFAULT_MAX_QUBITS_CLI = 20
+#: Most points a sweep's ``--grid`` takes: one row each, all held until written.
+MAX_GRID = 100_000
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -47,23 +51,29 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"error: {self.prog}: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    """Parse an integer >= 1 (``--M``, ``--jobs``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_range(low: int, high: int | None = None):
+    """An argparse type: an integer in [low, high], or >= low when high is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+
+    return parse
 
 
-def _qubit_cap(text: str) -> int:
-    """Parse a qubit cap (``--max-qubits``, DIGRAPH_ED_MAX_QUBITS): 1 to the engine's cap."""
-    value = _positive_int(text)
-    if value > DEFAULT_MAX_QUBITS:
-        raise argparse.ArgumentTypeError(f"must be <= {DEFAULT_MAX_QUBITS}, got {value}")
-    return value
+#: ``--M`` and ``--jobs``
+_positive_int = _int_range(1)
+#: ``--max-qubits`` and DIGRAPH_ED_MAX_QUBITS: 1 to the engine's cap
+_qubit_cap = _int_range(1, DEFAULT_MAX_QUBITS)
+#: every ``--seed``
+_seed = _int_range(0)
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
@@ -71,7 +81,7 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=digraph.GENERATOR_KINDS, help="generator kind")
     p.add_argument("--M", type=_positive_int, help="number of vertices/qubits")
     p.add_argument("--p", type=float, help="edge probability (erdos_renyi)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--seed", type=_seed, default=0, help="generator seed, >= 0")
     p.add_argument(
         "--allow-antiparallel",
         action="store_true",
@@ -108,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=digraph.GENERATOR_KINDS, required=True)
     p.add_argument("--M", type=_positive_int, required=True)
     p.add_argument("--p", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", metavar="PATH")
 
     p = sub.add_parser("ed", help="print per-vertex and total ED")
@@ -123,16 +133,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-theta", help="sweep theta over [0, pi]")
     _add_graph_source(p)
     _add_angles(p, theta=False)
-    p.add_argument("--grid", type=int, default=101, help="number of grid points")
+    p.add_argument(
+        "--grid", type=_int_range(2, MAX_GRID), default=101,
+        help=f"number of grid points, 2 to {MAX_GRID}",
+    )
     _add_output(p)
 
     p = sub.add_parser("sweep-alpha", help="initial-state sweep on the single-edge pair")
     _add_angles(p)
-    p.add_argument("--grid", type=int, default=101, help="number of grid points")
+    p.add_argument(
+        "--grid", type=_int_range(3, MAX_GRID), default=101,
+        help=f"number of grid points, 3 to {MAX_GRID}",
+    )
     _add_output(p)
 
     p = sub.add_parser("suite", help="run the seeded property battery")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--graphs", type=int, default=200)
     p.add_argument("--max-M", dest="max_m", type=int, default=12)
     p.add_argument(
@@ -233,8 +249,6 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep_theta(args) -> int:
     g = _resolve_graph(args)
-    if args.grid < 2:
-        raise DigraphEdError(f"--grid must be >= 2, got {args.grid}")
     psi = _angle(args, args.psi)
     rows = []
     for theta in np.linspace(0.0, math.pi, args.grid):

@@ -111,16 +111,19 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     """Deterministic graph fixtures; pure function of (kind, M, params, seed).
 
     Kinds: path, cycle (M >= 3), star_out, star_in, complete_dag, and
-    erdos_renyi with ``params={"p": float}``. The Erdos-Renyi sampler draws
-    each ordered pair (a, b), a != b, with probability p in a fixed scan
-    order and skips draws that would create an antiparallel pair, so the
-    output always passes :func:`validate` under the default policy.
+    erdos_renyi with ``params={"p": float}``; ``seed`` is an integer >= 0.
+    The Erdos-Renyi sampler draws each ordered pair (a, b), a != b, with
+    probability p in a fixed scan order and skips draws that would create
+    an antiparallel pair, so the output always passes :func:`validate`
+    under the default policy.
     """
     params = dict(params or {})
     if kind not in GENERATOR_KINDS:
         raise UnsupportedKindError(f"unknown kind {kind!r}; expected one of {GENERATOR_KINDS}")
     if M < 1:
         raise BadParamsError(f"M must be >= 1, got {M}")
+    if seed < 0:
+        raise BadParamsError(f"seed must be >= 0, got {seed}")
 
     if kind == "erdos_renyi":
         if "p" not in params:

@@ -17,14 +17,15 @@ index, which :func:`build_graph_state` writes directly by qubit doubling:
 O(2^M) work whatever the edge count, in one buffer that becomes the
 state's frozen amplitude array (peak memory about one state, at most two).
 :func:`bloch_vectors` reads every qubit's Bloch vector from views of the
-amplitudes, with no copy of the state, in two reductions: one BLAS Gram
-matrix of the float view for the low qubits, and complex dot products along
-contiguous rows for the rest. Above 2^_DOT_BITS amplitudes the rows are
-chunks whose self-dots every high qubit shares, so each high qubit reads the
-state once more, for its cross term only, and the qubits up to _BLOCK_BITS
-do that together, one cache-sized block at a time. Within a qubit, p0, p1
-and Re<0|rho|1> come from one routine and one operand shape, so product
-states stay exactly pure.
+amplitudes, with no copy of the state: one BLAS Gram matrix of the float
+view covers the low qubits, and one walk over the state in cache-sized
+blocks covers all the others, with complex dot products along contiguous
+rows of at most 2^_DOT_BITS amplitudes. A qubit whose amplitude pairs lie
+within a block is read while that block is in cache; a qubit at or above
+_BLOCK_BITS pairs the block with a later one. The per-block sums are merged
+as a balanced binary tree, which is numpy's pairwise sum over the whole
+row-dot array bit for bit. Within a qubit, p0, p1 and Re<0|rho|1> come from
+one routine and one operand shape, so product states stay exactly pure.
 
 :func:`apply_edge_gate` (one gate as a per-amplitude phase multiply), the
 generic dense 4x4 two-qubit path and :func:`pauli_expectation` are
@@ -62,9 +63,16 @@ _NORM_TOL = 1e-9
 _GRAM_QUBITS = 5
 #: Longest complex dot product in :func:`bloch_vectors`: 2^_DOT_BITS amplitudes.
 _DOT_BITS = 10
-#: :func:`bloch_vectors` reads qubits _DOT_BITS.._BLOCK_BITS-1 in blocks of
-#: 2^_BLOCK_BITS amplitudes (1 MiB), which stay in a core's L2 cache.
+#: :func:`bloch_vectors` reads qubits _GRAM_QUBITS and up in one walk over the
+#: state in blocks of 2^_BLOCK_BITS amplitudes (1 MiB), which stay in a core's
+#: L2 cache.
 _BLOCK_BITS = 16
+# Every qubit's row dots in one block are an aligned run of at least
+# 2^(_BLOCK_BITS - _DOT_BITS) of its row-dot array. numpy's pairwise sum of a
+# complex array ends in leaves of 64 elements, so with runs of >= 64 a block's
+# sum is a node of numpy's summation tree, and the tree merge of the block sums
+# in bloch_vectors is np.sum of the whole array, bit for bit.
+assert _BLOCK_BITS - _DOT_BITS >= 6
 
 
 def _canonical_angle(x: float) -> float:
@@ -362,32 +370,55 @@ def _gram_entries(L: int) -> tuple[np.ndarray, np.ndarray]:
     return sym, cross
 
 
+def _tree_sum(parts):
+    """Sum 2^k partial sums, in order, as a balanced binary tree.
+
+    numpy sums a complex array of 2^n elements pairwise: the sums of its two
+    halves are added, recursively, down to leaves of 64 elements. So if the
+    partials are ``np.sum`` of consecutive aligned runs of 2^m >= 64 elements
+    of one array, this is bit for bit ``np.sum`` of the whole array.
+    """
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[0::2], parts[1::2])]
+    return parts[0]
+
+
 def bloch_vectors(state: PureState) -> tuple[PauliVector, ...]:
     """Bloch vectors of all M qubits, in qubit order.
 
     Same quantities as :func:`pauli_expectation`, with t = sum(conj(a0) * a1)
     over the amplitude pairs that differ in bit i, read from views of the
-    amplitudes without copying them, in two reductions:
+    amplitudes without copying them:
 
     * qubits i < L = min(M, _GRAM_QUBITS): the float view (re, im
       interleaved) reshaped to (-1, 2^(L+1)) gives one BLAS Gram
       G = f.T @ f, 2^(L+1) square.
       Each qubit's p0, p1, Re t and Im t is a sum of entries of G, gathered
       for all low qubits at once (see :func:`_gram_entries`);
-    * qubits L <= i < _DOT_BITS: the complex view reshaped to (-1, 2, 2^i)
-      puts the bit-i=0 block a0 and the bit-i=1 block a1 side by side, and
-      p0 = a0.a0, p1 = a1.a1 and t = a0.a1 are complex ``np.vecdot`` calls
-      along the contiguous last axis, each summed as a complex array;
-    * qubits i >= _DOT_BITS: a0 and a1 are whole chunks of 2^_DOT_BITS
-      amplitudes, so no BLAS dot runs long and the sum over the chunks is
-      pairwise. Every such qubit sums the same chunk self-dots, so these
-      are computed once per call: p0 and p1 sum the self-dots of the chunks
-      whose bit i is 0 and 1. Each qubit then reads the state once for t.
-      For qubits below _BLOCK_BITS that read walks the state in blocks of
-      2^_BLOCK_BITS amplitudes, doing all of them (and the self-dots) in
-      one block while it is in cache, and writes the row dots into one
-      array per qubit, summed at the end; higher qubits pair blocks, one
-      pass each.
+    * every higher qubit is read in one walk over the state in blocks of
+      2^_BLOCK_BITS amplitudes (1 MiB, a core's L2 cache), doing all of
+      them on a block while it is in cache. Its row dots are complex
+      ``np.vecdot`` calls along contiguous rows of at most 2^_DOT_BITS
+      amplitudes, so no BLAS dot runs long, and each qubit's sums are
+      numpy's pairwise sums of its whole row-dot arrays:
+
+      - qubits L <= i < _DOT_BITS: the block reshaped to (-1, 2, 2^i) puts
+        the bit-i=0 rows a0 and the bit-i=1 rows a1 side by side, and
+        p0 = a0.a0, p1 = a1.a1 and t = a0.a1 are summed per block;
+      - qubits i >= _DOT_BITS pair whole rows (chunks) of 2^_DOT_BITS
+        amplitudes. Their p0 and p1 sum the chunk self-dots whose bit i is 0
+        and 1, computed once per block for all of them, so each qubit reads
+        the state once more, for t. Qubits below _BLOCK_BITS find both
+        chunks of a pair in the block and write its row dots into one array
+        per qubit, summed at the end; a qubit i >= _BLOCK_BITS pairs the
+        block b whose bit i - _BLOCK_BITS is 0 with block b + 2^(i -
+        _BLOCK_BITS) and sums their row dots.
+
+      The per-block sums are merged by :func:`_tree_sum`. Each is the sum of
+      an aligned run of at least 2^(_BLOCK_BITS - _DOT_BITS) = 64 row dots,
+      a node of numpy's pairwise summation tree, so the merged sums are bit
+      for bit ``np.sum`` of the whole row-dot arrays. A state of one block
+      (M <= _BLOCK_BITS) takes the block sums as they are.
 
     Within a qubit, p0, p1 and Re t come from one routine over operands of
     one shape and are summed in one order, so for a product state with
@@ -402,38 +433,48 @@ def bloch_vectors(state: PureState) -> tuple[PauliVector, ...]:
     p0, p1, re = gram[sym].sum(axis=-1).tolist()
     im_pos, im_neg = gram[cross].sum(axis=-1)
     im = (im_pos - im_neg).tolist()
-    ts = []
-    for i in range(L, min(M, _DOT_BITS)):
-        pairs = amps.reshape(-1, 2, 1 << i)
-        a0, a1 = pairs[:, 0], pairs[:, 1]
-        p0.append(float(np.vecdot(a0, a0).sum().real))
-        p1.append(float(np.vecdot(a1, a1).sum().real))
-        ts.append(np.vecdot(a0, a1).sum())
+    blocks = amps.reshape(-1, 1 << _BLOCK_BITS) if M > _BLOCK_BITS else (amps,)
+    low = range(L, min(M, _DOT_BITS))
+    low_sums = []  # per block: p0, p1 and t of each low qubit
+    high_sums = [[] for _ in range(_BLOCK_BITS, M)]  # per block pair: t
     if M > _DOT_BITS:
-        # qubits i >= _DOT_BITS pair whole chunks of 2^_DOT_BITS amplitudes, so
-        # their p0 and p1 are sums of the same chunk self-dots
-        chunks = amps.reshape(-1, 1 << _DOT_BITS)
-        norms = np.empty(len(chunks), np.complex128)
-        blocked = range(_DOT_BITS, min(M, _BLOCK_BITS))
-        dots = [np.empty((1 << (M - 1 - i), 1 << (i - _DOT_BITS)), np.complex128) for i in blocked]
-        step = 1 << (min(M, _BLOCK_BITS) - _DOT_BITS)
-        for first in range(0, len(chunks), step):
-            block = chunks[first : first + step]
-            np.vecdot(block, block, out=norms[first : first + step])
-            for i, dot in zip(blocked, dots):
-                pairs = block.reshape(-1, 2, 1 << (i - _DOT_BITS), 1 << _DOT_BITS)
-                row = first >> (i + 1 - _DOT_BITS)
-                np.vecdot(pairs[:, 0], pairs[:, 1], out=dot[row : row + len(pairs)])
-        for i in range(_DOT_BITS, M):
-            # contiguous copies, so p0 and p1 are summed in the order t is
-            half = norms.reshape(-1, 2, 1 << (i - _DOT_BITS))
-            p0.append(float(np.ascontiguousarray(half[:, 0]).sum().real))
-            p1.append(float(np.ascontiguousarray(half[:, 1]).sum().real))
-            if i < _BLOCK_BITS:
-                ts.append(dots[i - _DOT_BITS].sum())
-            else:
-                pairs = chunks.reshape(-1, 2, 1 << (i - _DOT_BITS), 1 << _DOT_BITS)
-                ts.append(np.vecdot(pairs[:, 0], pairs[:, 1]).sum())
+        mid = range(_DOT_BITS, min(M, _BLOCK_BITS))
+        norms = np.empty(len(amps) >> _DOT_BITS, np.complex128)
+        dots = [np.empty((1 << (M - 1 - i), 1 << (i - _DOT_BITS)), np.complex128) for i in mid]
+    for b, block in enumerate(blocks):
+        sums = []
+        for i in low:
+            pairs = block.reshape(-1, 2, 1 << i)
+            a0, a1 = pairs[:, 0], pairs[:, 1]
+            sums += (np.vecdot(a0, a0).sum(), np.vecdot(a1, a1).sum(), np.vecdot(a0, a1).sum())
+        low_sums.append(sums)
+        if M <= _DOT_BITS:
+            continue
+        chunks = block.reshape(-1, 1 << _DOT_BITS)
+        first = b * len(chunks)
+        np.vecdot(chunks, chunks, out=norms[first : first + len(chunks)])
+        for i, dot in zip(mid, dots):
+            pairs = chunks.reshape(-1, 2, 1 << (i - _DOT_BITS), 1 << _DOT_BITS)
+            row = first >> (i + 1 - _DOT_BITS)
+            np.vecdot(pairs[:, 0], pairs[:, 1], out=dot[row : row + len(pairs)])
+        for k, parts in enumerate(high_sums):
+            if not b >> k & 1:
+                partner = blocks[b + (1 << k)].reshape(-1, 1 << _DOT_BITS)
+                parts.append(np.vecdot(chunks, partner).sum())
+    # one block: its sums are the sums, with no merge to pay for on small states
+    sums = low_sums[0] if len(blocks) == 1 else [_tree_sum(p) for p in zip(*low_sums)]
+    p0 += [float(s.real) for s in sums[0::3]]
+    p1 += [float(s.real) for s in sums[1::3]]
+    ts = sums[2::3]
+    for i in range(_DOT_BITS, M):
+        # contiguous copies, so p0 and p1 are summed in the order t is
+        half = norms.reshape(-1, 2, 1 << (i - _DOT_BITS))
+        p0.append(float(np.ascontiguousarray(half[:, 0]).sum().real))
+        p1.append(float(np.ascontiguousarray(half[:, 1]).sum().real))
+        if i < _BLOCK_BITS:
+            ts.append(dots[i - _DOT_BITS].sum())
+        else:
+            ts.append(_tree_sum(high_sums[i - _BLOCK_BITS]))
     re.extend(float(t.real) for t in ts)
     im.extend(float(t.imag) for t in ts)
     out = []

@@ -91,10 +91,12 @@ def battery(seed: int, n_graphs: int, max_m: int) -> list[tuple[DirectedGraph, G
     """The seeded graph population: Erdos-Renyi digraphs with random angles.
 
     M uniform on [2, max_m], edge probability from {0.2, 0.5, 0.8}, and
-    theta, psi uniform on (0, pi). Pure function of the arguments; an empty
-    population or one with no admissible M is refused, since every check
-    would pass on it vacuously.
+    theta, psi uniform on (0, pi). Pure function of the arguments. A negative
+    seed is refused, and so is an empty population or one with no
+    admissible M, since every check would pass on it vacuously.
     """
+    if seed < 0:
+        raise BadParamsError(f"the suite seed must be >= 0, got {seed}")
     if n_graphs < 1:
         raise BadParamsError(f"the suite needs at least 1 graph, got {n_graphs}")
     if max_m < 2:

@@ -301,11 +301,19 @@ class TestInputHardening:
             (["ed", "--kind", "path", "--M", "3", "--theta", "0.5"], "25"),
             (["gen", "--kind", "path", "--M", "0"], None),
             (["verify", "--kind", "path", "--M", "-3", "--theta", "0.5"], None),
+            (["gen", "--kind", "erdos_renyi", "--M", "3", "--p", "0.5", "--seed", "-1"], None),
+            (["verify", "--kind", "erdos_renyi", "--M", "3", "--p", "0.5",
+              "--theta", "0.5", "--seed", "-5"], None),
+            (["suite", "--seed", "-1"], None),
+            (["sweep-alpha", "--theta", "1", "--grid", "2"], None),
+            (["sweep-alpha", "--theta", "1", "--grid", "ten"], None),
         ],
         ids=["env_cap_not_an_integer", "suite_max_m_1", "non_utf8_graph_file",
              "negative_max_qubits", "suite_zero_graphs", "suite_zero_jobs",
              "suite_negative_jobs", "max_qubits_over_engine_cap",
-             "env_cap_over_engine_cap", "gen_zero_M", "verify_negative_M"],
+             "env_cap_over_engine_cap", "gen_zero_M", "verify_negative_M",
+             "gen_negative_seed", "verify_negative_seed", "suite_negative_seed",
+             "sweep_alpha_grid_2", "sweep_alpha_grid_not_an_integer"],
     )
     def test_one_error_line_and_exit_2(self, argv, env, tmp_path, capsys, monkeypatch):
         if env is not None:
@@ -362,3 +370,33 @@ class TestInputHardening:
         assert code == EXIT_CAPABILITY
         lines = err.strip().splitlines()
         assert len(lines) == 1 and "exceeds the cap of 20" in lines[0], err
+
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (["sweep-theta", "--kind", "erdos_renyi", "--M", "4", "--p", "0.5", "--grid", "1"],
+             "must be >= 2, got 1"),
+            (["sweep-theta", "--kind", "erdos_renyi", "--M", "4", "--p", "0.5",
+              "--grid", str(cli.MAX_GRID + 1)],
+             f"must be <= {cli.MAX_GRID}, got {cli.MAX_GRID + 1}"),
+            (["sweep-alpha", "--theta", "1", "--grid", "1000000000"],
+             f"must be <= {cli.MAX_GRID}, got 1000000000"),
+        ],
+        ids=["sweep_theta_grid_1", "sweep_theta_grid_over_max", "sweep_alpha_grid_1e9"],
+    )
+    def test_grid_is_checked_before_any_work(self, argv, bound, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a sweep with a bad --grid")
+
+        monkeypatch.setattr(digraph, "generate", refuse)
+        monkeypatch.setattr(cli, "alpha_sweep", refuse)
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == f"error: digraph-ed {argv[0]}: argument --grid: {bound}\n"
+
+    def test_grid_bounds_are_accepted(self, capsys):
+        code, out, _ = run(["sweep-theta", "--kind", "path", "--M", "2", "--grid", "2"], capsys)
+        assert code == EXIT_OK and len(out.splitlines()) == 3
+        code, out, _ = run(["sweep-alpha", "--theta", "1", "--grid", "3"], capsys)
+        assert code == EXIT_OK and len(out.splitlines()) == 4

@@ -128,6 +128,9 @@ class TestGenerate:
             digraph.generate("path", 4, {"p": 0.5})  # extraneous
         with pytest.raises(BadParamsError):
             digraph.generate("path", 0)
+        for kind, params in (("erdos_renyi", {"p": 0.5}), ("path", {})):
+            with pytest.raises(BadParamsError, match="seed must be >= 0"):
+                digraph.generate(kind, 3, params, seed=-1)
 
 
 class TestPermute:

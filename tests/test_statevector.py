@@ -341,10 +341,11 @@ class TestBlochVectors:
                 want = oracles.pauli_expectation_dense(st.amplitudes, g.M, i)
                 np.testing.assert_allclose((v.x, v.y, v.z), want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("M", [11, 17, 18])
+    @pytest.mark.parametrize("M", [11, 17, 18, 20])
     @pytest.mark.parametrize("kind", ["erdos_renyi", "star_out", "complete_dag", "random"])
     def test_dot_pass_matches_plain_row_dots_exactly(self, kind, M):
-        # M=11 has one block; M=17 and 18 walk the blocked qubits over 2 and 4
+        # M=11 is one block; M=17, 18 and 20 sweep 2, 4 and 16 blocks, merge the
+        # per-block sums, and pair blocks for qubits 16 and up (16-19 at M=20)
         if kind == "random":
             st = PureState(M, oracles.random_state(np.random.default_rng(M), M))
         else:
@@ -356,7 +357,8 @@ class TestBlochVectors:
         )
 
     def test_product_states_are_exactly_pure(self):
-        for M in range(1, 18):
+        # to M=18: four blocks, merged
+        for M in range(1, 19):
             for alpha0, alpha1 in ((INV_SQRT2, INV_SQRT2), (1.0, 0.0), (0.0, 1.0)):
                 for v in bloch_vectors(init_product_state(M, alpha0, alpha1)):
                     assert v.norm_sq == 1.0

@@ -1,7 +1,10 @@
 """The property battery as a library: determinism, coverage, sensitivity."""
 
+import pytest
+
 from digraph_ed import entanglement
 from digraph_ed.digraph import validate
+from digraph_ed.errors import BadParamsError
 from digraph_ed.suite import battery, run_suite
 
 EXPECTED_CHECKS = [
@@ -29,6 +32,11 @@ def test_battery_is_deterministic_and_policy_valid():
         assert 2 <= g.M <= 8
         assert 0.0 < gp.theta < 3.15
         assert 0.0 < gp.psi < 3.15
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(BadParamsError, match="seed must be >= 0"):
+        battery(-1, 20, 8)
 
 
 def test_small_run_passes_every_check():
