@@ -18,7 +18,7 @@ import time
 from digraph_ed import run_suite
 
 start = time.monotonic()
-report = run_suite(seed=7, n_graphs=200, max_m=12, jobs=2)
+report = run_suite(seed=7, n_graphs=200, max_m=12)
 elapsed = time.monotonic() - start
 
 for line in report.summary_lines():

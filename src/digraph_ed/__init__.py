@@ -10,13 +10,10 @@ from .digraph import (
     DegreeRecord,
     DirectedGraph,
     GENERATOR_KINDS,
-    degrees,
     dump_graph,
     from_json_dict,
     generate,
     graph_hash,
-    has_antiparallel_pairs,
-    load_graph,
     permute,
     read_graph,
     reverse_edges,
@@ -29,7 +26,6 @@ from .entanglement import (
     SweepResult,
     alpha_sweep,
     ed_closed_form,
-    ed_per_vertex,
     ed_total,
     hs_distance,
     pauli_vector_closed_form,
@@ -47,7 +43,6 @@ from .statevector import (
     bloch_vectors,
     build_graph_state,
     commutation_check,
-    dump_amplitudes,
     edge_gate_matrix,
     init_product_state,
     pauli_expectation,
@@ -77,21 +72,16 @@ __all__ = [
     "bloch_vectors",
     "build_graph_state",
     "commutation_check",
-    "degrees",
-    "dump_amplitudes",
     "dump_graph",
     "ed_closed_form",
-    "ed_per_vertex",
     "ed_total",
     "edge_gate_matrix",
     "errors",
     "from_json_dict",
     "generate",
     "graph_hash",
-    "has_antiparallel_pairs",
     "hs_distance",
     "init_product_state",
-    "load_graph",
     "pauli_expectation",
     "pauli_vector_closed_form",
     "permute",

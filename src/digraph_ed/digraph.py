@@ -6,6 +6,11 @@ forbids self-loops, duplicate edges, and antiparallel pairs; the last can be
 admitted explicitly. Both ED routes cover such a pair: its two gates compose
 into one double-angle gate, which enters the closed form as a factor
 cos(2 theta) in place of cos(theta)^2.
+
+This module is the one place that walks an edge list to check it or to
+count it: :func:`validate` checks a graph and returns one :class:`DegreeRecord`
+per vertex (out-degree, in-degree, antiparallel pairs) from a single pass,
+kept on the graph, and every consumer of degrees reads those records.
 """
 
 from __future__ import annotations
@@ -54,57 +59,75 @@ class DirectedGraph:
 
 @dataclass(frozen=True)
 class DegreeRecord:
-    """Out-, in-, and total degree of one vertex; total = out + in."""
+    """One vertex's out- and in-degree and antiparallel pairs; total = out + in.
+
+    Each pair (a, b)/(b, a) at a vertex is two of its edges, one each way.
+    """
 
     out_degree: int
     in_degree: int
+    pairs: int = 0
 
     @property
     def total(self) -> int:
         return self.out_degree + self.in_degree
 
 
-def validate(g: DirectedGraph, allow_antiparallel: bool = False) -> None:
-    """Raise unless ``g`` satisfies the structural invariants.
+def _walk(g: DirectedGraph) -> tuple[tuple[DegreeRecord, ...], tuple[int, int] | None]:
+    """Check and count ``g``'s edge list in one pass.
 
-    Self-loops, duplicate edges, and out-of-range endpoints are always
-    rejected. Antiparallel pairs (a, b)/(b, a) are rejected by default;
-    ``allow_antiparallel=True`` admits them.
+    Raises on the first edge, in edge order, with an out-of-range endpoint,
+    a self-loop or a repeat of an earlier edge. Otherwise returns the degree
+    records and the first antiparallel pair, as the earlier of its two edges
+    (None when there is none), so the edge policy can be applied without
+    walking again.
     """
-    if g.M < 1:
-        raise IndexOutOfRangeError(f"M must be positive, got {g.M}")
+    M = g.M
+    if M < 1:
+        raise IndexOutOfRangeError(f"M must be positive, got {M}")
+    out = [0] * M
+    inc = [0] * M
+    pairs = [0] * M
+    first = None
     seen: set[tuple[int, int]] = set()
-    for a, b in g.edges:
-        if not (0 <= a < g.M and 0 <= b < g.M):
-            raise IndexOutOfRangeError(f"edge ({a}, {b}) out of range for M={g.M}")
+    for e in g.edges:
+        a, b = e
+        if not (0 <= a < M and 0 <= b < M):
+            raise IndexOutOfRangeError(f"edge ({a}, {b}) out of range for M={M}")
         if a == b:
             raise SelfLoopError(a)
-        if (a, b) in seen:
+        if e in seen:
             raise DuplicateEdgeError(a, b)
-        if not allow_antiparallel and (b, a) in seen:
-            raise AntiparallelPairError(b, a)
-        seen.add((a, b))
-
-
-def has_antiparallel_pairs(g: DirectedGraph) -> bool:
-    edge_set = set(g.edges)
-    return any((b, a) in edge_set for a, b in g.edges)
-
-
-def degrees(g: DirectedGraph) -> list[DegreeRecord]:
-    """Per-vertex degree records, counting incident edges.
-
-    Works for graphs with antiparallel pairs too: each
-    edge contributes one to its tail's out-degree and one to its head's
-    in-degree.
-    """
-    validate(g, allow_antiparallel=True)
-    out = [0] * g.M
-    inc = [0] * g.M
-    for a, b in g.edges:
+        seen.add(e)
         out[a] += 1
         inc[b] += 1
-    return [DegreeRecord(o, i) for o, i in zip(out, inc)]
+        if (b, a) in seen:
+            pairs[a] += 1
+            pairs[b] += 1
+            if first is None:
+                first = (b, a)
+    return tuple(map(DegreeRecord, out, inc, pairs)), first
+
+
+def validate(g: DirectedGraph, allow_antiparallel: bool = False) -> tuple[DegreeRecord, ...]:
+    """Raise unless ``g`` satisfies the structural invariants; else its degree records.
+
+    Out-of-range endpoints, self-loops and duplicate edges are always
+    rejected, and are found before the policy is applied. Antiparallel pairs
+    (a, b)/(b, a) are rejected by default; ``allow_antiparallel=True`` admits
+    them. The records, one per vertex in vertex order, count each edge once
+    at its tail's out-degree and once at its head's in-degree. The one walk
+    over the edges is kept on ``g``, outside its fields, so equality, hashing
+    and repr ignore it and a later call on the same graph does not walk again.
+    """
+    walked = getattr(g, "_walked", None)
+    if walked is None:
+        walked = _walk(g)
+        object.__setattr__(g, "_walked", walked)
+    records, pair = walked
+    if pair is not None and not allow_antiparallel:
+        raise AntiparallelPairError(*pair)
+    return records
 
 
 def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> DirectedGraph:
@@ -247,13 +270,6 @@ def read_graph(path) -> DirectedGraph:
         except UnicodeDecodeError as e:
             raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
     return from_json_dict(obj)
-
-
-def load_graph(path, allow_antiparallel: bool = False) -> DirectedGraph:
-    """Read and validate a graph JSON file."""
-    g = read_graph(path)
-    validate(g, allow_antiparallel=allow_antiparallel)
-    return g
 
 
 def dump_graph(g: DirectedGraph) -> str:

@@ -14,6 +14,8 @@ cos(theta)^(2 d(i)) law), independent of psi, of edge orientations, and of
 vertex labels. This module computes ED from first principles (Pauli
 expectations on the statevector), evaluates the closed form, and provides
 the sweep and verification helpers used to check one against the other.
+d(i) and p(i) come from the degree records that
+:func:`~digraph_ed.digraph.validate` returns; nothing here counts edges.
 """
 
 from __future__ import annotations
@@ -26,11 +28,7 @@ import numpy as np
 
 from . import digraph
 from .digraph import DirectedGraph
-from .errors import (
-    BadGridError,
-    IndexOutOfRangeError,
-    NegativeEigenvalueError,
-)
+from .errors import BadGridError, NegativeEigenvalueError
 from .statevector import (
     DensityMatrix1Q,
     GateParams,
@@ -102,17 +100,6 @@ class SweepResult:
     degenerate: bool
 
 
-def ed_per_vertex(state: PureState, i: int) -> float:
-    """Contribution of qubit i: 1 - |Bloch vector|^2, in [0, 1].
-
-    Reads every qubit (:func:`~digraph_ed.statevector.bloch_vectors`); to get
-    all M contributions, call that once rather than this M times.
-    """
-    if not 0 <= i < state.M:
-        raise IndexOutOfRangeError(f"qubit {i} out of range for M={state.M}")
-    return 1.0 - bloch_vectors(state)[i].norm_sq
-
-
 def ed_total(state: PureState) -> float:
     """ED per qubit: 1 - mean over qubits of the squared Bloch length."""
     return _ed_total(bloch_vectors(state))
@@ -126,23 +113,18 @@ def ed_closed_form(g: DirectedGraph, theta: float) -> float:
     """Degree-only evaluation: 1 - (1/M) sum_i cos(theta)^(2 (d - 2p)) cos(2 theta)^(2p).
 
     d is a vertex's total degree and p its number of antiparallel pairs
-    (each pair is two of its d edges). Independent of psi and of edge
-    orientations by construction. Without pairs every cos(2 theta) factor is
-    exactly 1.0, so the value is the paper's cos(theta)^(2d) law bit for bit.
+    (each pair is two of its d edges), both read from the degree records
+    :func:`~digraph_ed.digraph.validate` returns. Independent of psi and of
+    edge orientations by construction. Without pairs every cos(2 theta)
+    factor is exactly 1.0, so the value is the paper's cos(theta)^(2d) law
+    bit for bit.
     """
-    digraph.validate(g, allow_antiparallel=True)
-    total = [0] * g.M
-    pairs = [0] * g.M
-    edge_set = set(g.edges)
-    for a, b in g.edges:
-        total[a] += 1
-        total[b] += 1
-        pairs[a] += (b, a) in edge_set
     c = math.cos(theta)
     c2 = math.cos(2.0 * theta)
     acc = 0.0
-    for d, p in zip(total, pairs):
-        acc += c ** (2 * (d - 2 * p)) * c2 ** (2 * p)
+    for rec in digraph.validate(g, allow_antiparallel=True):
+        p = rec.pairs
+        acc += c ** (2 * (rec.total - 2 * p)) * c2 ** (2 * p)
     return 1.0 - acc / g.M
 
 
@@ -226,12 +208,14 @@ def verify_graph(
 ) -> EDReport:
     """Dual-route ED for one graph at the balanced initial state.
 
-    Builds the state with alpha0 = alpha1 = 1/sqrt(2) (which validates ``g``
-    under the given policy), computes per-vertex and total ED from one read
-    of every qubit's Bloch vector, and evaluates the closed form; the
+    Validates ``g`` under the given policy, builds the state with
+    alpha0 = alpha1 = 1/sqrt(2), computes per-vertex and total ED from one
+    read of every qubit's Bloch vector, and evaluates the closed form; the
     recorded discrepancy stays below ``DISCREPANCY_TOL`` for every graph the
-    policy admits.
+    policy admits. The graph's edge list is walked once, by that validation;
+    the build and the closed form read the degree records it kept.
     """
+    records = digraph.validate(g, allow_antiparallel=allow_antiparallel)
     state = build_graph_state(
         g, gp, ALPHA_INV_SQRT2, ALPHA_INV_SQRT2, allow_antiparallel=allow_antiparallel
     )
@@ -245,6 +229,6 @@ def verify_graph(
         discrepancy=abs(total_sv - total_cf),
         graph_hash=digraph.graph_hash(g),
         gp=gp,
-        policy="allow_antiparallel" if digraph.has_antiparallel_pairs(g) else "default",
+        policy="allow_antiparallel" if any(r.pairs for r in records) else "default",
         seed_info=seed_info,
     )

@@ -54,7 +54,8 @@ from .errors import (
     SelfLoopError,
 )
 
-#: Default qubit cap: 2^24 complex amplitudes = 256 MiB, the desk-scale bound.
+#: The engine's qubit cap, read at call time: 2^24 complex amplitudes = 256 MiB,
+#: the desk-scale bound.
 DEFAULT_MAX_QUBITS = 24
 
 _TWO_PI = 2.0 * math.pi
@@ -208,18 +209,14 @@ def edge_gate_matrix(gp: GateParams) -> np.ndarray:
     ).astype(np.complex128)
 
 
-def init_product_state(
-    M: int,
-    alpha0: complex,
-    alpha1: complex,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> PureState:
+def init_product_state(M: int, alpha0: complex, alpha1: complex) -> PureState:
     """Uniform product state: every qubit in alpha0|0> + alpha1|1>.
 
     Amplitude at index k is the product over qubits of alpha0 or alpha1
-    according to bit i of k. Requires |alpha0|^2 + |alpha1|^2 = 1 to 1e-12.
+    according to bit i of k. Requires |alpha0|^2 + |alpha1|^2 = 1 to 1e-12
+    and M at most :data:`DEFAULT_MAX_QUBITS`.
     """
-    alpha0, alpha1 = _qubit_amplitudes(M, alpha0, alpha1, max_qubits)
+    alpha0, alpha1 = _qubit_amplitudes(M, alpha0, alpha1)
     qubit = np.array([alpha0, alpha1], dtype=np.complex128)
     amps = np.array([1.0 + 0.0j])
     for _ in range(M):
@@ -227,14 +224,12 @@ def init_product_state(
     return PureState(M, amps)
 
 
-def _qubit_amplitudes(
-    M: int, alpha0: complex, alpha1: complex, max_qubits: int
-) -> tuple[complex, complex]:
+def _qubit_amplitudes(M: int, alpha0: complex, alpha1: complex) -> tuple[complex, complex]:
     """Check the qubit count and the single-qubit state of a uniform product state."""
     if M < 1:
         raise IndexOutOfRangeError(f"M must be positive, got {M}")
-    if M > max_qubits:
-        raise CapacityError(M, max_qubits)
+    if M > DEFAULT_MAX_QUBITS:
+        raise CapacityError(M, DEFAULT_MAX_QUBITS)
     alpha0 = complex(alpha0)
     alpha1 = complex(alpha1)
     nrm = abs(alpha0) ** 2 + abs(alpha1) ** 2
@@ -302,7 +297,6 @@ def build_graph_state(
     alpha0: complex = 2**-0.5,
     alpha1: complex = 2**-0.5,
     allow_antiparallel: bool = False,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> PureState:
     """Apply one edge gate per edge of ``g`` to the uniform product state.
 
@@ -319,13 +313,13 @@ def build_graph_state(
     by alpha0. The phase vector e^{-2i theta c_m(k)} is itself grown by
     doubling over the lower qubits, inside the |1> half. Total cost is
     O(2^M) whatever |L|, in one buffer that the returned state adopts.
+    d_out(m) is read from the degree records :func:`validate` returns, and M
+    may not exceed :data:`DEFAULT_MAX_QUBITS`.
     """
-    validate(g, allow_antiparallel=allow_antiparallel)
-    alpha0, alpha1 = _qubit_amplitudes(g.M, alpha0, alpha1, max_qubits)
-    d_out = [0] * g.M
+    records = validate(g, allow_antiparallel=allow_antiparallel)
+    alpha0, alpha1 = _qubit_amplitudes(g.M, alpha0, alpha1)
     lower = [[0] * m for m in range(g.M)]  # lower[m][j]: edges between m and j < m
     for a, b in g.edges:
-        d_out[a] += 1
         lower[max(a, b)][min(a, b)] += 1
     # phase picked up per edge between two set bits; validate admits at most two
     pair_phase = (1.0, cmath.exp(-2j * gp.theta), cmath.exp(-4j * gp.theta))
@@ -334,7 +328,7 @@ def build_graph_state(
     for m in range(g.M):
         n = 1 << m
         upper = amps[n : 2 * n]
-        upper[0] = alpha1 * cmath.exp(1j * (gp.theta - gp.psi) * d_out[m])
+        upper[0] = alpha1 * cmath.exp(1j * (gp.theta - gp.psi) * records[m].out_degree)
         for j, count in enumerate(lower[m]):
             h = 1 << j
             np.multiply(upper[:h], pair_phase[count], out=upper[h : 2 * h])
@@ -522,12 +516,6 @@ def reduced_density_1q(state: PureState, i: int) -> DensityMatrix1Q:
     tr = p0 + p1
     rho01 = complex(np.sum(a0 * a1.conj())) / tr
     return DensityMatrix1Q(complex(p0 / tr), rho01, np.conj(rho01), complex(p1 / tr))
-
-
-def dump_amplitudes(state: PureState) -> str:
-    """Debug dump: JSON array of [re, im] pairs in amplitude-index order."""
-    pairs = ", ".join(f"[{float(a.real)!r}, {float(a.imag)!r}]" for a in state.amplitudes)
-    return "[" + pairs + "]"
 
 
 def commutation_check(gp: GateParams) -> float:

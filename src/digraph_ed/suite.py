@@ -8,15 +8,14 @@ below its bound. :func:`run_check` folds the records into a
 :class:`CheckResult` with the case count, the worst error and the violations.
 ``digraph-ed suite`` runs the table through :func:`run_suite`, and the pytest
 acceptance gate parametrises over it, so a new invariant is one new row.
-Aggregation is order-independent, so per-graph verification can fan out
-across threads without changing the report.
+Everything runs in one thread. Each seeded graph is checked and counted once:
+measures that need its degrees read the records :func:`validate` kept on it.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,13 +23,12 @@ import numpy as np
 
 from . import entanglement as ent
 from .digraph import (
-    DegreeRecord,
     DirectedGraph,
-    degrees,
     generate,
     graph_hash,
     permute,
     reverse_edges,
+    validate,
 )
 from .errors import BadParamsError
 from .statevector import (
@@ -115,28 +113,21 @@ def battery(seed: int, n_graphs: int, max_m: int) -> list[tuple[DirectedGraph, G
 
 @dataclass(frozen=True)
 class Population:
-    """The seeded graphs with their dual-route reports and degree records."""
+    """The seeded graphs with their dual-route reports."""
 
     seed: int
     cases: tuple[tuple[DirectedGraph, GateParams], ...]
     reports: tuple[ent.EDReport, ...]
-    degrees: tuple[list[DegreeRecord], ...]
 
 
-def population(seed: int, n_graphs: int, max_m: int, jobs: int = 1) -> Population:
-    """Build :func:`battery` and verify every graph, on ``jobs`` threads."""
+def population(seed: int, n_graphs: int, max_m: int) -> Population:
+    """Build :func:`battery` and verify every graph."""
     cases = tuple(battery(seed, n_graphs, max_m))
-
-    def verify(item):
-        n, (g, gp) = item
-        return ent.verify_graph(g, gp, seed_info=f"suite seed={seed} idx={n}")
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = tuple(pool.map(verify, enumerate(cases)))
-    else:
-        reports = tuple(map(verify, enumerate(cases)))
-    return Population(seed, cases, reports, tuple(degrees(g) for g, _ in cases))
+    reports = tuple(
+        ent.verify_graph(g, gp, seed_info=f"suite seed={seed} idx={n}")
+        for n, (g, gp) in enumerate(cases)
+    )
+    return Population(seed, cases, reports)
 
 
 # A case's label and its (error, bound) pairs; each error must stay
@@ -232,8 +223,8 @@ def _psi_invariance(pop, tol):
 
 
 def _maximal_entanglement(pop, tol):
-    for (g, gp), recs, rep in zip(pop.cases, pop.degrees, pop.reports):
-        if min(rec.total for rec in recs) >= 1:
+    for (g, gp), rep in zip(pop.cases, pop.reports):
+        if min(rec.total for rec in validate(g, allow_antiparallel=True)) >= 1:
             err = abs(_ed(g, GateParams(math.pi / 2, gp.psi)) - 1.0)
             yield rep.graph_hash[:12], [(err, tol)]
     # the fully separable reference point must sit at zero exactly
@@ -255,8 +246,9 @@ def _alpha_optimality(pop, tol):
 
 
 def _per_vertex_law(pop, tol):
-    for (g, gp), recs, rep in zip(pop.cases, pop.degrees, pop.reports):
+    for (g, gp), rep in zip(pop.cases, pop.reports):
         c = math.cos(gp.theta)
+        recs = validate(g, allow_antiparallel=True)
         for i, (rec, ev) in enumerate(zip(recs, rep.per_vertex)):
             err = abs(ev - (1.0 - c ** (2 * rec.total)))
             yield f"{rep.graph_hash[:12]} vertex {i}", [(err, tol)]
@@ -362,10 +354,8 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def run_suite(
-    seed: int = 0, n_graphs: int = 200, max_m: int = 12, jobs: int = 1
-) -> SuiteReport:
+def run_suite(seed: int = 0, n_graphs: int = 200, max_m: int = 12) -> SuiteReport:
     """Run every row of :data:`CHECKS`; any violation flips the report to failing."""
-    pop = population(seed, n_graphs, max_m, jobs)
+    pop = population(seed, n_graphs, max_m)
     checks = tuple(run_check(check, pop) for check in CHECKS)
     return SuiteReport(seed=seed, n_graphs=n_graphs, max_m=max_m, checks=checks)

@@ -51,7 +51,8 @@ class TestEd:
         state = statevector.build_graph_state(g, statevector.GateParams(0.9, 0.4))
         fmt = entanglement.fmt17
         want = "".join(
-            f"E({i}) = {fmt(entanglement.ed_per_vertex(state, i))}\n" for i in range(g.M)
+            f"E({i}) = {fmt(1.0 - v.norm_sq)}\n"
+            for i, v in enumerate(statevector.bloch_vectors(state))
         ) + f"E_total = {fmt(entanglement.ed_total(state))}\n"
         calls = []
         real = statevector.bloch_vectors
@@ -130,22 +131,21 @@ class TestVerify:
         assert cli.main(argv + ["--out", str(p2)]) == EXIT_OK
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_graph_file_is_validated_twice(self, tmp_path, capsys, monkeypatch):
-        # once by the state build, once by the closed form; reading does not validate
-        calls = []
-        real = digraph.validate
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        for mod in (digraph, statevector):
-            monkeypatch.setattr(mod, "validate", counting)
+    def test_graph_file_is_walked_once(self, tmp_path, capsys, monkeypatch):
+        # reading does not check the graph; the first validate walks it, and the
+        # build, the closed form and the report read the records it kept, at
+        # every point of a sweep too
+        walks = []
+        real = digraph._walk
+        monkeypatch.setattr(digraph, "_walk", lambda g: walks.append(g.M) or real(g))
         path = tmp_path / "g.json"
         path.write_text('{"M": 4, "edges": [[0, 1], [2, 1], [3, 0]]}')
         code, _, _ = run(["verify", "--graph", str(path), "--theta", "0.5"], capsys)
         assert code == EXIT_OK
-        assert len(calls) == 2
+        assert walks == [4]
+        code, out, _ = run(["sweep-theta", "--graph", str(path), "--grid", "5"], capsys)
+        assert code == EXIT_OK and len(out.splitlines()) == 6
+        assert walks == [4, 4]
 
     def test_escape_hatch(self, tmp_path, capsys):
         path = tmp_path / "anti.json"
@@ -394,6 +394,22 @@ class TestInputHardening:
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err == f"error: digraph-ed {argv[0]}: argument --grid: {bound}\n"
+
+    def test_suite_graphs_is_checked_before_the_battery(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a battery for a bad --graphs")
+
+        monkeypatch.setattr(suite, "population", refuse)
+        code, out, err = run(["suite", "--graphs", "100000000"], capsys)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == (
+            f"error: digraph-ed suite: argument --graphs: "
+            f"must be <= {cli.MAX_GRAPHS}, got 100000000\n"
+        )
+        assert cli.build_parser().parse_args(
+            ["suite", "--graphs", str(cli.MAX_GRAPHS)]
+        ).graphs == cli.MAX_GRAPHS
 
     def test_grid_bounds_are_accepted(self, capsys):
         code, out, _ = run(["sweep-theta", "--kind", "path", "--M", "2", "--grid", "2"], capsys)

@@ -34,11 +34,12 @@ class TestValidate:
         digraph.validate(g, allow_antiparallel=True)  # escape hatch
 
     def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateEdgeError):
-            digraph.validate(DirectedGraph(3, ((0, 1), (0, 1))))
-        # duplicates stay rejected even under the escape hatch
-        with pytest.raises(DuplicateEdgeError):
-            digraph.validate(DirectedGraph(3, ((0, 1), (0, 1))), allow_antiparallel=True)
+        # duplicates stay rejected even under the escape hatch, and are found
+        # before the policy is applied to an earlier antiparallel pair
+        for edges in (((0, 1), (0, 1)), ((0, 1), (1, 0), (0, 1))):
+            for allow in (False, True):
+                with pytest.raises(DuplicateEdgeError):
+                    digraph.validate(DirectedGraph(3, edges), allow_antiparallel=allow)
 
     def test_out_of_range_endpoint(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -52,24 +53,25 @@ class TestValidate:
 
 class TestDegrees:
     def test_star(self):
-        recs = digraph.degrees(DirectedGraph(3, ((0, 1), (0, 2))))
-        assert [(r.out_degree, r.in_degree, r.total) for r in recs] == [
-            (2, 0, 2),
-            (0, 1, 1),
-            (0, 1, 1),
+        recs = digraph.validate(DirectedGraph(3, ((0, 1), (0, 2))), allow_antiparallel=True)
+        assert [(r.out_degree, r.in_degree, r.total, r.pairs) for r in recs] == [
+            (2, 0, 2, 0),
+            (0, 1, 1, 0),
+            (0, 1, 1, 0),
         ]
 
     def test_directed_cycle(self):
-        recs = digraph.degrees(DirectedGraph(3, ((0, 1), (1, 2), (2, 0))))
+        g = DirectedGraph(3, ((0, 1), (1, 2), (2, 0)))
+        recs = digraph.validate(g, allow_antiparallel=True)
         assert all((r.out_degree, r.in_degree, r.total) == (1, 1, 2) for r in recs)
 
     def test_empty(self):
-        recs = digraph.degrees(DirectedGraph(4, ()))
-        assert all((r.out_degree, r.in_degree, r.total) == (0, 0, 0) for r in recs)
+        recs = digraph.validate(DirectedGraph(4, ()), allow_antiparallel=True)
+        assert all((r.out_degree, r.in_degree, r.total, r.pairs) == (0, 0, 0, 0) for r in recs)
 
     def test_total_sum_is_twice_edge_count(self):
         g = digraph.generate("erdos_renyi", 9, {"p": 0.5}, seed=11)
-        assert sum(r.total for r in digraph.degrees(g)) == 2 * g.num_edges
+        assert sum(r.total for r in digraph.validate(g)) == 2 * g.num_edges
 
 
 class TestGenerate:
@@ -145,9 +147,10 @@ class TestPermute:
     def test_rotation_preserves_degree_multiset(self):
         g = digraph.generate("star_out", 3)
         h = digraph.permute(g, [1, 2, 0])
-        totals = sorted(r.total for r in digraph.degrees(h))
+        totals = sorted(r.total for r in digraph.validate(h, allow_antiparallel=True))
         assert totals == [1, 1, 2]
-        assert digraph.degrees(h)[1].total == 2  # center moved to vertex 1
+        # center moved to vertex 1
+        assert digraph.validate(h, allow_antiparallel=True)[1].total == 2
 
     def test_not_a_bijection(self):
         g = digraph.generate("path", 3)
@@ -162,8 +165,8 @@ class TestReverseEdges:
         g = digraph.generate("star_out", 3)
         h = digraph.reverse_edges(g, range(g.num_edges))
         assert h == digraph.generate("star_in", 3)
-        before = [r.total for r in digraph.degrees(g)]
-        after = [r.total for r in digraph.degrees(h)]
+        before = [r.total for r in digraph.validate(g, allow_antiparallel=True)]
+        after = [r.total for r in digraph.validate(h, allow_antiparallel=True)]
         assert before == after
 
     def test_reverse_nothing(self):
@@ -174,7 +177,7 @@ class TestReverseEdges:
         g = DirectedGraph(3, ((0, 1), (1, 2)))
         h = digraph.reverse_edges(g, [0])
         assert h.edges == ((1, 0), (1, 2))
-        assert digraph.degrees(h)[1].total == 2
+        assert digraph.validate(h, allow_antiparallel=True)[1].total == 2
 
     def test_bad_index(self):
         g = digraph.generate("path", 3)
@@ -188,28 +191,34 @@ class TestReverseEdges:
         assert digraph.reverse_edges(g, (), allow_antiparallel=True) == g
 
 
+def load(path):
+    g = digraph.read_graph(path)
+    digraph.validate(g)
+    return g
+
+
 class TestJsonSchema:
     def test_round_trip(self, tmp_path):
         g = digraph.generate("erdos_renyi", 6, {"p": 0.5}, seed=5)
         path = tmp_path / "g.json"
         path.write_text(digraph.dump_graph(g))
-        assert digraph.load_graph(path) == g
+        assert load(path) == g
 
     def test_zero_based_document(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"M": 2, "edges": [[0, 1]]}')
-        assert digraph.load_graph(path) == DirectedGraph(2, ((0, 1),))
+        assert load(path) == DirectedGraph(2, ((0, 1),))
 
     def test_one_based_document(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"M": 2, "edges": [[1, 2]], "labels_base": 1}')
-        assert digraph.load_graph(path) == DirectedGraph(2, ((0, 1),))
+        assert load(path) == DirectedGraph(2, ((0, 1),))
 
     def test_self_loop_document_rejected(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"M": 2, "edges": [[0, 0]]}')
         with pytest.raises(SelfLoopError):
-            digraph.load_graph(path)
+            load(path)
 
     def test_malformed_documents(self, tmp_path):
         bad = [
@@ -226,7 +235,7 @@ class TestJsonSchema:
             path = tmp_path / "bad.json"
             path.write_text(doc)
             with pytest.raises(ParseError):
-                digraph.load_graph(path)
+                load(path)
 
     def test_dump_matches_schema(self):
         g = DirectedGraph(2, ((0, 1),))
@@ -241,5 +250,12 @@ class TestGraphHash:
         assert digraph.graph_hash(g) != digraph.graph_hash(reordered)
 
     def test_antiparallel_detector(self):
-        assert digraph.has_antiparallel_pairs(DirectedGraph(2, ((0, 1), (1, 0))))
-        assert not digraph.has_antiparallel_pairs(digraph.generate("cycle", 3))
+        g = DirectedGraph(3, ((0, 1), (1, 0), (1, 2)))
+        recs = digraph.validate(g, allow_antiparallel=True)
+        assert [(r.out_degree, r.in_degree, r.pairs) for r in recs] == [
+            (1, 1, 1),
+            (2, 1, 1),
+            (0, 1, 0),
+        ]
+        cycle = digraph.generate("cycle", 3)
+        assert not any(r.pairs for r in digraph.validate(cycle, allow_antiparallel=True))

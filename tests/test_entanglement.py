@@ -13,7 +13,6 @@ from digraph_ed.entanglement import (
     EDReport,
     alpha_sweep,
     ed_closed_form,
-    ed_per_vertex,
     ed_total,
     hs_distance,
     pauli_vector_closed_form,
@@ -25,6 +24,7 @@ from digraph_ed.statevector import (
     DensityMatrix1Q,
     GateParams,
     PureState,
+    bloch_vectors,
     build_graph_state,
     init_product_state,
     pauli_expectation,
@@ -39,16 +39,16 @@ class TestEdPerVertex:
     def test_separable_state_is_zero_exactly(self):
         st = init_product_state(4, INV_SQRT2, INV_SQRT2)
         for i in range(4):
-            assert ed_per_vertex(st, i) == 0.0
+            assert 1.0 - bloch_vectors(st)[i].norm_sq == 0.0
 
     def test_single_edge_maximal(self):
         st = build_graph_state(SINGLE_EDGE, GateParams(math.pi / 2, 0.3))
         for i in (0, 1):
-            assert abs(ed_per_vertex(st, i) - 1.0) < 1e-12
+            assert abs(1.0 - bloch_vectors(st)[i].norm_sq - 1.0) < 1e-12
 
     def test_single_edge_partial(self):
         st = build_graph_state(SINGLE_EDGE, GateParams(math.pi / 3, 0.0))
-        assert abs(ed_per_vertex(st, 0) - 0.75) < 1e-12
+        assert abs(1.0 - bloch_vectors(st)[0].norm_sq - 0.75) < 1e-12
 
 
 class TestEdTotal:
@@ -63,7 +63,7 @@ class TestEdTotal:
     def test_equals_mean_of_per_vertex(self):
         g = generate("erdos_renyi", 6, {"p": 0.5}, seed=2)
         st = build_graph_state(g, GateParams(0.8, 1.1))
-        mean = sum(ed_per_vertex(st, i) for i in range(g.M)) / g.M
+        mean = sum(1.0 - bloch_vectors(st)[i].norm_sq for i in range(g.M)) / g.M
         assert abs(ed_total(st) - mean) < 1e-12
 
     def test_matches_dense_oracle(self):
@@ -335,7 +335,7 @@ class TestVerifyGraph:
         theta = 0.6
         g = DirectedGraph(2, ((0, 1), (1, 0)))
         st = build_graph_state(g, GateParams(theta, 0.9), allow_antiparallel=True)
-        ev = ed_per_vertex(st, 0)
+        ev = 1.0 - bloch_vectors(st)[0].norm_sq
         assert abs(ev - (1.0 - math.cos(2 * theta) ** 2)) < 1e-12
         assert abs(ev - (1.0 - math.cos(theta) ** 4)) > 1e-2
         assert abs(ev - (1.0 - math.cos(theta) ** 2)) > 1e-2

@@ -7,14 +7,16 @@ the suite is reproducible.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from digraph_ed import digraph
 from digraph_ed.digraph import (
     DirectedGraph,
-    degrees,
     generate,
     permute,
     reverse_edges,
@@ -22,12 +24,12 @@ from digraph_ed.digraph import (
 )
 from digraph_ed.entanglement import (
     ed_closed_form,
-    ed_per_vertex,
     ed_total,
     hs_distance,
     pauli_vector_closed_form,
     von_neumann_entropy,
 )
+from digraph_ed.errors import AntiparallelPairError
 from digraph_ed.statevector import (
     GateParams,
     PureState,
@@ -79,8 +81,9 @@ def test_pair_closed_form(g, theta, psi):
     gp = GateParams(theta, psi)
     vectors = bloch_vectors(build_graph_state(g, gp, allow_antiparallel=True))
     edge_set = set(g.edges)
-    for i, (rec, v) in enumerate(zip(degrees(g), vectors)):
+    for i, (rec, v) in enumerate(zip(validate(g, allow_antiparallel=True), vectors)):
         pairs = sum((b, a) in edge_set for a, b in g.edges if a == i)
+        assert rec.pairs == pairs
         want = pauli_vector_closed_form(rec.out_degree, rec.in_degree, gp, pairs)
         assert max(abs(v.x - want.x), abs(v.y - want.y), abs(v.z - want.z)) < 1e-12
     sv = 1.0 - sum(v.norm_sq for v in vectors) / g.M
@@ -136,10 +139,10 @@ def test_psi_invariance(g, theta, psi1, psi2):
 def test_per_vertex_law(g, theta, psi):
     """Each vertex contributes 1 - cos(theta)^(2 d(i))."""
     gp = GateParams(theta, psi)
-    st_ = build_graph_state(g, gp)
+    vectors = bloch_vectors(build_graph_state(g, gp))
     c = math.cos(gp.theta)
-    for i, rec in enumerate(degrees(g)):
-        assert abs(ed_per_vertex(st_, i) - (1.0 - c ** (2 * rec.total))) < 1e-10
+    for rec, v in zip(validate(g, allow_antiparallel=True), vectors):
+        assert abs(1.0 - v.norm_sq - (1.0 - c ** (2 * rec.total))) < 1e-10
 
 
 @given(g=digraphs(max_m=7), theta=angles, psi=angles)
@@ -159,16 +162,43 @@ def test_norm_preservation_and_bounds(g, theta, psi):
 @settings(**COMMON)
 def test_degree_bookkeeping(g, seed):
     """Degree sums, permutation multisets, and reversal totals all agree."""
-    recs = degrees(g)
+    recs = validate(g, allow_antiparallel=True)
     assert sum(r.total for r in recs) == 2 * g.num_edges
     rng = np.random.default_rng(seed)
     h = permute(g, rng.permutation(g.M))
-    assert sorted(r.total for r in degrees(h)) == sorted(r.total for r in recs)
+    totals = sorted(r.total for r in validate(h, allow_antiparallel=True))
+    assert totals == sorted(r.total for r in recs)
     if g.num_edges:
         subset = np.flatnonzero(rng.random(g.num_edges) < 0.5)
         k = reverse_edges(g, subset)
-        assert [r.total for r in degrees(k)] == [r.total for r in recs]
+        assert [r.total for r in validate(k, allow_antiparallel=True)] == [r.total for r in recs]
         validate(k)
+
+
+@given(g=digraphs_with_pairs())
+@settings(**COMMON)
+def test_one_walk_counts_degrees_and_pairs(g):
+    """validate's records match a bincount of tails and heads, count every
+    antiparallel pair at both ends, and are kept: a second call, under
+    either policy, does not walk the edges again."""
+    twin = DirectedGraph(g.M, g.edges)
+    with mock.patch.object(digraph, "_walk", wraps=digraph._walk) as walk:
+        recs = validate(g, allow_antiparallel=True)
+        assert validate(g, allow_antiparallel=True) is recs
+        if any(r.pairs for r in recs):
+            with pytest.raises(AntiparallelPairError):
+                validate(g)
+        else:
+            assert validate(g) is recs
+        assert walk.call_count == 1
+    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    assert [r.out_degree for r in recs] == np.bincount(edges[:, 0], minlength=g.M).tolist()
+    assert [r.in_degree for r in recs] == np.bincount(edges[:, 1], minlength=g.M).tolist()
+    edge_set = set(g.edges)
+    n_pairs = sum((b, a) in edge_set for a, b in g.edges) // 2
+    assert sum(r.pairs for r in recs) == 2 * n_pairs
+    # the kept walk is not part of the graph's value
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
 
 
 @given(

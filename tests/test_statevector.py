@@ -95,10 +95,12 @@ class TestInitProductState:
         with pytest.raises(NotNormalizedError):
             init_product_state(2, 0.6, 0.7)
 
-    def test_qubit_cap(self):
+    def test_qubit_cap(self, monkeypatch):
+        # the engine reads its cap at call time
+        monkeypatch.setattr(statevector, "DEFAULT_MAX_QUBITS", 4)
         with pytest.raises(CapacityError):
-            init_product_state(5, INV_SQRT2, INV_SQRT2, max_qubits=4)
-        init_product_state(4, INV_SQRT2, INV_SQRT2, max_qubits=4)
+            init_product_state(5, INV_SQRT2, INV_SQRT2)
+        init_product_state(4, INV_SQRT2, INV_SQRT2)
 
 
 class TestEdgeGate:
@@ -283,10 +285,12 @@ class TestDoublingKernel:
         statevector.apply_edge_gate(init_product_state(2, 0.6, 0.8), (0, 1), GateParams(0.9))
         assert len(calls) == 1  # the counter sees calls made through the module
 
-    def test_capacity_and_alpha_checks(self):
-        g = generate("path", 5)
+    def test_capacity_and_alpha_checks(self, monkeypatch):
+        g = generate("path", 4)
+        monkeypatch.setattr(statevector, "DEFAULT_MAX_QUBITS", 4)
         with pytest.raises(CapacityError):
-            build_graph_state(g, GateParams(0.3), max_qubits=4)
+            build_graph_state(generate("path", 5), GateParams(0.3))
+        build_graph_state(g, GateParams(0.3))
         with pytest.raises(NotNormalizedError):
             build_graph_state(g, GateParams(0.3), 0.6, 0.7)
 
@@ -516,19 +520,6 @@ class TestReducedDensity:
             DensityMatrix1Q(0.5, 0.1, 0.2, 0.5)  # not Hermitian
         with pytest.raises(ValueError):
             DensityMatrix1Q(0.9, 0.0, 0.0, 0.9)  # trace 1.8
-
-
-class TestDebugDump:
-    def test_round_trips_through_json(self):
-        import json
-
-        from digraph_ed.statevector import dump_amplitudes
-
-        st = build_graph_state(DirectedGraph(2, ((0, 1),)), GateParams(0.7, 0.3))
-        pairs = json.loads(dump_amplitudes(st))
-        assert len(pairs) == 4
-        for [re, im], amp in zip(pairs, st.amplitudes):
-            assert re == amp.real and im == amp.imag  # repr round-trip is exact
 
 
 class TestCommutation:

@@ -51,12 +51,6 @@ def test_small_run_passes_every_check():
     assert maximal.cases > 1
 
 
-def test_parallel_aggregation_matches_serial():
-    serial = run_suite(seed=9, n_graphs=10, max_m=6, jobs=1)
-    parallel = run_suite(seed=9, n_graphs=10, max_m=6, jobs=4)
-    assert [c.summary() for c in serial.checks] == [c.summary() for c in parallel.checks]
-
-
 def test_detects_a_perturbed_closed_form(monkeypatch):
     orig = entanglement.ed_closed_form
     monkeypatch.setattr(entanglement, "ed_closed_form", lambda g, th: orig(g, th) + 1e-6)
