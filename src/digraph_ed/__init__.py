@@ -27,9 +27,11 @@ from .entanglement import (
     alpha_sweep,
     ed_closed_form,
     ed_total,
+    ed_totals,
     hs_distance,
     pauli_vector_closed_form,
     verify_graph,
+    verify_graphs,
     von_neumann_entropy,
 )
 from .statevector import (
@@ -40,8 +42,11 @@ from .statevector import (
     PureState,
     apply_edge_gate,
     apply_two_qubit_dense,
+    batch_size,
+    bloch_arrays,
     bloch_vectors,
     build_graph_state,
+    build_graph_states,
     commutation_check,
     edge_gate_matrix,
     init_product_state,
@@ -69,12 +74,16 @@ __all__ = [
     "alpha_sweep",
     "apply_edge_gate",
     "apply_two_qubit_dense",
+    "batch_size",
+    "bloch_arrays",
     "bloch_vectors",
     "build_graph_state",
+    "build_graph_states",
     "commutation_check",
     "dump_graph",
     "ed_closed_form",
     "ed_total",
+    "ed_totals",
     "edge_gate_matrix",
     "errors",
     "from_json_dict",
@@ -92,5 +101,6 @@ __all__ = [
     "to_json_dict",
     "validate",
     "verify_graph",
+    "verify_graphs",
     "von_neumann_entropy",
 ]

@@ -33,7 +33,15 @@ import sys
 import numpy as np
 
 from . import digraph, suite as suite_mod
-from .entanglement import GateParams, _ed_total, alpha_sweep, fmt17, verify_graph
+from .entanglement import (
+    GateParams,
+    _ed_total,
+    alpha_sweep,
+    ed_closed_form,
+    ed_totals,
+    fmt17,
+    verify_graph,
+)
 from .errors import AntiparallelPairError, CapacityError, DigraphEdError
 from .statevector import DEFAULT_MAX_QUBITS, bloch_vectors, build_graph_state
 
@@ -240,9 +248,9 @@ def cmd_ed(args) -> int:
     g = _resolve_graph(args)
     gp = GateParams(_angle(args, args.theta), _angle(args, args.psi))
     state = build_graph_state(g, gp, allow_antiparallel=args.allow_antiparallel)
-    vectors = bloch_vectors(state)
-    lines = [f"E({i}) = {fmt17(1.0 - v.norm_sq)}" for i, v in enumerate(vectors)]
-    lines.append(f"E_total = {fmt17(_ed_total(vectors))}")
+    norm_sq = [v.norm_sq for v in bloch_vectors(state)]
+    lines = [f"E({i}) = {fmt17(1.0 - v)}" for i, v in enumerate(norm_sq)]
+    lines.append(f"E_total = {fmt17(_ed_total(norm_sq))}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -261,14 +269,15 @@ def cmd_verify(args) -> int:
 def cmd_sweep_theta(args) -> int:
     g = _resolve_graph(args)
     psi = _angle(args, args.psi)
+    thetas = np.linspace(0.0, math.pi, args.grid).tolist()
+    gps = [GateParams(theta, psi) for theta in thetas]
+    # the totals alone, read in batches: a report per point would hold every
+    # point's per-vertex values until the rows are written
+    totals = ed_totals([(g, gp) for gp in gps], allow_antiparallel=args.allow_antiparallel)
     rows = []
-    for theta in np.linspace(0.0, math.pi, args.grid):
-        rep = verify_graph(
-            g, GateParams(float(theta), psi), allow_antiparallel=args.allow_antiparallel
-        )
-        rows.append(
-            (float(theta), rep.total_statevector, rep.total_closed_form, rep.discrepancy)
-        )
+    for theta, gp, total_sv in zip(thetas, gps, totals):
+        total_cf = ed_closed_form(g, gp.theta)
+        rows.append((theta, total_sv, total_cf, abs(total_sv - total_cf)))
     _emit_rows(("theta", "E_sv", "E_cf", "discrepancy"), rows, args.format, args.out)
     return EXIT_OK
 

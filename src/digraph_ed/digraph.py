@@ -243,7 +243,7 @@ def from_json_dict(obj) -> DirectedGraph:
     if not isinstance(M, int) or isinstance(M, bool) or M < 1:
         raise ParseError(f"'M' must be a positive integer, got {M!r}")
     base = obj.get("labels_base", 0)
-    if base not in (0, 1):
+    if not isinstance(base, int) or isinstance(base, bool) or base not in (0, 1):
         raise ParseError(f"'labels_base' must be 0 or 1, got {base!r}")
     raw = obj["edges"]
     if not isinstance(raw, list):
@@ -269,6 +269,8 @@ def read_graph(path) -> DirectedGraph:
             raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
         except UnicodeDecodeError as e:
             raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply to parse") from None
     return from_json_dict(obj)
 
 

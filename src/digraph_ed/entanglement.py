@@ -16,6 +16,14 @@ expectations on the statevector), evaluates the closed form, and provides
 the sweep and verification helpers used to check one against the other.
 d(i) and p(i) come from the degree records that
 :func:`~digraph_ed.digraph.validate` returns; nothing here counts edges.
+
+:func:`verify_graphs` and :func:`ed_totals` take many cases (g, gp) at
+once: they group the cases by M and build and read each group in batches
+that fit, with their Gram matrices, in one 1 MiB block
+(:func:`~digraph_ed.statevector.batch_size`), so a state of M <= 14 shares
+its numpy calls with others of its size. Their results are, bit for bit
+and in input order, those of :func:`verify_graph` and :func:`ed_total` one
+case at a time; :func:`verify_graph` is their one-case call.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import digraph
+from . import digraph, statevector
 from .digraph import DirectedGraph
 from .errors import BadGridError, NegativeEigenvalueError
 from .statevector import (
@@ -102,11 +110,12 @@ class SweepResult:
 
 def ed_total(state: PureState) -> float:
     """ED per qubit: 1 - mean over qubits of the squared Bloch length."""
-    return _ed_total(bloch_vectors(state))
+    return _ed_total([v.norm_sq for v in bloch_vectors(state)])
 
 
-def _ed_total(vectors: tuple[PauliVector, ...]) -> float:
-    return 1.0 - sum(v.norm_sq for v in vectors) / len(vectors)
+def _ed_total(norm_sq: list[float]) -> float:
+    """1 - the mean of the squared Bloch lengths, summed in qubit order."""
+    return 1.0 - sum(norm_sq) / len(norm_sq)
 
 
 def ed_closed_form(g: DirectedGraph, theta: float) -> float:
@@ -200,6 +209,84 @@ def alpha_sweep(gp: GateParams, grid: int) -> SweepResult:
     )
 
 
+def _batches(cases, allow_antiparallel: bool):
+    """Read the states of cases (g, gp) in batches; yield (positions, squared lengths).
+
+    Each batch holds cases of one M, in input order, cut to
+    :func:`~digraph_ed.statevector.batch_size` states, so a batch with its
+    Grams stays within one 1 MiB block. It is built at the balanced initial
+    state, and row r of the (G, M) array yielded with it holds the squared
+    Bloch length of every qubit of the case at ``positions[r]``. Every graph
+    is validated, in input order, before any state is built.
+    """
+    for g, _ in cases:
+        digraph.validate(g, allow_antiparallel=allow_antiparallel)
+    by_m: dict[int, list[int]] = {}
+    for n, (g, _) in enumerate(cases):
+        by_m.setdefault(g.M, []).append(n)
+    for M, positions in by_m.items():
+        size = statevector.batch_size(M)
+        for start in range(0, len(positions), size):
+            part = positions[start : start + size]
+            amps = statevector.build_graph_states(
+                [cases[n][0] for n in part],
+                [cases[n][1] for n in part],
+                ALPHA_INV_SQRT2,
+                ALPHA_INV_SQRT2,
+                allow_antiparallel=allow_antiparallel,
+            )
+            v = statevector.bloch_arrays(amps)
+            yield part, v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2]
+
+
+def ed_totals(cases, allow_antiparallel: bool = False) -> list[float]:
+    """Statevector ED per qubit of each case (g, gp), in input order, read in batches.
+
+    Each value is bit for bit ``ed_total(build_graph_state(g, gp, ...))``:
+    the squared lengths are summed in qubit order, as :func:`ed_total` does.
+    """
+    cases = list(cases)
+    totals = [0.0] * len(cases)
+    for part, norm_sq in _batches(cases, allow_antiparallel):
+        for n, lengths in zip(part, norm_sq.tolist()):
+            totals[n] = _ed_total(lengths)
+    return totals
+
+
+def verify_graphs(cases, allow_antiparallel: bool = False, seed_infos=None) -> list[EDReport]:
+    """Dual-route ED reports for many cases (g, gp) at the balanced initial state.
+
+    The reports are those :func:`verify_graph` gives one case at a time,
+    bit for bit and in input order, but the states are built and read in
+    batches of one M (see :func:`ed_totals`), and each distinct graph
+    object is hashed once. ``seed_infos``, if given, holds one
+    ``seed_info`` per case.
+    """
+    cases = list(cases)
+    infos = [""] * len(cases) if seed_infos is None else list(seed_infos)
+    hashes: dict[int, str] = {}
+    reports: list = [None] * len(cases)
+    for part, norm_sq in _batches(cases, allow_antiparallel):
+        for n, lengths in zip(part, norm_sq.tolist()):
+            g, gp = cases[n]
+            if id(g) not in hashes:
+                hashes[id(g)] = digraph.graph_hash(g)
+            records = digraph.validate(g, allow_antiparallel=allow_antiparallel)
+            total_sv = _ed_total(lengths)
+            total_cf = ed_closed_form(g, gp.theta)
+            reports[n] = EDReport(
+                per_vertex=tuple(1.0 - v for v in lengths),
+                total_statevector=total_sv,
+                total_closed_form=total_cf,
+                discrepancy=abs(total_sv - total_cf),
+                graph_hash=hashes[id(g)],
+                gp=gp,
+                policy="allow_antiparallel" if any(r.pairs for r in records) else "default",
+                seed_info=infos[n],
+            )
+    return reports
+
+
 def verify_graph(
     g: DirectedGraph,
     gp: GateParams,
@@ -213,22 +300,7 @@ def verify_graph(
     read of every qubit's Bloch vector, and evaluates the closed form; the
     recorded discrepancy stays below ``DISCREPANCY_TOL`` for every graph the
     policy admits. The graph's edge list is walked once, by that validation;
-    the build and the closed form read the degree records it kept.
+    the build and the closed form read the degree records it kept. This is
+    the one-case call of :func:`verify_graphs`.
     """
-    records = digraph.validate(g, allow_antiparallel=allow_antiparallel)
-    state = build_graph_state(
-        g, gp, ALPHA_INV_SQRT2, ALPHA_INV_SQRT2, allow_antiparallel=allow_antiparallel
-    )
-    vectors = bloch_vectors(state)
-    total_sv = _ed_total(vectors)
-    total_cf = ed_closed_form(g, gp.theta)
-    return EDReport(
-        per_vertex=tuple(1.0 - v.norm_sq for v in vectors),
-        total_statevector=total_sv,
-        total_closed_form=total_cf,
-        discrepancy=abs(total_sv - total_cf),
-        graph_hash=digraph.graph_hash(g),
-        gp=gp,
-        policy="allow_antiparallel" if any(r.pairs for r in records) else "default",
-        seed_info=seed_info,
-    )
+    return verify_graphs([(g, gp)], allow_antiparallel, [seed_info])[0]

@@ -27,6 +27,16 @@ as a balanced binary tree, which is numpy's pairwise sum over the whole
 row-dot array bit for bit. Within a qubit, p0, p1 and Re<0|rho|1> come from
 one routine and one operand shape, so product states stay exactly pure.
 
+Both kernels carry a leading batch axis. :func:`build_graph_states` builds
+G states of equal M as the rows of one (G, 2^M) buffer and
+:func:`bloch_arrays` reads them, each step one numpy call over all rows, so
+the per-call overhead that dominates small states is paid once per batch.
+Row r is bit for bit the state, and the Bloch vectors, of case r alone:
+:func:`build_graph_state` and :func:`bloch_vectors` are the G = 1 case of
+the same code. :func:`batch_size` bounds a batch, amplitudes and Grams
+together, by one 2^_BLOCK_BITS-amplitude block (1 MiB); from M = 15 up a
+state is always read alone.
+
 :func:`apply_edge_gate` (one gate as a per-amplitude phase multiply), the
 generic dense 4x4 two-qubit path and :func:`pauli_expectation` are
 independent oracles: the tests and the suite cross-validate the fast kernels
@@ -60,11 +70,13 @@ DEFAULT_MAX_QUBITS = 24
 
 _TWO_PI = 2.0 * math.pi
 _NORM_TOL = 1e-9
-#: :func:`bloch_vectors` reads the qubits below this index from one Gram matrix.
+#: How far past the unit Bloch ball a squared length may read before it raises.
+_BLOCH_TOL = 1e-9
+#: :func:`bloch_arrays` reads the qubits below this index from one Gram matrix.
 _GRAM_QUBITS = 5
-#: Longest complex dot product in :func:`bloch_vectors`: 2^_DOT_BITS amplitudes.
+#: Longest complex dot product in :func:`bloch_arrays`: 2^_DOT_BITS amplitudes.
 _DOT_BITS = 10
-#: :func:`bloch_vectors` reads qubits _GRAM_QUBITS and up in one walk over the
+#: :func:`bloch_arrays` reads qubits _GRAM_QUBITS and up in one walk over the
 #: state in blocks of 2^_BLOCK_BITS amplitudes (1 MiB), which stay in a core's
 #: L2 cache.
 _BLOCK_BITS = 16
@@ -72,7 +84,7 @@ _BLOCK_BITS = 16
 # 2^(_BLOCK_BITS - _DOT_BITS) of its row-dot array. numpy's pairwise sum of a
 # complex array ends in leaves of 64 elements, so with runs of >= 64 a block's
 # sum is a node of numpy's summation tree, and the tree merge of the block sums
-# in bloch_vectors is np.sum of the whole array, bit for bit.
+# in bloch_arrays is np.sum of the whole array, bit for bit.
 assert _BLOCK_BITS - _DOT_BITS >= 6
 
 
@@ -125,9 +137,7 @@ class PureState:
             raise NotNormalizedError(
                 f"expected {1 << self.M} amplitudes for M={self.M}, got shape {amps.shape}"
             )
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > _NORM_TOL:
-            raise NotNormalizedError(f"state norm^2 = {norm_sq!r} deviates from 1 beyond {_NORM_TOL}")
+        _check_norms(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -144,6 +154,15 @@ class PureState:
         return a0, a1
 
 
+def _check_norms(amps: np.ndarray) -> None:
+    """Raise unless the state ``amps``, or each of its rows, has unit norm to 1e-9."""
+    for norm_sq in np.vecdot(amps, amps).real.reshape(-1).tolist():
+        if abs(norm_sq - 1.0) > _NORM_TOL:
+            raise NotNormalizedError(
+                f"state norm^2 = {norm_sq!r} deviates from 1 beyond {_NORM_TOL}"
+            )
+
+
 @dataclass(frozen=True)
 class PauliVector:
     """Single-qubit expectations (<x>, <y>, <z>); length bounded by the Bloch ball."""
@@ -153,7 +172,7 @@ class PauliVector:
     z: float
 
     def __post_init__(self):
-        if self.norm_sq > 1.0 + 1e-9:
+        if self.norm_sq > 1.0 + _BLOCH_TOL:
             raise ValueError(f"Bloch bound violated: |v|^2 = {self.norm_sq}")
 
     @property
@@ -291,6 +310,56 @@ def apply_two_qubit_dense(
     return PureState(state.M, _apply_two_qubit_dense_raw(state.amplitudes, state.M, a, b, matrix))
 
 
+def _build(graphs, gps, alpha0, alpha1, allow_antiparallel) -> np.ndarray:
+    """G graph states of equal M, built together into one owned buffer, frozen.
+
+    Row r of ``buf.reshape(G, 2^M)`` is the state of ``graphs[r]`` at
+    ``gps[r]``, bit for bit what :func:`build_graph_state` makes of it alone.
+    """
+    records = [validate(g, allow_antiparallel=allow_antiparallel) for g in graphs]
+    M = graphs[0].M
+    if any(g.M != M for g in graphs):
+        raise ValueError(f"a batch holds states of one M, got {sorted({g.M for g in graphs})}")
+    alpha0, alpha1 = _qubit_amplitudes(M, alpha0, alpha1)
+    G = len(graphs)
+    # counts[r, M m + j], j < m: edges between m and j in graphs[r]
+    keys = [(r * M + max(a, b)) * M + min(a, b) for r, g in enumerate(graphs) for a, b in g.edges]
+    counts = np.bincount(np.array(keys, dtype=np.intp), minlength=G * M * M).reshape(G, M * M)
+    # phase picked up per edge between two set bits; validate admits at most two
+    pair_phase = np.array(
+        [(1.0, cmath.exp(-2j * gp.theta), cmath.exp(-4j * gp.theta)) for gp in gps]
+    )
+    factor = pair_phase.ravel()[counts + np.arange(0, 3 * G, 3)[:, None]].reshape(G, M, M)
+    head = np.array(
+        [
+            [alpha1 * cmath.exp(1j * (gp.theta - gp.psi) * rec.out_degree) for rec in recs]
+            for gp, recs in zip(gps, records)
+        ]
+    )
+    # one state is built as a plain vector: numpy calls on fewer dims cost less
+    lead = (G,) if G > 1 else ()
+    factor, head = factor.reshape(*lead, M, M), head.reshape(*lead, M)
+    buf = np.empty(G << M, dtype=np.complex128)
+    amps = buf.reshape(*lead, -1)
+    amps[..., 0] = 1.0
+    for m in range(M):
+        n = 1 << m
+        upper = amps[..., n : 2 * n]
+        upper[..., 0] = head[..., m]
+        for j in range(m):
+            h = 1 << j
+            if h == 1:
+                # into a temporary: an out= view one amplitude past its input,
+                # strided over the rows, takes another numpy loop and other bits
+                upper[..., 1:2] = upper[..., :1] * factor[..., m, j, None]
+            else:
+                np.multiply(upper[..., :h], factor[..., m, j, None], out=upper[..., h : 2 * h])
+        upper *= amps[..., :n]
+        amps[..., :n] *= alpha0
+    buf.flags.writeable = False
+    return buf
+
+
 def build_graph_state(
     g: DirectedGraph,
     gp: GateParams,
@@ -314,33 +383,50 @@ def build_graph_state(
     doubling over the lower qubits, inside the |1> half. Total cost is
     O(2^M) whatever |L|, in one buffer that the returned state adopts.
     d_out(m) is read from the degree records :func:`validate` returns, and M
-    may not exceed :data:`DEFAULT_MAX_QUBITS`.
+    may not exceed :data:`DEFAULT_MAX_QUBITS`. This is the one-state case of
+    :func:`build_graph_states`, which runs the same steps on G rows at once.
     """
-    records = validate(g, allow_antiparallel=allow_antiparallel)
-    alpha0, alpha1 = _qubit_amplitudes(g.M, alpha0, alpha1)
-    lower = [[0] * m for m in range(g.M)]  # lower[m][j]: edges between m and j < m
-    for a, b in g.edges:
-        lower[max(a, b)][min(a, b)] += 1
-    # phase picked up per edge between two set bits; validate admits at most two
-    pair_phase = (1.0, cmath.exp(-2j * gp.theta), cmath.exp(-4j * gp.theta))
-    amps = np.empty(1 << g.M, dtype=np.complex128)
-    amps[0] = 1.0
-    for m in range(g.M):
-        n = 1 << m
-        upper = amps[n : 2 * n]
-        upper[0] = alpha1 * cmath.exp(1j * (gp.theta - gp.psi) * records[m].out_degree)
-        for j, count in enumerate(lower[m]):
-            h = 1 << j
-            np.multiply(upper[:h], pair_phase[count], out=upper[h : 2 * h])
-        upper *= amps[:n]
-        amps[:n] *= alpha0
-    amps.flags.writeable = False
-    return PureState(g.M, amps)
+    return PureState(g.M, _build([g], [gp], alpha0, alpha1, allow_antiparallel))
+
+
+def build_graph_states(
+    graphs,
+    gps,
+    alpha0: complex = 2**-0.5,
+    alpha1: complex = 2**-0.5,
+    allow_antiparallel: bool = False,
+) -> np.ndarray:
+    """The states of G graphs of equal M, as the rows of one frozen (G, 2^M) array.
+
+    ``gps[r]`` are the angles of ``graphs[r]``. Each step of the doubling
+    build of :func:`build_graph_state` is one numpy call over all G rows, so
+    a batch of small states costs about what one of them does; row r is bit
+    for bit ``build_graph_state(graphs[r], gps[r], ...).amplitudes``, and
+    each row passes the same norm check. Callers keep a batch within one
+    block (see :func:`batch_size`).
+    """
+    graphs = list(graphs)
+    amps = _build(graphs, list(gps), alpha0, alpha1, allow_antiparallel).reshape(len(graphs), -1)
+    _check_norms(amps)
+    return amps
+
+
+def batch_size(M: int) -> int:
+    """States of M qubits per batch: as many as fit, with their Grams, in one block.
+
+    A state costs its 2^M amplitudes plus the (2^(L+1))^2 float Gram that
+    :func:`bloch_arrays` forms of it (L = min(M, _GRAM_QUBITS)); a batch
+    stays within 2^_BLOCK_BITS amplitudes (1 MiB), so from M = _BLOCK_BITS
+    - 1 up every state comes alone.
+    """
+    L = min(M, _GRAM_QUBITS)
+    per_state = (16 << M) + (8 << 2 * (L + 1))
+    return max(1, (16 << _BLOCK_BITS) // per_state)
 
 
 @functools.lru_cache(maxsize=None)
 def _gram_entries(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions, in the Gram of :func:`bloch_vectors`, of what each low qubit sums.
+    """Flat positions, in the Gram of :func:`bloch_arrays`, of what each low qubit sums.
 
     Gram row and column 2k hold Re a_k and 2k+1 hold Im a_k, for the 2^L
     amplitudes k of one row of the float view. For qubit i < L, with k0
@@ -377,17 +463,20 @@ def _tree_sum(parts):
     return parts[0]
 
 
-def bloch_vectors(state: PureState) -> tuple[PauliVector, ...]:
-    """Bloch vectors of all M qubits, in qubit order.
+def bloch_arrays(amps: np.ndarray) -> np.ndarray:
+    """Bloch vectors of G states of equal M, the rows of ``amps``: a (G, M, 3) array.
 
-    Same quantities as :func:`pauli_expectation`, with t = sum(conj(a0) * a1)
-    over the amplitude pairs that differ in bit i, read from views of the
-    amplitudes without copying them:
+    Entry [r, i] is (x, y, z) of qubit i of state r, the same quantities as
+    :func:`pauli_expectation`, with t = sum(conj(a0) * a1) over the
+    amplitude pairs that differ in bit i, read from views of the amplitudes
+    without copying them. Every step below is one numpy call over all G
+    rows, and row r is bit for bit what the read of state r alone gives:
 
     * qubits i < L = min(M, _GRAM_QUBITS): the float view (re, im
-      interleaved) reshaped to (-1, 2^(L+1)) gives one BLAS Gram
-      G = f.T @ f, 2^(L+1) square.
-      Each qubit's p0, p1, Re t and Im t is a sum of entries of G, gathered
+      interleaved) of each state reshaped to (-1, 2^(L+1)) gives one BLAS
+      Gram f.T @ f, 2^(L+1) square (a stacked ``np.matmul``, which runs
+      the same BLAS routine per state).
+      Each qubit's p0, p1, Re t and Im t is a sum of Gram entries, gathered
       for all low qubits at once (see :func:`_gram_entries`);
     * every higher qubit is read in one walk over the state in blocks of
       2^_BLOCK_BITS amplitudes (1 MiB, a core's L2 cache), doing all of
@@ -417,65 +506,91 @@ def bloch_vectors(state: PureState) -> tuple[PauliVector, ...]:
     Within a qubit, p0, p1 and Re t come from one routine over operands of
     one shape and are summed in one order, so for a product state with
     equal amplitudes they are bitwise equal and its ED is exactly zero.
+    A squared length above 1 + 1e-9 raises ValueError, as
+    :class:`PauliVector` does. States of more than one block are read
+    right in any number, but then each step's working set is G blocks, out
+    of cache; :func:`batch_size` keeps them alone.
     """
-    amps = state.amplitudes
-    M = state.M
+    G, N = amps.shape
+    M = N.bit_length() - 1
     L = min(M, _GRAM_QUBITS)
-    f = amps.view(np.float64).reshape(-1, 2 << L)
-    gram = (f.T @ f).ravel()
+    # one state is read as a plain vector: numpy calls on fewer dims cost less
+    lead = (G,) if G > 1 else ()
+    amps = amps.reshape(*lead, N)
+    q = np.empty((*lead, 4, M))  # p0, p1, Re t and Im t of every qubit
+    f = amps.view(np.float64).reshape(*lead, -1, 2 << L)
+    gram = np.matmul(f.swapaxes(-1, -2), f).reshape(*lead, -1)
     sym, cross = _gram_entries(L)
-    p0, p1, re = gram[sym].sum(axis=-1).tolist()
-    im_pos, im_neg = gram[cross].sum(axis=-1)
-    im = (im_pos - im_neg).tolist()
-    blocks = amps.reshape(-1, 1 << _BLOCK_BITS) if M > _BLOCK_BITS else (amps,)
+    # take lays the gathered entries out state by state (gram[:, sym] would
+    # put the state axis innermost), so each sum runs in the one-state order
+    q[..., :3, :L] = gram.take(sym, axis=-1).sum(axis=-1)
+    im = gram.take(cross, axis=-1).sum(axis=-1)
+    np.subtract(im[..., 0, :], im[..., 1, :], out=q[..., 3, :L])
+    blocks = amps.reshape(*lead, -1, 1 << min(M, _BLOCK_BITS))
     low = range(L, min(M, _DOT_BITS))
     low_sums = []  # per block: p0, p1 and t of each low qubit
     high_sums = [[] for _ in range(_BLOCK_BITS, M)]  # per block pair: t
     if M > _DOT_BITS:
         mid = range(_DOT_BITS, min(M, _BLOCK_BITS))
-        norms = np.empty(len(amps) >> _DOT_BITS, np.complex128)
-        dots = [np.empty((1 << (M - 1 - i), 1 << (i - _DOT_BITS)), np.complex128) for i in mid]
-    for b, block in enumerate(blocks):
+        norms = np.empty((*lead, N >> _DOT_BITS), np.complex128)
+        dots = [np.empty((*lead, 1 << (M - 1 - i), 1 << (i - _DOT_BITS)), np.complex128) for i in mid]
+    for b in range(blocks.shape[-2]):
+        block = blocks[..., b, :]
         sums = []
         for i in low:
-            pairs = block.reshape(-1, 2, 1 << i)
-            a0, a1 = pairs[:, 0], pairs[:, 1]
-            sums += (np.vecdot(a0, a0).sum(), np.vecdot(a1, a1).sum(), np.vecdot(a0, a1).sum())
+            pairs = block.reshape(*lead, -1, 2, 1 << i)
+            a0, a1 = pairs[..., 0, :], pairs[..., 1, :]
+            sums += (
+                np.vecdot(a0, a0).sum(axis=-1),
+                np.vecdot(a1, a1).sum(axis=-1),
+                np.vecdot(a0, a1).sum(axis=-1),
+            )
         low_sums.append(sums)
         if M <= _DOT_BITS:
             continue
-        chunks = block.reshape(-1, 1 << _DOT_BITS)
-        first = b * len(chunks)
-        np.vecdot(chunks, chunks, out=norms[first : first + len(chunks)])
+        chunks = block.reshape(*lead, -1, 1 << _DOT_BITS)
+        first = b * chunks.shape[-2]
+        np.vecdot(chunks, chunks, out=norms[..., first : first + chunks.shape[-2]])
         for i, dot in zip(mid, dots):
-            pairs = chunks.reshape(-1, 2, 1 << (i - _DOT_BITS), 1 << _DOT_BITS)
+            pairs = chunks.reshape(*lead, -1, 2, 1 << (i - _DOT_BITS), 1 << _DOT_BITS)
             row = first >> (i + 1 - _DOT_BITS)
-            np.vecdot(pairs[:, 0], pairs[:, 1], out=dot[row : row + len(pairs)])
+            out = dot[..., row : row + pairs.shape[-4], :]
+            np.vecdot(pairs[..., 0, :, :], pairs[..., 1, :, :], out=out)
         for k, parts in enumerate(high_sums):
             if not b >> k & 1:
-                partner = blocks[b + (1 << k)].reshape(-1, 1 << _DOT_BITS)
-                parts.append(np.vecdot(chunks, partner).sum())
+                partner = blocks[..., b + (1 << k), :].reshape(*lead, -1, 1 << _DOT_BITS)
+                parts.append(np.vecdot(chunks, partner).sum(axis=-1))
     # one block: its sums are the sums, with no merge to pay for on small states
-    sums = low_sums[0] if len(blocks) == 1 else [_tree_sum(p) for p in zip(*low_sums)]
-    p0 += [float(s.real) for s in sums[0::3]]
-    p1 += [float(s.real) for s in sums[1::3]]
-    ts = sums[2::3]
+    sums = low_sums[0] if len(low_sums) == 1 else [_tree_sum(p) for p in zip(*low_sums)]
+    for i, (s0, s1, t) in enumerate(zip(sums[0::3], sums[1::3], sums[2::3]), L):
+        q[..., 0, i], q[..., 1, i], q[..., 2, i], q[..., 3, i] = s0.real, s1.real, t.real, t.imag
     for i in range(_DOT_BITS, M):
         # contiguous copies, so p0 and p1 are summed in the order t is
-        half = norms.reshape(-1, 2, 1 << (i - _DOT_BITS))
-        p0.append(float(np.ascontiguousarray(half[:, 0]).sum().real))
-        p1.append(float(np.ascontiguousarray(half[:, 1]).sum().real))
+        half = norms.reshape(*lead, -1, 2, 1 << (i - _DOT_BITS))
+        s0 = np.ascontiguousarray(half[..., 0, :]).reshape(*lead, -1).sum(axis=-1)
+        s1 = np.ascontiguousarray(half[..., 1, :]).reshape(*lead, -1).sum(axis=-1)
         if i < _BLOCK_BITS:
-            ts.append(dots[i - _DOT_BITS].sum())
+            t = dots[i - _DOT_BITS].reshape(*lead, -1).sum(axis=-1)
         else:
-            ts.append(_tree_sum(high_sums[i - _BLOCK_BITS]))
-    re.extend(float(t.real) for t in ts)
-    im.extend(float(t.imag) for t in ts)
-    out = []
-    for q0, q1, r, m in zip(p0, p1, re, im):
-        nrm = q0 + q1
-        out.append(PauliVector(2.0 * r / nrm, 2.0 * m / nrm, (q0 - q1) / nrm))
-    return tuple(out)
+            t = _tree_sum(high_sums[i - _BLOCK_BITS])
+        q[..., 0, i], q[..., 1, i], q[..., 2, i], q[..., 3, i] = s0.real, s1.real, t.real, t.imag
+    p0, p1 = q[..., 0, :], q[..., 1, :]
+    nrm = p0 + p1
+    out = np.empty((*lead, 3, M))  # x, y and z of every qubit
+    np.multiply(2.0, q[..., 2:, :], out=out[..., :2, :])
+    out[..., :2, :] /= nrm[..., None, :]
+    np.subtract(p0, p1, out=out[..., 2, :])
+    out[..., 2, :] /= nrm
+    worst = float((out * out).sum(axis=-2).max())  # x*x + y*y + z*z, in that order
+    if worst > 1.0 + _BLOCH_TOL:
+        raise ValueError(f"Bloch bound violated: |v|^2 = {worst}")
+    return out.swapaxes(-1, -2).reshape(G, M, 3)
+
+
+def bloch_vectors(state: PureState) -> tuple[PauliVector, ...]:
+    """Bloch vectors of all M qubits, in qubit order: :func:`bloch_arrays` of one state."""
+    vectors = bloch_arrays(state.amplitudes.reshape(1, -1))[0]
+    return tuple(PauliVector(x, y, z) for x, y, z in vectors.tolist())
 
 
 def pauli_expectation(state: PureState, i: int) -> PauliVector:
@@ -521,19 +636,20 @@ def reduced_density_1q(state: PureState, i: int) -> DensityMatrix1Q:
 def commutation_check(gp: GateParams) -> float:
     """Max entrywise magnitude over pairwise commutators of U01, U12, U02.
 
-    The three-qubit 8x8 operators are assembled column by column through the
-    dense gate path (no diagonality assumed); the contract is a result below
-    1e-14 for every parameter choice, since the gates are in fact diagonal.
+    Each three-qubit 8x8 operator comes from one application of the dense
+    gate path (no diagonality assumed) to the 8x8 identity, read as the
+    6-qubit vector ``eye(8).ravel()``: index 8 r + c holds row r on qubits
+    3-5 and column c on qubits 0-2, so the gate on qubits a + 3 and b + 3
+    maps it to the operator's matrix, row by row. The contract is a result
+    below 1e-14 for every parameter choice, since the gates are in fact
+    diagonal.
     """
     u4 = edge_gate_matrix(gp)
-    ops = []
-    for a, b in ((0, 1), (1, 2), (0, 2)):
-        cols = []
-        for k in range(8):
-            e = np.zeros(8, dtype=np.complex128)
-            e[k] = 1.0
-            cols.append(_apply_two_qubit_dense_raw(e, 3, a, b, u4))
-        ops.append(np.column_stack(cols))
+    eye = np.eye(8, dtype=np.complex128).ravel()
+    ops = [
+        _apply_two_qubit_dense_raw(eye, 6, a + 3, b + 3, u4).reshape(8, 8)
+        for a, b in ((0, 1), (1, 2), (0, 2))
+    ]
     worst = 0.0
     for m in range(3):
         for n in range(m + 1, 3):

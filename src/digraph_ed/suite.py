@@ -10,6 +10,12 @@ below its bound. :func:`run_check` folds the records into a
 acceptance gate parametrises over it, so a new invariant is one new row.
 Everything runs in one thread. Each seeded graph is checked and counted once:
 measures that need its degrees read the records :func:`validate` kept on it.
+The population and every measure that needs the statevector ED of many
+graphs collect their cases and make one call of
+:func:`~digraph_ed.entanglement.verify_graphs` or
+:func:`~digraph_ed.entanglement.ed_totals`, which build and read the states
+in batches of one M within a 1 MiB block; the values are those of one state
+at a time, bit for bit, so the report is too.
 """
 
 from __future__ import annotations
@@ -123,11 +129,8 @@ class Population:
 def population(seed: int, n_graphs: int, max_m: int) -> Population:
     """Build :func:`battery` and verify every graph."""
     cases = tuple(battery(seed, n_graphs, max_m))
-    reports = tuple(
-        ent.verify_graph(g, gp, seed_info=f"suite seed={seed} idx={n}")
-        for n, (g, gp) in enumerate(cases)
-    )
-    return Population(seed, cases, reports)
+    infos = [f"suite seed={seed} idx={n}" for n in range(len(cases))]
+    return Population(seed, cases, tuple(ent.verify_graphs(cases, seed_infos=infos)))
 
 
 # A case's label and its (error, bound) pairs; each error must stay
@@ -162,10 +165,6 @@ def run_check(check: Check, pop: Population) -> CheckResult:
     return CheckResult(check.name, cases, check.threshold, worst, tuple(bad))
 
 
-def _ed(g: DirectedGraph, gp: GateParams) -> float:
-    return ent.ed_total(build_graph_state(g, gp))
-
-
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
@@ -191,44 +190,53 @@ def _antiparallel_closed_form(pop, tol):
     for g, gp in [case for case in pop.cases if case[0].M <= 8][:23]:
         doubled = tuple((b, a) for a, b in g.edges if rng.random() < 0.5)
         graphs.append((DirectedGraph(g.M, g.edges + doubled), gp))
-    for g, gp in graphs:
-        rep = ent.verify_graph(g, gp, allow_antiparallel=True)
+    for rep in ent.verify_graphs(graphs, allow_antiparallel=True):
         yield rep.graph_hash[:12], [(rep.discrepancy, tol)]
 
 
 def _orientation_invariance(pop, tol):
     rng = np.random.default_rng([pop.seed, 1])
-    for (g, gp), rep in zip(pop.cases[:50], pop.reports):
-        flipped = g
+    flipped = []
+    for g, gp in pop.cases[:50]:
         if g.num_edges:
-            flipped = reverse_edges(g, np.flatnonzero(rng.random(g.num_edges) < 0.5))
-        yield rep.graph_hash[:12], [(abs(_ed(flipped, gp) - rep.total_statevector), tol)]
+            g = reverse_edges(g, np.flatnonzero(rng.random(g.num_edges) < 0.5))
+        flipped.append((g, gp))
+    for rep, e in zip(pop.reports, ent.ed_totals(flipped)):
+        yield rep.graph_hash[:12], [(abs(e - rep.total_statevector), tol)]
 
 
 def _relabeling_invariance(pop, tol):
     rng = np.random.default_rng([pop.seed, 2])
-    for (g, gp), rep in zip(pop.cases[:50], pop.reports):
-        relabeled = permute(g, rng.permutation(g.M))
-        yield rep.graph_hash[:12], [(abs(_ed(relabeled, gp) - rep.total_statevector), tol)]
+    relabeled = [(permute(g, rng.permutation(g.M)), gp) for g, gp in pop.cases[:50]]
+    for rep, e in zip(pop.reports, ent.ed_totals(relabeled)):
+        yield rep.graph_hash[:12], [(abs(e - rep.total_statevector), tol)]
 
 
 def _psi_invariance(pop, tol):
     rng = np.random.default_rng([pop.seed, 3])
-    for (g, gp), rep in zip(pop.cases[:5], pop.reports):
-        values = [
-            _ed(g, GateParams(gp.theta, float(psi)))
-            for psi in rng.uniform(-math.pi, math.pi, size=10)
-        ]
+    cases = [
+        (g, GateParams(gp.theta, float(psi)))
+        for g, gp in pop.cases[:5]
+        for psi in rng.uniform(-math.pi, math.pi, size=10)
+    ]
+    totals = ent.ed_totals(cases)
+    for k, rep in enumerate(pop.reports[:5]):
+        values = totals[10 * k : 10 * k + 10]
         yield rep.graph_hash[:12], [(max(values) - min(values), tol)]
 
 
 def _maximal_entanglement(pop, tol):
+    labels, cases = [], []
     for (g, gp), rep in zip(pop.cases, pop.reports):
         if min(rec.total for rec in validate(g, allow_antiparallel=True)) >= 1:
-            err = abs(_ed(g, GateParams(math.pi / 2, gp.psi)) - 1.0)
-            yield rep.graph_hash[:12], [(err, tol)]
+            labels.append(rep.graph_hash[:12])
+            cases.append((g, GateParams(math.pi / 2, gp.psi)))
     # the fully separable reference point must sit at zero exactly
-    yield "empty graph", [(abs(_ed(DirectedGraph(3, ()), GateParams(1.0, 0.5))), _EXACT)]
+    cases.append((DirectedGraph(3, ()), GateParams(1.0, 0.5)))
+    *totals, empty = ent.ed_totals(cases)
+    for label, e in zip(labels, totals):
+        yield label, [(abs(e - 1.0), tol)]
+    yield "empty graph", [(abs(empty), _EXACT)]
 
 
 def _alpha_optimality(pop, tol):
@@ -329,11 +337,15 @@ def _pauli_closed_forms(pop, tol):
 
 def _degree_sufficiency(pop, tol):
     gp = GateParams(0.9, 0.4)
+    cases = []
     for M in range(3, 9):
         zigzag = DirectedGraph(
             M, tuple((i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(M - 1))
         )
-        yield f"M={M}", [(abs(_ed(generate("path", M), gp) - _ed(zigzag, gp)), tol)]
+        cases += [(generate("path", M), gp), (zigzag, gp)]
+    totals = ent.ed_totals(cases)
+    for M, path, zigzag in zip(range(3, 9), totals[0::2], totals[1::2]):
+        yield f"M={M}", [(abs(path - zigzag), tol)]
 
 
 # Every invariant the suite checks, in report order. A new invariant is one

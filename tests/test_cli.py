@@ -411,6 +411,25 @@ class TestInputHardening:
             ["suite", "--graphs", str(cli.MAX_GRAPHS)]
         ).graphs == cli.MAX_GRAPHS
 
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ("[" * 200_000, "JSON nested too deeply to parse"),
+            ('{"M": 2, "edges": [[1, 2]], "labels_base": true}',
+             "'labels_base' must be 0 or 1, got True"),
+            ('{"M": 2, "edges": [[1, 2]], "labels_base": 1.0}',
+             "'labels_base' must be 0 or 1, got 1.0"),
+        ],
+        ids=["deeply_nested_json", "bool_labels_base", "float_labels_base"],
+    )
+    def test_bad_graph_document_is_a_parse_error(self, document, message, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        path.write_text(document, encoding="utf-8")
+        code, out, err = run(["verify", "--graph", str(path), "--theta", "0.5"], capsys)
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert err.endswith(f"{message}\n") and err.count("\n") == 1, err
+        assert err.startswith("error: ")
+
     def test_grid_bounds_are_accepted(self, capsys):
         code, out, _ = run(["sweep-theta", "--kind", "path", "--M", "2", "--grid", "2"], capsys)
         assert code == EXIT_OK and len(out.splitlines()) == 3

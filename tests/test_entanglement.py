@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,20 @@ from digraph_ed.entanglement import (
     alpha_sweep,
     ed_closed_form,
     ed_total,
+    ed_totals,
     hs_distance,
     pauli_vector_closed_form,
     verify_graph,
+    verify_graphs,
     von_neumann_entropy,
 )
-from digraph_ed.errors import BadGridError, NegativeEigenvalueError
+from digraph_ed import statevector
+from digraph_ed.errors import (
+    AntiparallelPairError,
+    BadGridError,
+    CapacityError,
+    NegativeEigenvalueError,
+)
 from digraph_ed.statevector import (
     DensityMatrix1Q,
     GateParams,
@@ -347,6 +356,52 @@ class TestVerifyGraph:
             gp = GateParams(float(rng.uniform(0, math.pi)), float(rng.uniform(0, math.pi)))
             rep = verify_graph(g, gp)
             assert rep.discrepancy < 1e-10
+
+
+class TestBatches:
+    def test_reports_come_back_in_input_order(self):
+        cases = [
+            (generate("star_out", M), GateParams(0.3 * M, 0.1)) for M in (5, 2, 9, 2, 5, 14, 14)
+        ]
+        infos = [f"case {n}" for n in range(len(cases))]
+        reports = verify_graphs(cases, seed_infos=infos)
+        for (g, gp), info, rep in zip(cases, infos, reports):
+            assert rep == verify_graph(g, gp, seed_info=info)
+        assert ed_totals(cases) == [rep.total_statevector for rep in reports]
+        assert verify_graphs([]) == [] and ed_totals([]) == []
+
+    def test_every_graph_is_validated_before_any_state_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a state before validating every graph")
+
+        monkeypatch.setattr(statevector, "build_graph_states", refuse)
+        pair = DirectedGraph(2, ((0, 1), (1, 0)))
+        cases = [(generate("path", 3), GateParams(0.4)), (pair, GateParams(0.4))]
+        with pytest.raises(AntiparallelPairError):
+            ed_totals(cases)
+
+    def test_over_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(statevector, "DEFAULT_MAX_QUBITS", 4)
+        with pytest.raises(CapacityError):
+            verify_graphs([(generate("path", M), GateParams(0.4)) for M in (3, 5)])
+
+    def test_memory_stays_within_a_few_blocks(self):
+        # 5000 states of M=5, each with a 32 KiB Gram: 160 MiB in one batch,
+        # about 1 MiB per batch cut to one block
+        rng = np.random.default_rng(8)
+        cases = [
+            (generate("erdos_renyi", 5, {"p": 0.5}, seed=n), GateParams(float(rng.uniform(0, 3))))
+            for n in range(5000)
+        ]
+        ed_totals(cases[:40])  # fills the index caches
+        tracemalloc.start()
+        try:
+            totals = ed_totals(cases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(totals) == 5000
+        assert peak < 3 * (16 << statevector._BLOCK_BITS)
 
 
 class TestEDReportJson:

@@ -25,16 +25,21 @@ from digraph_ed.digraph import (
 from digraph_ed.entanglement import (
     ed_closed_form,
     ed_total,
+    ed_totals,
     hs_distance,
     pauli_vector_closed_form,
+    verify_graph,
+    verify_graphs,
     von_neumann_entropy,
 )
 from digraph_ed.errors import AntiparallelPairError
 from digraph_ed.statevector import (
     GateParams,
     PureState,
+    bloch_arrays,
     bloch_vectors,
     build_graph_state,
+    build_graph_states,
     pauli_expectation,
     reduced_density_1q,
 )
@@ -71,6 +76,53 @@ def digraphs_with_pairs(draw, max_m=6):
         if way != "ab":
             edges.append((b, a))
     return DirectedGraph(M, tuple(draw(st.permutations(edges))))
+
+
+@st.composite
+def mixed_cases(draw):
+    """Cases (g, gp) with antiparallel pairs, their M drawn from two of 1-16.
+
+    Up to 2^19 amplitudes in all, so a batch runs from one state to many.
+    """
+    ms = draw(st.lists(st.integers(1, 16), min_size=2, max_size=2))
+    cases = []
+    for _ in range(draw(st.integers(1, min(48, 1 << (19 - max(ms)))))):
+        M = draw(st.sampled_from(ms))
+        pairs = [(a, b) for a in range(M) for b in range(a + 1, M)]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)) if pairs else []
+        ways = draw(
+            st.lists(st.sampled_from(("ab", "ba", "both")), min_size=len(chosen), max_size=len(chosen))
+        )
+        edges = []
+        for (a, b), way in zip(chosen, ways):
+            edges += [(a, b)] * (way != "ba") + [(b, a)] * (way != "ab")
+        cases.append((DirectedGraph(M, tuple(edges)), GateParams(draw(angles), draw(angles))))
+    return cases
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@given(cases=mixed_cases())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_batches_match_one_state_at_a_time(cases):
+    """Batched builds, reads, reports and totals equal the one-state route bit for bit."""
+    reports = verify_graphs(cases, allow_antiparallel=True)
+    totals = ed_totals(cases, allow_antiparallel=True)
+    one_m = [(g, gp) for g, gp in cases if g.M == cases[0][0].M]
+    amps = build_graph_states(*zip(*one_m), allow_antiparallel=True)
+    vectors = bloch_arrays(amps)
+    assert amps.shape == (len(one_m), 1 << one_m[0][0].M) and not amps.flags.writeable
+    for k, (g, gp) in enumerate(one_m):
+        state = build_graph_state(g, gp, allow_antiparallel=True)
+        assert amps[k].tobytes() == state.amplitudes.tobytes()
+        assert _bits(vectors[k]) == _bits([(v.x, v.y, v.z) for v in bloch_vectors(state)])
+    for (g, gp), rep, total in zip(cases, reports, totals):
+        one = verify_graph(g, gp, allow_antiparallel=True)
+        assert _bits(rep.per_vertex) == _bits(one.per_vertex)
+        assert _bits([rep.total_statevector, total]) == _bits([one.total_statevector] * 2)
+        assert rep.to_json() == one.to_json()
 
 
 @given(g=digraphs_with_pairs(), theta=angles, psi=angles)

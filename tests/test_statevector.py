@@ -298,6 +298,45 @@ class TestDoublingKernel:
         st = build_graph_state(generate("cycle", 4), GateParams(0.5, 0.2))
         assert st.amplitudes.flags.owndata and not st.amplitudes.flags.writeable
 
+    def test_adopts_its_buffer_with_no_copy_at_m18(self):
+        # one state is a batch of one: the state adopts the batch's buffer
+        g = generate("erdos_renyi", 18, {"p": 0.3}, seed=1)
+        build_graph_state(generate("path", 3), GateParams(0.5))
+        tracemalloc.start()
+        try:
+            st = build_graph_state(g, GateParams(0.7, 0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        amps = st.amplitudes
+        assert amps.base is None and amps.flags.owndata and not amps.flags.writeable
+        assert peak < 1.25 * amps.nbytes  # a copy would double it
+
+    def test_batch_rows_are_frozen_and_norm_checked(self, monkeypatch):
+        graphs = [generate("path", 4), generate("star_in", 4), generate("cycle", 4)]
+        gps = [GateParams(0.3), GateParams(1.1, 0.2), GateParams(-2.0, 0.7)]
+        amps = statevector.build_graph_states(graphs, gps, 0.6, 0.8j)
+        assert amps.shape == (3, 16) and not amps.flags.writeable
+        with pytest.raises(ValueError):
+            statevector.build_graph_states(graphs + [generate("path", 5)], gps + gps[:1])
+        monkeypatch.setattr(statevector, "DEFAULT_MAX_QUBITS", 3)
+        with pytest.raises(CapacityError):
+            statevector.build_graph_states(graphs, gps)
+
+    def test_norm_check_sees_every_row(self):
+        amps = np.array([[1.0, 0.0], [0.6, 0.8j], [1.0, 1e-4]])
+        with pytest.raises(NotNormalizedError, match="1.00000001"):
+            statevector._check_norms(amps)
+        statevector._check_norms(amps[:2])
+
+    def test_batches_stay_within_one_block(self):
+        block = 16 << statevector._BLOCK_BITS
+        for M in range(1, 25):
+            G = statevector.batch_size(M)
+            gram = 8 << 2 * (min(M, statevector._GRAM_QUBITS) + 1)
+            assert G == 1 or G * ((16 << M) + gram) <= block
+            assert (G == 1) == (M >= statevector._BLOCK_BITS - 1)
+
 
 class TestPureStateOwnership:
     def test_writeable_input_is_copied(self):
@@ -529,3 +568,30 @@ class TestCommutation:
     )
     def test_all_edge_gates_commute(self, theta, psi):
         assert commutation_check(GateParams(theta, psi)) < 1e-14
+
+    def test_one_dense_application_per_operator(self, monkeypatch):
+        calls = []
+        real = statevector._apply_two_qubit_dense_raw
+
+        def counting(amps, M, a, b, matrix):
+            calls.append((M, a, b))
+            return real(amps, M, a, b, matrix)
+
+        monkeypatch.setattr(statevector, "_apply_two_qubit_dense_raw", counting)
+        commutation_check(GateParams(0.7, 1.3))
+        assert calls == [(6, 3, 4), (6, 4, 5), (6, 3, 5)]
+
+    def test_identity_trick_gives_the_dense_operator(self):
+        # a generic non-diagonal gate: each operator equals its column-by-column form
+        rng = np.random.default_rng(12)
+        u4 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for a, b in ((0, 1), (1, 2), (0, 2), (2, 0)):
+            eye = np.eye(8, dtype=complex).ravel()
+            op = statevector._apply_two_qubit_dense_raw(eye, 6, a + 3, b + 3, u4).reshape(8, 8)
+            cols = [
+                statevector._apply_two_qubit_dense_raw(np.eye(8, dtype=complex)[k], 3, a, b, u4)
+                for k in range(8)
+            ]
+            np.testing.assert_array_equal(op, np.column_stack(cols))
+            want = oracles.dense_edge_operator(3, a, b, u4)
+            np.testing.assert_allclose(op, want, rtol=0, atol=1e-15)
