@@ -14,9 +14,11 @@ significant digits so identical configurations produce byte-identical
 artifacts. Exit codes: 0 success, 1 invariant violation found, 2 bad
 input/config, 64 capability exceeded (M, or suite --max-M, over the qubit
 cap, default 20, overridable via --max-qubits or DIGRAPH_ED_MAX_QUBITS up to
-the engine's 24). Every ``--seed`` is an integer >= 0; a sweep's ``--grid``
-is checked at parse time: 2 (sweep-theta) or 3 (sweep-alpha) to MAX_GRID
-(100000) points, and so is ``suite --graphs``: 1 to MAX_GRAPHS (10000).
+the engine's 24), 70 internal error (any other exception: a bug, reported
+as one ``error: internal: <type>: <message>`` line, never a traceback).
+Every ``--seed`` is an integer >= 0; a sweep's ``--grid`` is checked at
+parse time: 2 (sweep-theta) or 3 (sweep-alpha) to MAX_GRID (100000)
+points, and so is ``suite --graphs``: 1 to MAX_GRAPHS (10000).
 ``suite --jobs`` is parsed (an integer >= 1) and ignored: the suite runs in
 one thread. A graph is checked and its degrees counted in one walk over its
 edges (:func:`digraph_ed.digraph.validate`), however many commands read it.
@@ -49,6 +51,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAPABILITY = 64
+#: an exception the program did not expect: a bug, not bad input (EX_SOFTWARE)
+EXIT_INTERNAL = 70
 
 DEFAULT_MAX_QUBITS_CLI = 20
 #: Most points a sweep's ``--grid`` takes: one row each, all held until written.
@@ -322,6 +326,10 @@ def main(argv=None) -> int:
     except (DigraphEdError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as e:
+        message = str(e).replace("\n", " ")
+        print(f"error: internal: {type(e).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

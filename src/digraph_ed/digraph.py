@@ -136,9 +136,15 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     Kinds: path, cycle (M >= 3), star_out, star_in, complete_dag, and
     erdos_renyi with ``params={"p": float}``; ``seed`` is an integer >= 0.
     The Erdos-Renyi sampler draws each ordered pair (a, b), a != b, with
-    probability p in a fixed scan order and skips draws that would create
-    an antiparallel pair, so the output always passes :func:`validate`
-    under the default policy.
+    probability p in the scan order a = 0..M-1, b = 0..M-1 and skips draws
+    that would create an antiparallel pair, so the output always passes
+    :func:`validate` under the default policy. All M (M - 1) draws come
+    from one ``rng.random((M, M - 1))`` call, the same stream as one scalar
+    draw per pair, so the edges and their order are those of the scan: a
+    pair with a < b is kept if its draw is below p, and a pair with a > b
+    only if its mirror (b, a), drawn earlier, was not kept. The work is
+    O(M^2) numpy operations plus O(|L|) Python for the edge list and its
+    validation.
     """
     params = dict(params or {})
     if kind not in GENERATOR_KINDS:
@@ -171,16 +177,15 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     elif kind == "complete_dag":
         edges = [(i, j) for i in range(M) for j in range(i + 1, M)]
     else:  # erdos_renyi
-        rng = np.random.default_rng(seed)
-        present: set[tuple[int, int]] = set()
-        for a in range(M):
-            for b in range(M):
-                if a == b:
-                    continue
-                # one draw per ordered pair, consumed whether or not accepted
-                if rng.random() < p and (b, a) not in present:
-                    present.add((a, b))
-                    edges.append((a, b))
+        # row a, column c of the draws is the ordered pair (a, c + (c >= a)):
+        # the scan order a = 0..M-1, b = 0..M-1, b != a, one draw per pair
+        hit = np.zeros((M, M), dtype=bool)
+        hit[~np.eye(M, dtype=bool)] = (np.random.default_rng(seed).random((M, M - 1)) < p).ravel()
+        # (a, b) with a > b is drawn after its mirror (b, a), and is kept only
+        # if the mirror missed, so no pair is kept both ways
+        lower = np.arange(M)[:, None] > np.arange(M)
+        keep = hit & ~(hit.T & lower)
+        edges = list(zip(*(axis.tolist() for axis in np.nonzero(keep))))
 
     g = DirectedGraph(M, tuple(edges))
     validate(g)

@@ -24,6 +24,11 @@ that fit, with their Gram matrices, in one 1 MiB block
 its numpy calls with others of its size. Their results are, bit for bit
 and in input order, those of :func:`verify_graph` and :func:`ed_total` one
 case at a time; :func:`verify_graph` is their one-case call.
+:func:`alpha_sweep` reads its grid the same way, one initial state per
+row: ED from :func:`~digraph_ed.statevector.bloch_arrays`, the HS
+distance from one numpy call per step over the batch's reduced states
+(:func:`hs_distance` is the one-matrix case), and the entropy row by row,
+each sample bit for bit what one state built and read alone gives.
 """
 
 from __future__ import annotations
@@ -43,8 +48,6 @@ from .statevector import (
     PureState,
     PauliVector,
     bloch_vectors,
-    build_graph_state,
-    reduced_density_1q,
 )
 
 #: Closed form vs statevector agreement threshold; absorbs 2^M-term rounding.
@@ -158,8 +161,13 @@ def pauli_vector_closed_form(d_out: int, d_in: int, gp: GateParams, pairs: int =
 
 def hs_distance(rho: DensityMatrix1Q) -> float:
     """Hilbert-Schmidt distance of rho from the maximally mixed state I/2."""
-    d = rho.matrix - 0.5 * np.eye(2)
-    return math.sqrt(0.5 * float(np.sum(np.abs(d) ** 2)))
+    return _hs_distances(rho.matrix[None])[0]
+
+
+def _hs_distances(matrices: np.ndarray) -> list[float]:
+    """:func:`hs_distance` of each 2x2 matrix of a (G, 2, 2) stack, in one numpy call per step."""
+    d = matrices - 0.5 * np.eye(2)
+    return np.sqrt(0.5 * (np.abs(d) ** 2).sum(axis=(-2, -1))).tolist()
 
 
 def von_neumann_entropy(rho: DensityMatrix1Q) -> float:
@@ -185,28 +193,75 @@ def alpha_sweep(gp: GateParams, grid: int) -> SweepResult:
     alpha0 = sqrt(t), alpha1 = sqrt(1 - t) (real non-negative amplitudes
     suffice; phases are checked irrelevant in the tests) and records the
     total ED, the entropy, and the HS distance of qubit 0's reduced state.
-    Extrema are reported at grid resolution, no interpolation.
+    Extrema are reported at grid resolution, no interpolation. The states
+    are built with one initial state per row and read in batches of
+    :func:`~digraph_ed.statevector.batch_size` points, so a batch stays
+    within one 1 MiB block however long the grid; every sample is bit for
+    bit what one state built and read alone gives.
     """
     if grid < 3:
         raise BadGridError(f"grid must be >= 3, got {grid}")
     g = DirectedGraph(2, ((0, 1),))
-    samples = []
-    for j in range(grid):
-        t = j / (grid - 1)
-        state = build_graph_state(g, gp, math.sqrt(t), math.sqrt(1.0 - t))
-        rho = reduced_density_1q(state, 0)
-        samples.append((t, ed_total(state), von_neumann_entropy(rho), hs_distance(rho)))
-    e_vals = [s[1] for s in samples]
-    s_vals = [s[2] for s in samples]
-    d_vals = [s[3] for s in samples]
+    size = statevector.batch_size(g.M)
+    # the columns t, E, S and D_HS are allocated once at full length and the
+    # samples made after the last batch: grown batch by batch, they left some
+    # 4 MiB more of the heap resident at grid 100000
+    ts, e_vals, s_vals, d_vals = ([0.0] * grid for _ in range(4))
+    for start in range(0, grid, size):
+        stop = min(start + size, grid)
+        part = [j / (grid - 1) for j in range(start, stop)]
+        amps = statevector.build_graph_states(
+            [g] * len(part),
+            [gp] * len(part),
+            [math.sqrt(t) for t in part],
+            [math.sqrt(1.0 - t) for t in part],
+        )
+        rhos = _qubit0_densities(amps)
+        ts[start:stop] = part
+        e_vals[start:stop] = map(_ed_total, _squared_lengths(amps).tolist())
+        entries = rhos.reshape(-1, 4).tolist()  # rho00, rho01, rho10, rho11
+        s_vals[start:stop] = (von_neumann_entropy(DensityMatrix1Q(*rho)) for rho in entries)
+        d_vals[start:stop] = _hs_distances(rhos)
+    samples = tuple(zip(ts, e_vals, s_vals, d_vals))
     return SweepResult(
         axis="alpha",
-        samples=tuple(samples),
+        samples=samples,
         argmax_E=samples[int(np.argmax(e_vals))][0],
         argmax_S=samples[int(np.argmax(s_vals))][0],
         argmin_DHS=samples[int(np.argmin(d_vals))][0],
         degenerate=(max(e_vals) - min(e_vals)) < 1e-12,
     )
+
+
+def _qubit0_densities(amps: np.ndarray) -> np.ndarray:
+    """Qubit 0's reduced density matrix of each two-qubit row of ``amps``: (G, 2, 2).
+
+    Each holds the values of
+    :func:`~digraph_ed.statevector.reduced_density_1q` of that row alone,
+    bit for bit up to the sign of a zero in rho01, whose magnitude alone
+    the entropy and the HS distance read: the same products, each summed
+    over its two terms, divided by the same trace.
+    """
+    pairs = amps.reshape(-1, 2, 2)  # [row, qubit 1, qubit 0]
+    a0, a1 = pairs[..., 0], pairs[..., 1]
+    p0 = np.sum(a0.conj() * a0, axis=-1).real
+    p1 = np.sum(a1.conj() * a1, axis=-1).real
+    t = np.sum(a0 * a1.conj(), axis=-1)
+    tr = p0 + p1
+    rho = np.empty((len(tr), 2, 2), dtype=np.complex128)
+    rho[:, 0, 0] = p0 / tr
+    rho[:, 1, 1] = p1 / tr
+    # by parts: a complex division by the real trace takes other roundings
+    rho.real[:, 0, 1] = t.real / tr
+    rho.imag[:, 0, 1] = t.imag / tr
+    rho[:, 1, 0] = rho[:, 0, 1].conj()
+    return rho
+
+
+def _squared_lengths(amps: np.ndarray) -> np.ndarray:
+    """The squared Bloch length of every qubit of every row of ``amps``: a (G, M) array."""
+    v = statevector.bloch_arrays(amps)
+    return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2]
 
 
 def _batches(cases, allow_antiparallel: bool):
@@ -235,8 +290,7 @@ def _batches(cases, allow_antiparallel: bool):
                 ALPHA_INV_SQRT2,
                 allow_antiparallel=allow_antiparallel,
             )
-            v = statevector.bloch_arrays(amps)
-            yield part, v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2]
+            yield part, _squared_lengths(amps)
 
 
 def ed_totals(cases, allow_antiparallel: bool = False) -> list[float]:

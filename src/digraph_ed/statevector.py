@@ -30,8 +30,9 @@ one routine and one operand shape, so product states stay exactly pure.
 Both kernels carry a leading batch axis. :func:`build_graph_states` builds
 G states of equal M as the rows of one (G, 2^M) buffer and
 :func:`bloch_arrays` reads them, each step one numpy call over all rows, so
-the per-call overhead that dominates small states is paid once per batch.
-Row r is bit for bit the state, and the Bloch vectors, of case r alone:
+the per-call overhead that dominates small states is paid once per batch;
+each row may start from its own product state. Row r is bit for bit the
+state, and the Bloch vectors, of case r alone:
 :func:`build_graph_state` and :func:`bloch_vectors` are the G = 1 case of
 the same code. :func:`batch_size` bounds a batch, amplitudes and Grams
 together, by one 2^_BLOCK_BITS-amplitude block (1 MiB); from M = 15 up a
@@ -50,7 +51,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,54 +314,98 @@ def apply_two_qubit_dense(
     return PureState(state.M, _apply_two_qubit_dense_raw(state.amplitudes, state.M, a, b, matrix))
 
 
+def _initial_amplitudes(M: int, G: int, alpha0, alpha1) -> tuple[list, list]:
+    """The (alpha0, alpha1) of each of G rows, each pair checked.
+
+    Both are numbers, one initial state for every row, or both are
+    sequences of G numbers, one per row.
+    """
+    if isinstance(alpha0, numbers.Number) and isinstance(alpha1, numbers.Number):
+        alpha0, alpha1 = _qubit_amplitudes(M, alpha0, alpha1)
+        return [alpha0] * G, [alpha1] * G
+    alpha0, alpha1 = list(alpha0), list(alpha1)
+    if len(alpha0) != G or len(alpha1) != G:
+        raise BadParamsError(
+            f"{G} states need {G} initial states, got {len(alpha0)} and {len(alpha1)}"
+        )
+    checked = [_qubit_amplitudes(M, x, y) for x, y in zip(alpha0, alpha1)]
+    return [x for x, _ in checked], [y for _, y in checked]
+
+
+#: :func:`_build` runs the first J = min(M - 1, _TABLE_BITS) doubling steps of
+#: every qubit's phase vector together, in one (G, M, 2^J) table.
+_TABLE_BITS = 6
+
+
 def _build(graphs, gps, alpha0, alpha1, allow_antiparallel) -> np.ndarray:
     """G graph states of equal M, built together into one owned buffer, frozen.
 
     Row r of ``buf.reshape(G, 2^M)`` is the state of ``graphs[r]`` at
-    ``gps[r]``, bit for bit what :func:`build_graph_state` makes of it alone.
+    ``gps[r]`` from the initial state ``(alpha0[r], alpha1[r])`` (or the one
+    ``(alpha0, alpha1)`` of every row), bit for bit what
+    :func:`build_graph_state` makes of it alone.
     """
     records = [validate(g, allow_antiparallel=allow_antiparallel) for g in graphs]
     M = graphs[0].M
     if any(g.M != M for g in graphs):
         raise ValueError(f"a batch holds states of one M, got {sorted({g.M for g in graphs})}")
-    alpha0, alpha1 = _qubit_amplitudes(M, alpha0, alpha1)
     G = len(graphs)
-    # counts[r, M m + j], j < m: edges between m and j in graphs[r]
-    keys = [(r * M + max(a, b)) * M + min(a, b) for r, g in enumerate(graphs) for a, b in g.edges]
-    counts = np.bincount(np.array(keys, dtype=np.intp), minlength=G * M * M).reshape(G, M * M)
+    alpha0, alpha1 = _initial_amplitudes(M, G, alpha0, alpha1)
+    # ends: a0, b0, a1, b1, ... over the edges of every graph, in order
+    ends = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs)),
+        dtype=np.intp,
+    )
+    rows = np.repeat(np.arange(0, G * M * M, M * M), [g.num_edges for g in graphs])
+    # directed[r, a, b]: 1 if (a, b) is an edge of graphs[r]
+    directed = np.bincount(rows + ends[0::2] * M + ends[1::2], minlength=G * M * M)
+    directed = directed.reshape(G, M, M)
+    # counts[r, m, j]: edges between m and j in graphs[r], either way
+    counts = directed + directed.swapaxes(1, 2)
     # phase picked up per edge between two set bits; validate admits at most two
     pair_phase = np.array(
         [(1.0, cmath.exp(-2j * gp.theta), cmath.exp(-4j * gp.theta)) for gp in gps]
     )
-    factor = pair_phase.ravel()[counts + np.arange(0, 3 * G, 3)[:, None]].reshape(G, M, M)
-    head = np.array(
-        [
-            [alpha1 * cmath.exp(1j * (gp.theta - gp.psi) * rec.out_degree) for rec in recs]
-            for gp, recs in zip(gps, records)
-        ]
-    )
+    factor = pair_phase.ravel()[counts + np.arange(0, 3 * G, 3)[:, None, None]]
     # one state is built as a plain vector: numpy calls on fewer dims cost less
     lead = (G,) if G > 1 else ()
-    factor, head = factor.reshape(*lead, M, M), head.reshape(*lead, M)
+    factor = factor.reshape(*lead, M, M)
+    # qubit m's phase vector over its lowest J qubits, all m at once; qubit m
+    # uses only the part below 2^m, which no factor[m, j >= m] touches
+    J = min(M - 1, _TABLE_BITS)
+    table = np.empty((*lead, M, 1 << J), dtype=np.complex128)
+    table[..., 0] = np.array(
+        [
+            [a1 * cmath.exp(1j * (gp.theta - gp.psi) * rec.out_degree) for rec in recs]
+            for a1, gp, recs in zip(alpha1, gps, records)
+        ]
+    ).reshape(*lead, M)
+    for j in range(J):
+        _double(table, 1 << j, factor[..., :, j, None])
+    alpha0 = np.array(alpha0).reshape(*lead, 1) if G > 1 else alpha0[0]
     buf = np.empty(G << M, dtype=np.complex128)
     amps = buf.reshape(*lead, -1)
     amps[..., 0] = 1.0
     for m in range(M):
         n = 1 << m
         upper = amps[..., n : 2 * n]
-        upper[..., 0] = head[..., m]
-        for j in range(m):
-            h = 1 << j
-            if h == 1:
-                # into a temporary: an out= view one amplitude past its input,
-                # strided over the rows, takes another numpy loop and other bits
-                upper[..., 1:2] = upper[..., :1] * factor[..., m, j, None]
-            else:
-                np.multiply(upper[..., :h], factor[..., m, j, None], out=upper[..., h : 2 * h])
+        upper[..., : min(n, 1 << J)] = table[..., m, : min(n, 1 << J)]
+        for j in range(J, m):
+            _double(upper, 1 << j, factor[..., m, j, None])
         upper *= amps[..., :n]
         amps[..., :n] *= alpha0
     buf.flags.writeable = False
     return buf
+
+
+def _double(vec: np.ndarray, h: int, factor: np.ndarray) -> None:
+    """One doubling step along the last axis: ``vec[..., h:2h] = vec[..., :h] * factor``."""
+    if h == 1:
+        # into a temporary: an out= view one amplitude past its input,
+        # strided over the rows, takes another numpy loop and other bits
+        vec[..., 1:2] = vec[..., :1] * factor
+    else:
+        np.multiply(vec[..., :h], factor, out=vec[..., h : 2 * h])
 
 
 def build_graph_state(
@@ -380,8 +428,10 @@ def build_graph_state(
     times the |0> half, where c_m(k) counts the edges between m and the set
     bits of k (an antiparallel pair counts twice), then scales the |0> half
     by alpha0. The phase vector e^{-2i theta c_m(k)} is itself grown by
-    doubling over the lower qubits, inside the |1> half. Total cost is
-    O(2^M) whatever |L|, in one buffer that the returned state adopts.
+    doubling over the lower qubits, inside the |1> half; its first
+    doublings, up to 2^6 entries, are run for every qubit together in one
+    small table. Total cost is O(2^M) whatever |L|, in one buffer that the
+    returned state adopts.
     d_out(m) is read from the degree records :func:`validate` returns, and M
     may not exceed :data:`DEFAULT_MAX_QUBITS`. This is the one-state case of
     :func:`build_graph_states`, which runs the same steps on G rows at once.
@@ -392,18 +442,21 @@ def build_graph_state(
 def build_graph_states(
     graphs,
     gps,
-    alpha0: complex = 2**-0.5,
-    alpha1: complex = 2**-0.5,
+    alpha0: complex | Sequence[complex] = 2**-0.5,
+    alpha1: complex | Sequence[complex] = 2**-0.5,
     allow_antiparallel: bool = False,
 ) -> np.ndarray:
     """The states of G graphs of equal M, as the rows of one frozen (G, 2^M) array.
 
-    ``gps[r]`` are the angles of ``graphs[r]``. Each step of the doubling
-    build of :func:`build_graph_state` is one numpy call over all G rows, so
-    a batch of small states costs about what one of them does; row r is bit
-    for bit ``build_graph_state(graphs[r], gps[r], ...).amplitudes``, and
-    each row passes the same norm check. Callers keep a batch within one
-    block (see :func:`batch_size`).
+    ``gps[r]`` are the angles of ``graphs[r]``. ``alpha0`` and ``alpha1``
+    are both numbers, one initial state for every row, or both sequences of
+    G numbers, one per row; every row's pair is checked as
+    :func:`init_product_state` checks it. Each step of the doubling build of :func:`build_graph_state`
+    is one numpy call over all G rows, so a batch of small states costs
+    about what one of them does; row r is bit for bit
+    ``build_graph_state(graphs[r], gps[r], alpha0[r], alpha1[r]).amplitudes``,
+    and each row passes the same norm check. Callers keep a batch within
+    one block (see :func:`batch_size`).
     """
     graphs = list(graphs)
     amps = _build(graphs, list(gps), alpha0, alpha1, allow_antiparallel).reshape(len(graphs), -1)

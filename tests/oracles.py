@@ -1,11 +1,21 @@
 """Independent brute-force references used to pin expected values.
 
-Everything here is deliberately written the slow, obvious way (explicit bit
+Most of this is deliberately written the slow, obvious way (explicit bit
 loops, full 2^M x 2^M operators) and shares no code with the package
 kernels, so a test comparing the two exercises genuinely different routes.
+The last two are the plain loops that batched package code replaced, kept
+as the references those batches must equal: the Erdos-Renyi draw in scan
+order, and the alpha sweep one state at a time through the package's
+one-state calls.
 """
 
+import math
+
 import numpy as np
+
+from digraph_ed.digraph import DirectedGraph
+from digraph_ed.entanglement import ed_total, von_neumann_entropy
+from digraph_ed.statevector import build_graph_state, reduced_density_1q
 
 SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -113,3 +123,36 @@ def bloch_vectors_by_row_dots(amps, M, first, dot_bits=10):
         nrm = p0 + p1
         out.append((2.0 * float(t.real) / nrm, 2.0 * float(t.imag) / nrm, (p0 - p1) / nrm))
     return out
+
+
+def erdos_renyi_edges(M, p, seed):
+    """The Erdos-Renyi edge list by one scalar draw per ordered pair, in scan order.
+
+    Pair (a, b), a != b, for a = 0..M-1 and b = 0..M-1, consumes one draw
+    whether or not it is kept; it is kept if the draw is below p and its
+    mirror (b, a) was not kept before it.
+    """
+    rng = np.random.default_rng(seed)
+    present = set()
+    edges = []
+    for a in range(M):
+        for b in range(M):
+            if a == b:
+                continue
+            if rng.random() < p and (b, a) not in present:
+                present.add((a, b))
+                edges.append((a, b))
+    return edges
+
+
+def alpha_sweep_samples(gp, grid):
+    """Samples (t, E, S, D_HS) of the alpha sweep, one state built and read at a time."""
+    g = DirectedGraph(2, ((0, 1),))
+    samples = []
+    for j in range(grid):
+        t = j / (grid - 1)
+        state = build_graph_state(g, gp, math.sqrt(t), math.sqrt(1.0 - t))
+        rho = reduced_density_1q(state, 0)
+        d_hs = math.sqrt(0.5 * float(np.sum(np.abs(rho.matrix - 0.5 * np.eye(2)) ** 2)))
+        samples.append((t, ed_total(state), von_neumann_entropy(rho), d_hs))
+    return samples

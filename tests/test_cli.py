@@ -131,6 +131,25 @@ class TestVerify:
         assert cli.main(argv + ["--out", str(p2)]) == EXIT_OK
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_report_is_pinned(self, capsys):
+        # every bit of a 9-qubit build and read, as the doubling build wrote
+        # them one qubit at a time (a changed numpy loop shows in the last digit)
+        code, out, _ = run(
+            ["verify", "--kind", "erdos_renyi", "--M", "9", "--p", "0.5", "--seed", "4",
+             "--theta", "0.9", "--psi", "0.3"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert out == (
+            '{"per_vertex": [0.99138649911091703, 0.99667175227777871, 0.97770827061012244, '
+            "0.99871396856596251, 0.99667175227777871, 0.99667175227777871, 0.99138649911091703, "
+            '0.99667175227777871, 0.9987139685659624], "total_sv": 0.99384402389722182, '
+            '"total_cf": 0.99384402389722182, "discrepancy": 0, "theta": 0.90000000000000036, '
+            '"psi": 0.29999999999999982, '
+            '"graph_hash": "92d448e4ce03b8278994ae2b72e4c0cb5da1c74bdeb229fae3be17cfa485a217", '
+            '"policy": "default", "seed_info": "kind=erdos_renyi M=9 seed=4"}\n'
+        )
+
     def test_graph_file_is_walked_once(self, tmp_path, capsys, monkeypatch):
         # reading does not check the graph; the first validate walks it, and the
         # build, the closed form and the report read the records it kept, at
@@ -205,6 +224,27 @@ class TestSweeps:
         mid = lines[6].split(",")
         assert float(mid[0]) == 0.5
         assert abs(float(mid[1]) - 1.0) < 1e-12
+
+    def test_sweep_alpha_golden(self, capsys):
+        # recorded with the sweep that built and read one state per point
+        code, out, _ = run(
+            ["sweep-alpha", "--theta", "1.1", "--psi", "0.3", "--grid", "11"], capsys
+        )
+        assert code == EXIT_OK
+        assert out == (
+            "t,E,S_nats,D_HS\n"
+            "0,0,0,0.5\n"
+            "0.10000000000000001,0.10293487239814625,0.12211317017742765,0.47356761069615327\n"
+            "0.20000000000000001,0.32532502881389447,0.30093152815890711,0.4106930031014972\n"
+            "0.29999999999999999,0.5604231941676856,0.45349508182122855,0.33150294336261726\n"
+            "0.40000000000000002,0.73198131483126305,0.552398901457122,0.2588526053416968\n"
+            "0.5,0.79425055862767258,0.58641761739190368,0.22679806071278885\n"
+            "0.59999999999999998,0.73198131483126294,0.55239890145712189,0.25885260534169685\n"
+            "0.69999999999999996,0.56042319416768582,0.45349508182122866,0.33150294336261715\n"
+            "0.80000000000000004,0.32532502881389469,0.30093152815890728,0.41069300310149714\n"
+            "0.90000000000000002,0.10293487239814625,0.12211317017742779,0.47356761069615333\n"
+            "1,0,0,0.5\n"
+        )
 
     def test_sweep_byte_identical(self, tmp_path):
         argv = ["sweep-theta", "--kind", "star_out", "--M", "4", "--grid", "7"]
@@ -282,6 +322,18 @@ class TestUsageErrors:
             ["sweep-theta", "--kind", "path", "--M", "2", "--grid", "1"], capsys
         )
         assert code == EXIT_BAD_INPUT
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_is_one_line_and_exit_70(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("kernel\nfailed")
+
+        monkeypatch.setattr(cli, "cmd_verify", broken)
+        code, out, err = run(["verify", "--kind", "path", "--M", "3", "--theta", "0.4"], capsys)
+        assert code == cli.EXIT_INTERNAL == 70
+        assert out == ""
+        assert err == "error: internal: RuntimeError: kernel failed\n"
 
 
 class TestInputHardening:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from digraph_ed import digraph
 from digraph_ed.digraph import DirectedGraph
 from digraph_ed.errors import (
@@ -113,6 +114,14 @@ class TestGenerate:
         for seed in range(20):
             g = digraph.generate("erdos_renyi", 7, {"p": 0.8}, seed=seed)
             digraph.validate(g)
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
+    def test_erdos_renyi_matches_the_scan_order_loop(self, p):
+        # one draw call, read as the loop's one scalar draw per ordered pair
+        for M in range(1, 41):
+            for seed in (0, 1, 12345, 2**62 + 9, 2**63 - 1):
+                g = digraph.generate("erdos_renyi", M, {"p": p}, seed)
+                assert list(g.edges) == oracles.erdos_renyi_edges(M, p, seed), (M, seed)
 
     def test_erdos_renyi_extremes(self):
         assert digraph.generate("erdos_renyi", 5, {"p": 0.0}, 1).num_edges == 0

@@ -303,6 +303,29 @@ class TestAlphaSweep:
         with pytest.raises(BadGridError):
             alpha_sweep(GateParams(1.0, 0.0), 2)
 
+    @pytest.mark.parametrize("grid", [3, 11, 101])
+    def test_samples_match_one_point_at_a_time(self, grid):
+        for gp in (GateParams(1.1, 0.3), GateParams(math.pi / 2, 0.0), GateParams(-2.5, 1.9)):
+            sweep = alpha_sweep(gp, grid)
+            want = oracles.alpha_sweep_samples(gp, grid)
+            assert np.array(sweep.samples).tobytes() == np.array(want).tobytes()
+
+    def test_memory_stays_within_one_batch_of_the_samples(self):
+        # the loop that built and read one state per point peaked at
+        # 21734424 bytes here (Python 3.11, numpy 2.4), nearly all of it the
+        # 100000 samples themselves; batches of batch_size(2) points add at
+        # most about one 1 MiB block to that
+        gp = GateParams(1.1, 0.3)
+        alpha_sweep(gp, 101)  # fills the index caches
+        tracemalloc.start()
+        try:
+            sweep = alpha_sweep(gp, 100000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sweep.samples) == 100000
+        assert peak < 21734424 + (1 << 20)
+
 
 class TestVerifyGraph:
     def test_star_report(self):

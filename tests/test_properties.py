@@ -6,6 +6,7 @@ antiparallel policy), angles from [-pi, pi]. All runs are derandomized so
 the suite is reproducible.
 """
 
+import cmath
 import math
 from unittest import mock
 
@@ -60,10 +61,10 @@ def digraphs(draw, min_m=2, max_m=6):
 
 
 @st.composite
-def digraphs_with_pairs(draw, max_m=6):
+def digraphs_with_pairs(draw, min_m=2, max_m=6):
     """Graphs that need ``allow_antiparallel``: a chosen vertex pair gets one
     orientation or both, in a shuffled edge order."""
-    M = draw(st.integers(2, max_m))
+    M = draw(st.integers(min_m, max_m))
     pairs = [(a, b) for a in range(M) for b in range(a + 1, M)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     ways = draw(
@@ -123,6 +124,33 @@ def test_batches_match_one_state_at_a_time(cases):
         assert _bits(rep.per_vertex) == _bits(one.per_vertex)
         assert _bits([rep.total_statevector, total]) == _bits([one.total_statevector] * 2)
         assert rep.to_json() == one.to_json()
+
+
+@st.composite
+def initial_states(draw):
+    """A complex single-qubit state (alpha0, alpha1), or one of the basis states."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([(0.0, 1.0), (1.0, 0.0)]))
+    t = draw(st.floats(min_value=0.0, max_value=1.0))
+    phase0, phase1 = draw(angles), draw(angles)
+    return (math.sqrt(t) * cmath.exp(1j * phase0), math.sqrt(1.0 - t) * cmath.exp(1j * phase1))
+
+
+@given(M=st.integers(2, 7), data=st.data())
+@settings(**COMMON)
+def test_per_row_initial_states_match_one_state_at_a_time(M, data):
+    """Each row of a batch with its own (alpha0, alpha1) is its one-state build, bit for bit."""
+    graphs = data.draw(st.lists(digraphs_with_pairs(min_m=M, max_m=M), min_size=1, max_size=12))
+    gps = [GateParams(data.draw(angles), data.draw(angles)) for _ in graphs]
+    states = [data.draw(initial_states()) for _ in graphs]
+    if len(graphs) > 1:
+        states[0], states[-1] = (0.0, 1.0), (1.0, 0.0)
+    amps = build_graph_states(
+        graphs, gps, [a0 for a0, _ in states], [a1 for _, a1 in states], allow_antiparallel=True
+    )
+    for row, g, gp, (a0, a1) in zip(amps, graphs, gps, states):
+        one = build_graph_state(g, gp, a0, a1, allow_antiparallel=True)
+        assert row.tobytes() == one.amplitudes.tobytes()
 
 
 @given(g=digraphs_with_pairs(), theta=angles, psi=angles)

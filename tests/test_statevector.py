@@ -323,6 +323,15 @@ class TestDoublingKernel:
         with pytest.raises(CapacityError):
             statevector.build_graph_states(graphs, gps)
 
+    def test_every_row_initial_state_is_checked(self):
+        graphs = [generate("path", 3)] * 3
+        gps = [GateParams(0.4)] * 3
+        statevector.build_graph_states(graphs, gps, [1.0, 0.6, 0.0], [0.0, 0.8j, 1.0])
+        with pytest.raises(NotNormalizedError):
+            statevector.build_graph_states(graphs, gps, [1.0, 0.6, 0.6], [0.0, 0.8j, 0.7])
+        with pytest.raises(BadParamsError):
+            statevector.build_graph_states(graphs, gps, [1.0, 0.6], [0.0, 0.8])
+
     def test_norm_check_sees_every_row(self):
         amps = np.array([[1.0, 0.0], [0.6, 0.8j], [1.0, 1e-4]])
         with pytest.raises(NotNormalizedError, match="1.00000001"):
