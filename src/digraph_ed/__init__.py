@@ -30,6 +30,7 @@ from .entanglement import (
     ed_totals,
     hs_distance,
     pauli_vector_closed_form,
+    verify_and_total,
     verify_graph,
     verify_graphs,
     von_neumann_entropy,
@@ -100,6 +101,7 @@ __all__ = [
     "run_suite",
     "to_json_dict",
     "validate",
+    "verify_and_total",
     "verify_graph",
     "verify_graphs",
     "von_neumann_entropy",

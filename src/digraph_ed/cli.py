@@ -14,13 +14,19 @@ significant digits so identical configurations produce byte-identical
 artifacts. Exit codes: 0 success, 1 invariant violation found, 2 bad
 input/config, 64 capability exceeded (M, or suite --max-M, over the qubit
 cap, default 20, overridable via --max-qubits or DIGRAPH_ED_MAX_QUBITS up to
-the engine's 24), 70 internal error (any other exception: a bug, reported
-as one ``error: internal: <type>: <message>`` line, never a traceback).
+the engine's 24; or a ``gen`` graph over MAX_GEN_EDGES), 70 internal error
+(any other exception: a bug, reported as one
+``error: internal: <type>: <message>`` line, never a traceback).
 Every ``--seed`` is an integer >= 0; a sweep's ``--grid`` is checked at
 parse time: 2 (sweep-theta) or 3 (sweep-alpha) to MAX_GRID (100000)
 points, and so is ``suite --graphs``: 1 to MAX_GRAPHS (10000).
 ``suite --jobs`` is parsed (an integer >= 1) and ignored: the suite runs in
-one thread. A graph is checked and its degrees counted in one walk over its
+one thread. ``gen`` builds no state, so the qubit cap does not bound it:
+the most edges a kind can make at M (M for path, cycle and the stars,
+M (M - 1) / 2 for complete_dag and erdos_renyi, which keeps at most one
+edge of a pair) may not exceed MAX_GEN_EDGES (4500000), checked before
+generating.
+A graph is checked and its degrees counted in one walk over its
 edges (:func:`digraph_ed.digraph.validate`), however many commands read it.
 """
 
@@ -44,7 +50,7 @@ from .entanglement import (
     fmt17,
     verify_graph,
 )
-from .errors import AntiparallelPairError, CapacityError, DigraphEdError
+from .errors import AntiparallelPairError, CapacityError, DigraphEdError, EdgeBoundError
 from .statevector import DEFAULT_MAX_QUBITS, bloch_vectors, build_graph_state
 
 EXIT_OK = 0
@@ -60,6 +66,12 @@ MAX_GRID = 100_000
 #: Most graphs ``suite --graphs`` takes: the battery holds every case and its
 #: report until the checks run (10000 take ~5 s and ~70 MiB on 2 vCPU).
 MAX_GRAPHS = 10_000
+#: Most edges a ``gen`` kind may be able to make at M, checked before the
+#: edge list is built: complete_dag and erdos_renyi fit at M = 3000
+#: (4498500). Each edge is a few Python objects: erdos_renyi at M = 3000,
+#: p = 0.3 (2.3M edges, after M (M - 1) float draws) peaks near 640 MiB
+#: and path at M = 10^6 near 400 MiB.
+MAX_GEN_EDGES = 4_500_000
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -196,9 +208,15 @@ def _check_cap(args, M: int) -> None:
         raise CapacityError(M, args.max_qubits)
 
 
+def _gen_edges(kind: str, M: int) -> int:
+    """Most edges ``kind`` can make at M."""
+    if kind in ("complete_dag", "erdos_renyi"):
+        return M * (M - 1) // 2  # erdos_renyi keeps at most one edge of a pair
+    return M  # path, cycle and the stars make at most M
+
+
 def _generate(args) -> digraph.DirectedGraph:
-    """The ``--kind``/``--M`` graph, refused before generation if M is over the cap."""
-    _check_cap(args, args.M)
+    """The ``--kind``/``--M`` graph; its caller has checked M's bound."""
     if args.kind == "erdos_renyi" and args.p is None:
         raise DigraphEdError("erdos_renyi requires --p")
     params = {} if args.p is None else {"p": args.p}
@@ -213,6 +231,7 @@ def _resolve_graph(args) -> digraph.DirectedGraph:
     if from_gen:
         if args.M is None:
             raise DigraphEdError("--kind requires --M")
+        _check_cap(args, args.M)
         return _generate(args)
     # validated by the command that uses it, under its edge policy
     g = digraph.read_graph(args.graph)
@@ -244,6 +263,9 @@ def _emit_rows(columns, rows, fmt: str, out_path) -> None:
 
 
 def cmd_gen(args) -> int:
+    edges = _gen_edges(args.kind, args.M)
+    if edges > MAX_GEN_EDGES:
+        raise EdgeBoundError(args.kind, args.M, edges, MAX_GEN_EDGES)
     _emit(digraph.dump_graph(_generate(args)), args.out)
     return EXIT_OK
 

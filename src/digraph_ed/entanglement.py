@@ -17,13 +17,15 @@ the sweep and verification helpers used to check one against the other.
 d(i) and p(i) come from the degree records that
 :func:`~digraph_ed.digraph.validate` returns; nothing here counts edges.
 
-:func:`verify_graphs` and :func:`ed_totals` take many cases (g, gp) at
-once: they group the cases by M and build and read each group in batches
-that fit, with their Gram matrices, in one 1 MiB block
-(:func:`~digraph_ed.statevector.batch_size`), so a state of M <= 14 shares
-its numpy calls with others of its size. Their results are, bit for bit
-and in input order, those of :func:`verify_graph` and :func:`ed_total` one
-case at a time; :func:`verify_graph` is their one-case call.
+:func:`verify_and_total` takes many cases (g, gp) at once, some to report
+on and some only to total: it groups all of them by M and builds and reads
+each group in batches that fit, with their Gram matrices, in one 1 MiB
+block (:func:`~digraph_ed.statevector.batch_size`), so a state of M <= 14
+shares its numpy calls with others of its size. Its results are, bit for
+bit and in input order, those of :func:`verify_graph` and :func:`ed_total`
+one case at a time. :func:`verify_graphs` and :func:`ed_totals` are its
+report-only and total-only calls, and :func:`verify_graph` the one-case
+call.
 :func:`alpha_sweep` reads its grid the same way, one initial state per
 row: ED from :func:`~digraph_ed.statevector.bloch_arrays`, the HS
 distance from one numpy call per step over the batch's reduced states
@@ -293,40 +295,36 @@ def _batches(cases, allow_antiparallel: bool):
             yield part, _squared_lengths(amps)
 
 
-def ed_totals(cases, allow_antiparallel: bool = False) -> list[float]:
-    """Statevector ED per qubit of each case (g, gp), in input order, read in batches.
+def verify_and_total(
+    reported, totalled, allow_antiparallel: bool = False, seed_infos=None
+) -> tuple[list[EDReport], list[float]]:
+    """One batched pass: dual-route reports for ``reported``, ED totals for ``totalled``.
 
-    Each value is bit for bit ``ed_total(build_graph_state(g, gp, ...))``:
-    the squared lengths are summed in qubit order, as :func:`ed_total` does.
+    Both are sequences of cases (g, gp) at the balanced initial state. The
+    cases of both are built and read together (see :func:`_batches`), so
+    cases of one M from either list share batches. Each report is, bit for
+    bit and in input order, what :func:`verify_graph` gives the case alone,
+    and each total ``ed_total(build_graph_state(g, gp, ...))``: the squared
+    lengths are summed in qubit order, as :func:`ed_total` does. Each
+    distinct graph object in ``reported`` is hashed once; ``seed_infos``,
+    if given, holds one ``seed_info`` per reported case.
     """
-    cases = list(cases)
-    totals = [0.0] * len(cases)
-    for part, norm_sq in _batches(cases, allow_antiparallel):
-        for n, lengths in zip(part, norm_sq.tolist()):
-            totals[n] = _ed_total(lengths)
-    return totals
-
-
-def verify_graphs(cases, allow_antiparallel: bool = False, seed_infos=None) -> list[EDReport]:
-    """Dual-route ED reports for many cases (g, gp) at the balanced initial state.
-
-    The reports are those :func:`verify_graph` gives one case at a time,
-    bit for bit and in input order, but the states are built and read in
-    batches of one M (see :func:`ed_totals`), and each distinct graph
-    object is hashed once. ``seed_infos``, if given, holds one
-    ``seed_info`` per case.
-    """
-    cases = list(cases)
-    infos = [""] * len(cases) if seed_infos is None else list(seed_infos)
+    reported, totalled = list(reported), list(totalled)
+    cases = reported + totalled
+    infos = [""] * len(reported) if seed_infos is None else list(seed_infos)
     hashes: dict[int, str] = {}
-    reports: list = [None] * len(cases)
+    reports: list = [None] * len(reported)
+    totals = [0.0] * len(totalled)
     for part, norm_sq in _batches(cases, allow_antiparallel):
         for n, lengths in zip(part, norm_sq.tolist()):
+            total_sv = _ed_total(lengths)
+            if n >= len(reported):
+                totals[n - len(reported)] = total_sv
+                continue
             g, gp = cases[n]
             if id(g) not in hashes:
                 hashes[id(g)] = digraph.graph_hash(g)
             records = digraph.validate(g, allow_antiparallel=allow_antiparallel)
-            total_sv = _ed_total(lengths)
             total_cf = ed_closed_form(g, gp.theta)
             reports[n] = EDReport(
                 per_vertex=tuple(1.0 - v for v in lengths),
@@ -338,7 +336,27 @@ def verify_graphs(cases, allow_antiparallel: bool = False, seed_infos=None) -> l
                 policy="allow_antiparallel" if any(r.pairs for r in records) else "default",
                 seed_info=infos[n],
             )
-    return reports
+    return reports, totals
+
+
+def ed_totals(cases, allow_antiparallel: bool = False) -> list[float]:
+    """Statevector ED per qubit of each case (g, gp), in input order, read in batches.
+
+    Each value is bit for bit ``ed_total(build_graph_state(g, gp, ...))``;
+    this is :func:`verify_and_total` with nothing to report.
+    """
+    return verify_and_total((), cases, allow_antiparallel)[1]
+
+
+def verify_graphs(cases, allow_antiparallel: bool = False, seed_infos=None) -> list[EDReport]:
+    """Dual-route ED reports for many cases (g, gp) at the balanced initial state.
+
+    The reports are those :func:`verify_graph` gives one case at a time,
+    bit for bit and in input order, but the states are built and read in
+    batches of one M; this is :func:`verify_and_total` with nothing to
+    total. ``seed_infos``, if given, holds one ``seed_info`` per case.
+    """
+    return verify_and_total(cases, (), allow_antiparallel, seed_infos)[0]
 
 
 def verify_graph(

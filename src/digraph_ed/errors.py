@@ -70,6 +70,17 @@ class CapacityError(DigraphEdError):
         super().__init__(f"M={M} qubits exceeds the cap of {cap}")
 
 
+class EdgeBoundError(CapacityError):
+    """A generator could make more edges than the configured bound."""
+
+    def __init__(self, kind: str, M: int, edges: int, bound: int):
+        self.M = M
+        self.cap = bound
+        DigraphEdError.__init__(
+            self, f"{kind} at M={M} makes up to {edges} edges, over the gen bound of {bound}"
+        )
+
+
 class NegativeEigenvalueError(DigraphEdError, ValueError):
     """A density matrix has an eigenvalue below -1e-10."""
 

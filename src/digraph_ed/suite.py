@@ -1,27 +1,35 @@
 """Seeded property battery: every invariant the library promises, end to end.
 
 One table, :data:`CHECKS`, holds every invariant as a row
-``(name, threshold, measure)``. A measure walks a deterministic population
-derived from one seed and yields one record per case: a label and the
-``(error, bound)`` pairs seen on it, each error required to stay strictly
-below its bound. :func:`run_check` folds the records into a
-:class:`CheckResult` with the case count, the worst error and the violations.
-``digraph-ed suite`` runs the table through :func:`run_suite`, and the pytest
-acceptance gate parametrises over it, so a new invariant is one new row.
-Everything runs in one thread. Each seeded graph is checked and counted once:
-measures that need its degrees read the records :func:`validate` kept on it.
-The population and every measure that needs the statevector ED of many
-graphs collect their cases and make one call of
-:func:`~digraph_ed.entanglement.verify_graphs` or
-:func:`~digraph_ed.entanglement.ed_totals`, which build and read the states
-in batches of one M within a 1 MiB block; the values are those of one state
+``(name, threshold, measure, cases)``. A row works in two steps. Its
+optional ``cases(seed, battery)`` names the statevector cases it needs
+beyond the battery's own reports, as graphs with angles; its
+``measure(pop, threshold, totals)`` then walks the population and the
+statevector ED of those cases, and yields one record per case: a label and
+the ``(error, bound)`` pairs seen on it, each error required to stay
+strictly below its bound. :func:`run_check` folds the records into a
+:class:`CheckResult` with the case count, the worst error and the
+violations. ``digraph-ed suite`` runs the table through :func:`run_suite`,
+and the pytest acceptance gate parametrises over it, so a new invariant is
+one new row.
+
+:func:`population` draws the battery, collects the cases of every row, and
+reads the battery and all those cases in one pass of
+:func:`~digraph_ed.entanglement.verify_and_total`, which builds and reads
+the states in batches of one M within a 1 MiB block, so cases of one M from
+every row share full batches. The antiparallel row reads its graphs in a
+pass of its own, under the policy that admits pairs, and the oracle rows
+build their few states one at a time. The values are those of one state
 at a time, bit for bit, so the report is too.
+Everything runs in one thread. Each seeded graph is checked and counted
+once: measures that need its degrees read the records :func:`validate`
+kept on it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,7 +99,11 @@ class SuiteReport:
         return lines
 
 
-def battery(seed: int, n_graphs: int, max_m: int) -> list[tuple[DirectedGraph, GateParams]]:
+# One statevector case: a graph and its gate angles, at the balanced state.
+Case = tuple[DirectedGraph, GateParams]
+
+
+def battery(seed: int, n_graphs: int, max_m: int) -> list[Case]:
     """The seeded graph population: Erdos-Renyi digraphs with random angles.
 
     M uniform on [2, max_m], edge probability from {0.2, 0.5, 0.8}, and
@@ -109,7 +121,7 @@ def battery(seed: int, n_graphs: int, max_m: int) -> list[tuple[DirectedGraph, G
     out = []
     for _ in range(n_graphs):
         M = int(rng.integers(2, max_m + 1))
-        p = float(rng.choice([0.2, 0.5, 0.8]))
+        p = (0.2, 0.5, 0.8)[rng.integers(0, 3)]
         gseed = int(rng.integers(0, 2**63))
         theta = float(rng.uniform(0.0, math.pi))
         psi = float(rng.uniform(0.0, math.pi))
@@ -119,18 +131,16 @@ def battery(seed: int, n_graphs: int, max_m: int) -> list[tuple[DirectedGraph, G
 
 @dataclass(frozen=True)
 class Population:
-    """The seeded graphs with their dual-route reports."""
+    """The seeded graphs with their dual-route reports.
+
+    ``totals`` maps the name of each row that names cases to the
+    statevector ED of each of them, in order.
+    """
 
     seed: int
-    cases: tuple[tuple[DirectedGraph, GateParams], ...]
+    cases: tuple[Case, ...]
     reports: tuple[ent.EDReport, ...]
-
-
-def population(seed: int, n_graphs: int, max_m: int) -> Population:
-    """Build :func:`battery` and verify every graph."""
-    cases = tuple(battery(seed, n_graphs, max_m))
-    infos = [f"suite seed={seed} idx={n}" for n in range(len(cases))]
-    return Population(seed, cases, tuple(ent.verify_graphs(cases, seed_infos=infos)))
+    totals: dict[str, list[float]]
 
 
 # A case's label and its (error, bound) pairs; each error must stay
@@ -139,11 +149,40 @@ Record = tuple[str, list[tuple[float, float]]]
 
 
 class Check(NamedTuple):
-    """One invariant: ``measure(pop, threshold)`` yields a record per case."""
+    """One invariant: cases to read, then a measure that judges them.
+
+    ``cases(seed, battery)``, if the row has it, names the statevector
+    cases the row needs beyond the battery's own reports, as a pure
+    function of the suite seed and the battery. ``measure(pop, threshold,
+    totals)`` yields a record per case, where ``totals`` holds the
+    statevector ED of each named case, in order (empty for a row without
+    ``cases``).
+    """
 
     name: str
     threshold: float
-    measure: Callable[[Population, float], Iterable[Record]]
+    measure: Callable[[Population, float, Sequence[float]], Iterable[Record]]
+    cases: Callable[[int, Sequence[Case]], list[Case]] | None = None
+
+
+def population(seed: int, n_graphs: int, max_m: int) -> Population:
+    """Build :func:`battery` and read it, with the cases of every row, in one pass.
+
+    Every graph of the battery gets its dual-route report, and every row of
+    :data:`CHECKS` that names cases gets their totals, from one
+    :func:`~digraph_ed.entanglement.verify_and_total` call, so cases of one
+    M from the battery and from every row share batches.
+    """
+    graphs = tuple(battery(seed, n_graphs, max_m))
+    infos = [f"suite seed={seed} idx={n}" for n in range(len(graphs))]
+    rows = [(check.name, check.cases(seed, graphs)) for check in CHECKS if check.cases]
+    extra = [case for _, cases in rows for case in cases]
+    reports, totals = ent.verify_and_total(graphs, extra, seed_infos=infos)
+    by_row, start = {}, 0
+    for name, cases in rows:
+        by_row[name] = totals[start : start + len(cases)]
+        start += len(cases)
+    return Population(seed, graphs, tuple(reports), by_row)
 
 
 # The least positive float: as a bound, only an exact 0 stays below it.
@@ -152,13 +191,14 @@ _EXACT = math.ulp(0.0)
 
 def run_check(check: Check, pop: Population) -> CheckResult:
     """Fold a measure's records into cases, worst error and violations."""
+    totals = pop.totals[check.name] if check.cases else []
     cases = 0
     worst = 0.0
     bad = []
-    for label, pairs in check.measure(pop, check.threshold):
+    for label, pairs in check.measure(pop, check.threshold, totals):
         cases += 1
         for j, (err, bound) in enumerate(pairs):
-            worst = max(worst, err)
+            worst = max(worst, float(err))
             if not err < bound:
                 where = label if len(pairs) == 1 else f"{label} #{j}"
                 bad.append(f"{check.name}: {where}: {err:.3e} not below {bound:.0e}")
@@ -177,14 +217,15 @@ def _angles(rng, low: float, high: float) -> GateParams:
     return GateParams(float(rng.uniform(low, high)), float(rng.uniform(low, high)))
 
 
-def _closed_form_agreement(pop, tol):
+def _closed_form_agreement(pop, tol, totals):
     for rep in pop.reports:
         yield rep.graph_hash[:12], [(rep.discrepancy, tol)]
 
 
-def _antiparallel_closed_form(pop, tol):
+def _antiparallel_closed_form(pop, tol, totals):
     # the 2-cycle, then battery graphs with M <= 8 with each edge doubled
-    # into an antiparallel pair with probability 1/2
+    # into an antiparallel pair with probability 1/2; read in a pass of
+    # their own, under the policy that admits pairs
     rng = np.random.default_rng([pop.seed, 7])
     graphs = [(DirectedGraph(2, ((0, 1), (1, 0))), GateParams(0.6, 0.8))]
     for g, gp in [case for case in pop.cases if case[0].M <= 8][:23]:
@@ -194,52 +235,65 @@ def _antiparallel_closed_form(pop, tol):
         yield rep.graph_hash[:12], [(rep.discrepancy, tol)]
 
 
-def _orientation_invariance(pop, tol):
-    rng = np.random.default_rng([pop.seed, 1])
+def _reoriented(seed, graphs):
+    rng = np.random.default_rng([seed, 1])
     flipped = []
-    for g, gp in pop.cases[:50]:
+    for g, gp in graphs[:50]:
         if g.num_edges:
             g = reverse_edges(g, np.flatnonzero(rng.random(g.num_edges) < 0.5))
         flipped.append((g, gp))
-    for rep, e in zip(pop.reports, ent.ed_totals(flipped)):
+    return flipped
+
+
+def _relabeled(seed, graphs):
+    rng = np.random.default_rng([seed, 2])
+    return [(permute(g, rng.permutation(g.M)), gp) for g, gp in graphs[:50]]
+
+
+def _same_as_reports(pop, tol, totals):
+    # case k is a transform of battery graph k: same ED as its report
+    for rep, e in zip(pop.reports, totals):
         yield rep.graph_hash[:12], [(abs(e - rep.total_statevector), tol)]
 
 
-def _relabeling_invariance(pop, tol):
-    rng = np.random.default_rng([pop.seed, 2])
-    relabeled = [(permute(g, rng.permutation(g.M)), gp) for g, gp in pop.cases[:50]]
-    for rep, e in zip(pop.reports, ent.ed_totals(relabeled)):
-        yield rep.graph_hash[:12], [(abs(e - rep.total_statevector), tol)]
-
-
-def _psi_invariance(pop, tol):
-    rng = np.random.default_rng([pop.seed, 3])
-    cases = [
+def _psi_resampled(seed, graphs):
+    rng = np.random.default_rng([seed, 3])
+    return [
         (g, GateParams(gp.theta, float(psi)))
-        for g, gp in pop.cases[:5]
+        for g, gp in graphs[:5]
         for psi in rng.uniform(-math.pi, math.pi, size=10)
     ]
-    totals = ent.ed_totals(cases)
+
+
+def _psi_invariance(pop, tol, totals):
     for k, rep in enumerate(pop.reports[:5]):
         values = totals[10 * k : 10 * k + 10]
         yield rep.graph_hash[:12], [(max(values) - min(values), tol)]
 
 
-def _maximal_entanglement(pop, tol):
-    labels, cases = [], []
-    for (g, gp), rep in zip(pop.cases, pop.reports):
-        if min(rec.total for rec in validate(g, allow_antiparallel=True)) >= 1:
-            labels.append(rep.graph_hash[:12])
-            cases.append((g, GateParams(math.pi / 2, gp.psi)))
+def _no_isolated_vertex(g: DirectedGraph) -> bool:
+    return min(rec.total for rec in validate(g, allow_antiparallel=True)) >= 1
+
+
+def _at_half_pi(seed, graphs):
+    cases = [(g, GateParams(math.pi / 2, gp.psi)) for g, gp in graphs if _no_isolated_vertex(g)]
     # the fully separable reference point must sit at zero exactly
-    cases.append((DirectedGraph(3, ()), GateParams(1.0, 0.5)))
-    *totals, empty = ent.ed_totals(cases)
+    return cases + [(DirectedGraph(3, ()), GateParams(1.0, 0.5))]
+
+
+def _maximal_entanglement(pop, tol, totals):
+    *totals, empty = totals
+    labels = [
+        rep.graph_hash[:12]
+        for (g, _), rep in zip(pop.cases, pop.reports)
+        if _no_isolated_vertex(g)
+    ]
     for label, e in zip(labels, totals):
         yield label, [(abs(e - 1.0), tol)]
     yield "empty graph", [(abs(empty), _EXACT)]
 
 
-def _alpha_optimality(pop, tol):
+def _alpha_optimality(pop, tol, totals):
     sweep = ent.alpha_sweep(GateParams(math.pi / 2, 0.0), 101)
     peak = len(sweep.samples) // 2
     for k, (t, e, s, d) in enumerate(sweep.samples):
@@ -253,7 +307,7 @@ def _alpha_optimality(pop, tol):
         yield f"t={t:.2f}", pairs
 
 
-def _per_vertex_law(pop, tol):
+def _per_vertex_law(pop, tol, totals):
     for (g, gp), rep in zip(pop.cases, pop.reports):
         c = math.cos(gp.theta)
         recs = validate(g, allow_antiparallel=True)
@@ -262,7 +316,7 @@ def _per_vertex_law(pop, tol):
             yield f"{rep.graph_hash[:12]} vertex {i}", [(err, tol)]
 
 
-def _gate_correctness(pop, tol):
+def _gate_correctness(pop, tol, totals):
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     gate = edge_gate_matrix(GateParams(math.pi / 2, math.pi / 2))
     yield "edge gate at (pi/2, pi/2) vs CZ", [(_max_abs(gate - cz), 1e-15)]
@@ -277,7 +331,7 @@ def _random_state(rng, M: int) -> PureState:
     return PureState(M, v / np.linalg.norm(v))
 
 
-def _kernel_cross_validation(pop, tol):
+def _kernel_cross_validation(pop, tol, totals):
     rng = np.random.default_rng([pop.seed, 5])
     for M in range(2, 9):
         for r in range(3):
@@ -324,7 +378,7 @@ def _center_record(d_out: int, d_in: int, gp: GateParams, tol: float) -> Record:
     return f"d_out={d_out}, d_in={d_in}", [(_bloch_gap(got, want), tol)]
 
 
-def _pauli_closed_forms(pop, tol):
+def _pauli_closed_forms(pop, tol, totals):
     rng = np.random.default_rng([pop.seed, 6])
     for d in range(1, 7):
         gp = _angles(rng, 0.0, math.pi)
@@ -335,7 +389,7 @@ def _pauli_closed_forms(pop, tol):
         yield _center_record(d_out, d_in, _angles(rng, 0.0, math.pi), tol)
 
 
-def _degree_sufficiency(pop, tol):
+def _paths_and_zigzags(seed, graphs):
     gp = GateParams(0.9, 0.4)
     cases = []
     for M in range(3, 9):
@@ -343,31 +397,39 @@ def _degree_sufficiency(pop, tol):
             M, tuple((i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(M - 1))
         )
         cases += [(generate("path", M), gp), (zigzag, gp)]
-    totals = ent.ed_totals(cases)
+    return cases
+
+
+def _degree_sufficiency(pop, tol, totals):
     for M, path, zigzag in zip(range(3, 9), totals[0::2], totals[1::2]):
         yield f"M={M}", [(abs(path - zigzag), tol)]
 
 
 # Every invariant the suite checks, in report order. A new invariant is one
-# new row: a name, its headline threshold and a measure.
+# new row: a name, its headline threshold, a measure and, if it needs the
+# statevector ED of graphs beyond the battery's reports, the cases to read.
 CHECKS: tuple[Check, ...] = (
     Check("closed_form_agreement", ent.DISCREPANCY_TOL, _closed_form_agreement),
     Check("antiparallel_closed_form", ent.DISCREPANCY_TOL, _antiparallel_closed_form),
-    Check("orientation_invariance", 1e-12, _orientation_invariance),
-    Check("relabeling_invariance", 1e-12, _relabeling_invariance),
-    Check("psi_invariance", 1e-12, _psi_invariance),
-    Check("maximal_entanglement", 1e-12, _maximal_entanglement),
+    Check("orientation_invariance", 1e-12, _same_as_reports, _reoriented),
+    Check("relabeling_invariance", 1e-12, _same_as_reports, _relabeled),
+    Check("psi_invariance", 1e-12, _psi_invariance, _psi_resampled),
+    Check("maximal_entanglement", 1e-12, _maximal_entanglement, _at_half_pi),
     Check("alpha_optimality", 0.0, _alpha_optimality),
     Check("per_vertex_law", 1e-10, _per_vertex_law),
     Check("gate_correctness", 1e-14, _gate_correctness),
     Check("kernel_cross_validation", 1e-14, _kernel_cross_validation),
     Check("pauli_closed_forms", 1e-10, _pauli_closed_forms),
-    Check("degree_sufficiency", 1e-12, _degree_sufficiency),
+    Check("degree_sufficiency", 1e-12, _degree_sufficiency, _paths_and_zigzags),
 )
 
 
 def run_suite(seed: int = 0, n_graphs: int = 200, max_m: int = 12) -> SuiteReport:
-    """Run every row of :data:`CHECKS`; any violation flips the report to failing."""
+    """Run every row of :data:`CHECKS`; any violation flips the report to failing.
+
+    The battery and the cases of every row are read in one pass (see
+    :func:`population`).
+    """
     pop = population(seed, n_graphs, max_m)
     checks = tuple(run_check(check, pop) for check in CHECKS)
     return SuiteReport(seed=seed, n_graphs=n_graphs, max_m=max_m, checks=checks)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -32,6 +33,58 @@ class TestGen:
         code, _, err = run(["gen", "--kind", "erdos_renyi", "--M", "4"], capsys)
         assert code == EXIT_BAD_INPUT
         assert "requires --p" in err
+
+    def test_qubit_cap_does_not_bound_gen(self, capsys):
+        # gen builds no state: M above the qubit cap is generated as the library does
+        argv = ["gen", "--kind", "erdos_renyi", "--M", "40", "--p", "0.3", "--seed", "7"]
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        assert out == digraph.dump_graph(digraph.generate("erdos_renyi", 40, {"p": 0.3}, 7))
+
+    @pytest.mark.parametrize(
+        "kind,M,accepted",
+        [
+            ("erdos_renyi", 3000, True),  # up to 4498500 edges
+            ("erdos_renyi", 3001, False),
+            ("complete_dag", 3000, True),
+            ("complete_dag", 3001, False),
+            ("star_out", cli.MAX_GEN_EDGES, True),
+            ("path", cli.MAX_GEN_EDGES + 1, False),
+        ],
+    )
+    def test_edge_bound_is_checked_before_generating(self, kind, M, accepted, capsys, monkeypatch):
+        made = []
+
+        def fake(kind, M, params, seed):
+            made.append(M)
+            return digraph.DirectedGraph(2, ((0, 1),))
+
+        monkeypatch.setattr(digraph, "generate", fake)
+        p = ["--p", "0.5"] if kind == "erdos_renyi" else []
+        code, _, err = run(["gen", "--kind", kind, "--M", str(M), *p], capsys)
+        if accepted:
+            assert code == EXIT_OK and made == [M]
+        else:
+            assert code == EXIT_CAPABILITY and made == []
+            assert err.count("\n") == 1 and f"over the gen bound of {cli.MAX_GEN_EDGES}" in err
+
+    def test_edge_bound_refuses_without_allocating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generated a graph over the edge bound")
+
+        monkeypatch.setattr(digraph, "generate", refuse)
+        tracemalloc.start()
+        try:
+            code, out, err = run(["gen", "--kind", "complete_dag", "--M", "1000000"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CAPABILITY and out == ""
+        assert err == (
+            "error: complete_dag at M=1000000 makes up to 499999500000 edges, "
+            "over the gen bound of 4500000\n"
+        )
+        assert peak < 1 << 20
 
 
 class TestEd:
@@ -404,24 +457,28 @@ class TestInputHardening:
         assert err == f"error: M=21 qubits exceeds the cap of {cap}\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,refusal",
         [
-            ["gen", "--kind", "complete_dag", "--M", "1000"],
-            ["verify", "--kind", "complete_dag", "--M", "1000", "--theta", "1"],
-            ["ed", "--kind", "star_out", "--M", "100000", "--theta", "1"],
-            ["sweep-theta", "--kind", "erdos_renyi", "--M", "21", "--p", "0.5"],
+            # gen is bounded by its edges, not by the qubit cap
+            (["gen", "--kind", "complete_dag", "--M", "1000000"], "over the gen bound of"),
+            (["verify", "--kind", "complete_dag", "--M", "1000", "--theta", "1"],
+             "exceeds the cap of 20"),
+            (["ed", "--kind", "star_out", "--M", "100000", "--theta", "1"],
+             "exceeds the cap of 20"),
+            (["sweep-theta", "--kind", "erdos_renyi", "--M", "21", "--p", "0.5"],
+             "exceeds the cap of 20"),
         ],
         ids=["gen", "verify", "ed", "sweep_theta"],
     )
-    def test_cap_is_checked_before_generating(self, argv, capsys, monkeypatch):
+    def test_cap_is_checked_before_generating(self, argv, refusal, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("generated a graph over the qubit cap")
+            raise AssertionError("generated a graph over its bound")
 
         monkeypatch.setattr(digraph, "generate", refuse)
         code, _, err = run(argv, capsys)
         assert code == EXIT_CAPABILITY
         lines = err.strip().splitlines()
-        assert len(lines) == 1 and "exceeds the cap of 20" in lines[0], err
+        assert len(lines) == 1 and refusal in lines[0], err
 
     @pytest.mark.parametrize(
         "argv,bound",

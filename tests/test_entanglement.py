@@ -18,6 +18,7 @@ from digraph_ed.entanglement import (
     ed_totals,
     hs_distance,
     pauli_vector_closed_form,
+    verify_and_total,
     verify_graph,
     verify_graphs,
     von_neumann_entropy,
@@ -392,6 +393,27 @@ class TestBatches:
             assert rep == verify_graph(g, gp, seed_info=info)
         assert ed_totals(cases) == [rep.total_statevector for rep in reports]
         assert verify_graphs([]) == [] and ed_totals([]) == []
+
+    def test_reports_and_totals_share_one_pass(self, monkeypatch):
+        reported = [(generate("star_out", M), GateParams(0.3 * M, 0.1)) for M in (5, 2, 9, 5)]
+        totalled = [
+            (generate("erdos_renyi", M, {"p": 0.5}, seed=M), GateParams(0.2 * M, -0.4))
+            for M in (9, 2, 5, 3, 5)
+        ]
+        infos = [f"case {n}" for n in range(len(reported))]
+        want = (verify_graphs(reported, seed_infos=infos), ed_totals(totalled))
+        calls = []
+        real = statevector.build_graph_states
+
+        def count(graphs, *args, **kwargs):
+            calls.append(sorted({g.M for g in graphs}))
+            return real(graphs, *args, **kwargs)
+
+        monkeypatch.setattr(statevector, "build_graph_states", count)
+        assert verify_and_total(reported, totalled, seed_infos=infos) == want
+        # one batch per M, shared by the reported and the totalled cases
+        assert sorted(calls) == [[2], [3], [5], [9]]
+        assert verify_and_total([], []) == ([], [])
 
     def test_every_graph_is_validated_before_any_state_is_built(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,11 +1,12 @@
 """The property battery as a library: determinism, coverage, sensitivity."""
 
+import numpy as np
 import pytest
 
-from digraph_ed import entanglement
+from digraph_ed import entanglement, statevector, suite
 from digraph_ed.digraph import validate
 from digraph_ed.errors import BadParamsError
-from digraph_ed.suite import battery, run_suite
+from digraph_ed.suite import CHECKS, battery, population, run_check, run_suite
 
 EXPECTED_CHECKS = [
     "closed_form_agreement",
@@ -58,3 +59,61 @@ def test_detects_a_perturbed_closed_form(monkeypatch):
     assert not report.ok
     bad = {c.name for c in report.checks if not c.ok}
     assert "closed_form_agreement" in bad
+
+
+def test_battery_draws_p_as_rng_choice_does():
+    # indexing the tuple by rng.integers(0, 3) takes the draw rng.choice takes
+    for seed in range(200):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert (0.2, 0.5, 0.8)[a.integers(0, 3)] == float(b.choice([0.2, 0.5, 0.8]))
+            assert a.integers(0, 2**63) == b.integers(0, 2**63)
+
+
+@pytest.mark.parametrize("args", [(0, 200, 12), (1, 200, 12), (2, 200, 12), (21, 15, 7)])
+def test_one_pass_matches_each_row_on_its_own(args):
+    # population reads the battery and every row's cases in one pass; each
+    # row's totals are those of its cases read on their own, and run_suite
+    # is every row run over that population
+    pop = population(*args)
+    for check in CHECKS:
+        if check.cases:
+            want = entanglement.ed_totals(check.cases(pop.seed, pop.cases))
+            assert [e.hex() for e in pop.totals[check.name]] == [e.hex() for e in want]
+    assert sorted(pop.totals) == sorted(c.name for c in CHECKS if c.cases)
+
+    def fields(results):
+        return [(c.name, c.cases, c.threshold, c.worst.hex(), c.violations) for c in results]
+
+    assert fields(run_suite(*args).checks) == fields(run_check(check, pop) for check in CHECKS)
+
+
+def test_worst_is_a_python_float_in_every_row():
+    # at seed 3 the worst errors of kernel_cross_validation and
+    # pauli_closed_forms come from numpy scalars
+    for check in run_suite(seed=3, n_graphs=15, max_m=7).checks:
+        assert type(check.worst) is float, check.name
+
+
+def test_one_pass_builds_in_few_batches(monkeypatch):
+    batches, lone = [], []
+    real_batch, real_lone = statevector.build_graph_states, suite.build_graph_state
+
+    def count_batch(graphs, *args, **kwargs):
+        batches.append(len(graphs))
+        return real_batch(graphs, *args, **kwargs)
+
+    def count_lone(*args, **kwargs):
+        lone.append(1)
+        return real_lone(*args, **kwargs)
+
+    monkeypatch.setattr(statevector, "build_graph_states", count_batch)
+    monkeypatch.setattr(suite, "build_graph_state", count_lone)
+    assert run_suite(seed=0).ok
+    # the battery and the orientation, relabeling, psi, maximal-entanglement
+    # (174 graphs and the empty one at seed 0) and degree-sufficiency cases
+    # share batches; the antiparallel cases and the alpha sweep make their own
+    assert len(batches) <= 36, batches
+    assert sum(batches) == 200 + 50 + 50 + 50 + 175 + 12 + 24 + 101
+    # the oracle rows build their states one at a time
+    assert len(lone) == 26
