@@ -28,6 +28,10 @@ edge of a pair) may not exceed MAX_GEN_EDGES (4500000), checked before
 generating.
 A graph is checked and its degrees counted in one walk over its
 edges (:func:`digraph_ed.digraph.validate`), however many commands read it.
+``ed``, ``verify`` and ``sweep-theta`` apply the edge policy there, once,
+after the angles are parsed and before any state is built: antiparallel
+pairs exit 2 unless ``--allow-antiparallel`` is given. The library they
+call builds any structurally valid graph.
 """
 
 from __future__ import annotations
@@ -273,7 +277,8 @@ def cmd_gen(args) -> int:
 def cmd_ed(args) -> int:
     g = _resolve_graph(args)
     gp = GateParams(_angle(args, args.theta), _angle(args, args.psi))
-    state = build_graph_state(g, gp, allow_antiparallel=args.allow_antiparallel)
+    digraph.validate(g, args.allow_antiparallel)
+    state = build_graph_state(g, gp)
     norm_sq = [v.norm_sq for v in bloch_vectors(state)]
     lines = [f"E({i}) = {fmt17(1.0 - v)}" for i, v in enumerate(norm_sq)]
     lines.append(f"E_total = {fmt17(_ed_total(norm_sq))}")
@@ -285,9 +290,8 @@ def cmd_verify(args) -> int:
     g = _resolve_graph(args)
     gp = GateParams(_angle(args, args.theta), _angle(args, args.psi))
     source = args.graph if args.graph else f"kind={args.kind} M={args.M} seed={args.seed}"
-    report = verify_graph(
-        g, gp, allow_antiparallel=args.allow_antiparallel, seed_info=source
-    )
+    digraph.validate(g, args.allow_antiparallel)
+    report = verify_graph(g, gp, seed_info=source)
     _emit(report.to_json() + "\n", args.out)
     return EXIT_OK
 
@@ -297,9 +301,10 @@ def cmd_sweep_theta(args) -> int:
     psi = _angle(args, args.psi)
     thetas = np.linspace(0.0, math.pi, args.grid).tolist()
     gps = [GateParams(theta, psi) for theta in thetas]
+    digraph.validate(g, args.allow_antiparallel)
     # the totals alone, read in batches: a report per point would hold every
     # point's per-vertex values until the rows are written
-    totals = ed_totals([(g, gp) for gp in gps], allow_antiparallel=args.allow_antiparallel)
+    totals = ed_totals([(g, gp) for gp in gps])
     rows = []
     for theta, gp, total_sv in zip(thetas, gps, totals):
         total_cf = ed_closed_form(g, gp.theta)

@@ -5,7 +5,10 @@ Vertices are labeled 0..M-1 internally; graph files may use 1-based labels
 forbids self-loops, duplicate edges, and antiparallel pairs; the last can be
 admitted explicitly. Both ED routes cover such a pair: its two gates compose
 into one double-angle gate, which enters the closed form as a factor
-cos(2 theta) in place of cos(theta)^2.
+cos(2 theta) in place of cos(theta)^2. So the antiparallel rule is a choice
+of inputs, made where a graph enters (:func:`validate`'s default,
+:func:`generate`, :func:`reverse_edges`, the CLI's ``--allow-antiparallel``);
+the state and ED layers build and read any structurally valid graph.
 
 This module is the one place that walks an edge list to check it or to
 count it: :func:`validate` checks a graph and returns one :class:`DegreeRecord`
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .errors import (
     AntiparallelPairError,
     BadParamsError,
     DuplicateEdgeError,
+    GraphError,
     IndexOutOfRangeError,
     NotABijectionError,
     ParseError,
@@ -39,18 +44,23 @@ GENERATOR_KINDS = ("path", "cycle", "star_out", "star_in", "complete_dag", "erdo
 class DirectedGraph:
     """A directed graph on M vertices with an ordered edge list.
 
-    Construction normalizes the edge list but performs no policy checks;
-    call :func:`validate` (or any operation that requires a valid graph)
-    to enforce the invariants.
+    Construction normalizes the edge list to a tuple of pairs of Python
+    ints but performs no policy checks; call :func:`validate` (or any
+    operation that requires a valid graph) to enforce the invariants. An
+    endpoint must be an integer (numpy integers included): any other value,
+    such as 0.9, raises :class:`GraphError` rather than being truncated.
     """
 
     M: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple((int(a), int(b)) for a, b in self.edges)
-        )
+        try:
+            edges = tuple((index(a), index(b)) for a, b in self.edges)
+        except TypeError:
+            bad = next(e for e in self.edges if not all(hasattr(v, "__index__") for v in e))
+            raise GraphError(f"edge endpoints must be integers, got {tuple(bad)!r}") from None
+        object.__setattr__(self, "edges", edges)
 
     @property
     def num_edges(self) -> int:

@@ -3,8 +3,8 @@
 The ED per qubit of a pure state is 1 minus the mean squared Bloch-vector
 length over the qubits: 0 for product states, 1 when every single-qubit
 reduced state is maximally mixed. For states built by
-:func:`~digraph_ed.statevector.build_graph_state` from a policy-valid graph
-the measure collapses to a function of the vertex degrees alone,
+:func:`~digraph_ed.statevector.build_graph_state` from a structurally valid
+graph the measure collapses to a function of the vertex degrees alone,
 
     E = 1 - (1/M) * sum_i cos(theta)^(2 (d(i) - 2 p(i))) * cos(2 theta)^(2 p(i)),
 
@@ -25,7 +25,9 @@ shares its numpy calls with others of its size. Its results are, bit for
 bit and in input order, those of :func:`verify_graph` and :func:`ed_total`
 one case at a time. :func:`verify_graphs` and :func:`ed_totals` are its
 report-only and total-only calls, and :func:`verify_graph` the one-case
-call.
+call. None of them applies the edge policy: every graph is checked for
+structure before any state is built, and antiparallel pairs are read like
+any other edges (see :mod:`digraph_ed.digraph`).
 :func:`alpha_sweep` reads its grid the same way, one initial state per
 row: ED from :func:`~digraph_ed.statevector.bloch_arrays`, the HS
 distance from one numpy call per step over the batch's reduced states
@@ -266,7 +268,7 @@ def _squared_lengths(amps: np.ndarray) -> np.ndarray:
     return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2]
 
 
-def _batches(cases, allow_antiparallel: bool):
+def _batches(cases):
     """Read the states of cases (g, gp) in batches; yield (positions, squared lengths).
 
     Each batch holds cases of one M, in input order, cut to
@@ -274,10 +276,11 @@ def _batches(cases, allow_antiparallel: bool):
     Grams stays within one 1 MiB block. It is built at the balanced initial
     state, and row r of the (G, M) array yielded with it holds the squared
     Bloch length of every qubit of the case at ``positions[r]``. Every graph
-    is validated, in input order, before any state is built.
+    is checked for structure, in input order, before any state is built;
+    antiparallel pairs are read like any other edges.
     """
     for g, _ in cases:
-        digraph.validate(g, allow_antiparallel=allow_antiparallel)
+        digraph.validate(g, allow_antiparallel=True)
     by_m: dict[int, list[int]] = {}
     for n, (g, _) in enumerate(cases):
         by_m.setdefault(g.M, []).append(n)
@@ -290,14 +293,11 @@ def _batches(cases, allow_antiparallel: bool):
                 [cases[n][1] for n in part],
                 ALPHA_INV_SQRT2,
                 ALPHA_INV_SQRT2,
-                allow_antiparallel=allow_antiparallel,
             )
             yield part, _squared_lengths(amps)
 
 
-def verify_and_total(
-    reported, totalled, allow_antiparallel: bool = False, seed_infos=None
-) -> tuple[list[EDReport], list[float]]:
+def verify_and_total(reported, totalled, seed_infos=None) -> tuple[list[EDReport], list[float]]:
     """One batched pass: dual-route reports for ``reported``, ED totals for ``totalled``.
 
     Both are sequences of cases (g, gp) at the balanced initial state. The
@@ -315,7 +315,7 @@ def verify_and_total(
     hashes: dict[int, str] = {}
     reports: list = [None] * len(reported)
     totals = [0.0] * len(totalled)
-    for part, norm_sq in _batches(cases, allow_antiparallel):
+    for part, norm_sq in _batches(cases):
         for n, lengths in zip(part, norm_sq.tolist()):
             total_sv = _ed_total(lengths)
             if n >= len(reported):
@@ -324,7 +324,7 @@ def verify_and_total(
             g, gp = cases[n]
             if id(g) not in hashes:
                 hashes[id(g)] = digraph.graph_hash(g)
-            records = digraph.validate(g, allow_antiparallel=allow_antiparallel)
+            records = digraph.validate(g, allow_antiparallel=True)
             total_cf = ed_closed_form(g, gp.theta)
             reports[n] = EDReport(
                 per_vertex=tuple(1.0 - v for v in lengths),
@@ -339,16 +339,16 @@ def verify_and_total(
     return reports, totals
 
 
-def ed_totals(cases, allow_antiparallel: bool = False) -> list[float]:
+def ed_totals(cases) -> list[float]:
     """Statevector ED per qubit of each case (g, gp), in input order, read in batches.
 
     Each value is bit for bit ``ed_total(build_graph_state(g, gp, ...))``;
     this is :func:`verify_and_total` with nothing to report.
     """
-    return verify_and_total((), cases, allow_antiparallel)[1]
+    return verify_and_total((), cases)[1]
 
 
-def verify_graphs(cases, allow_antiparallel: bool = False, seed_infos=None) -> list[EDReport]:
+def verify_graphs(cases, seed_infos=None) -> list[EDReport]:
     """Dual-route ED reports for many cases (g, gp) at the balanced initial state.
 
     The reports are those :func:`verify_graph` gives one case at a time,
@@ -356,23 +356,18 @@ def verify_graphs(cases, allow_antiparallel: bool = False, seed_infos=None) -> l
     batches of one M; this is :func:`verify_and_total` with nothing to
     total. ``seed_infos``, if given, holds one ``seed_info`` per case.
     """
-    return verify_and_total(cases, (), allow_antiparallel, seed_infos)[0]
+    return verify_and_total(cases, (), seed_infos)[0]
 
 
-def verify_graph(
-    g: DirectedGraph,
-    gp: GateParams,
-    allow_antiparallel: bool = False,
-    seed_info: str = "",
-) -> EDReport:
+def verify_graph(g: DirectedGraph, gp: GateParams, seed_info: str = "") -> EDReport:
     """Dual-route ED for one graph at the balanced initial state.
 
-    Validates ``g`` under the given policy, builds the state with
-    alpha0 = alpha1 = 1/sqrt(2), computes per-vertex and total ED from one
-    read of every qubit's Bloch vector, and evaluates the closed form; the
-    recorded discrepancy stays below ``DISCREPANCY_TOL`` for every graph the
-    policy admits. The graph's edge list is walked once, by that validation;
-    the build and the closed form read the degree records it kept. This is
-    the one-case call of :func:`verify_graphs`.
+    Checks ``g`` for structure (antiparallel pairs are admitted), builds the
+    state with alpha0 = alpha1 = 1/sqrt(2), computes per-vertex and total ED
+    from one read of every qubit's Bloch vector, and evaluates the closed
+    form; the recorded discrepancy stays below ``DISCREPANCY_TOL`` for every
+    structurally valid graph. The graph's edge list is walked once, by that
+    check; the build and the closed form read the degree records it kept.
+    This is the one-case call of :func:`verify_graphs`.
     """
-    return verify_graphs([(g, gp)], allow_antiparallel, [seed_info])[0]
+    return verify_graphs([(g, gp)], [seed_info])[0]

@@ -34,9 +34,14 @@ the per-call overhead that dominates small states is paid once per batch;
 each row may start from its own product state. Row r is bit for bit the
 state, and the Bloch vectors, of case r alone:
 :func:`build_graph_state` and :func:`bloch_vectors` are the G = 1 case of
-the same code. :func:`batch_size` bounds a batch, amplitudes and Grams
-together, by one 2^_BLOCK_BITS-amplitude block (1 MiB); from M = 15 up a
-state is always read alone.
+the same code, batch axis and all. :func:`batch_size` bounds a batch,
+amplitudes and Grams together, by one 2^_BLOCK_BITS-amplitude block
+(1 MiB); from M = 15 up a state is always read alone.
+
+The builders take every structurally valid graph, antiparallel pairs
+included: an out-of-range endpoint, a self-loop or a duplicate edge raises
+before any state is built, and the edge policy is applied where a graph
+enters (see :mod:`digraph_ed.digraph`).
 
 :func:`apply_edge_gate` (one gate as a per-amplitude phase multiply), the
 generic dense 4x4 two-qubit path and :func:`pauli_expectation` are
@@ -201,13 +206,6 @@ class DensityMatrix1Q:
         if abs(self.rho00 + self.rho11 - 1.0) > 1e-10:
             raise ValueError(f"trace {self.rho00 + self.rho11} deviates from 1 beyond 1e-10")
 
-    @classmethod
-    def from_matrix(cls, m) -> "DensityMatrix1Q":
-        m = np.asarray(m, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]))
-
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.rho00, self.rho01], [self.rho10, self.rho11]], dtype=np.complex128)
@@ -337,15 +335,16 @@ def _initial_amplitudes(M: int, G: int, alpha0, alpha1) -> tuple[list, list]:
 _TABLE_BITS = 6
 
 
-def _build(graphs, gps, alpha0, alpha1, allow_antiparallel) -> np.ndarray:
+def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     """G graph states of equal M, built together into one owned buffer, frozen.
 
     Row r of ``buf.reshape(G, 2^M)`` is the state of ``graphs[r]`` at
     ``gps[r]`` from the initial state ``(alpha0[r], alpha1[r])`` (or the one
     ``(alpha0, alpha1)`` of every row), bit for bit what
-    :func:`build_graph_state` makes of it alone.
+    :func:`build_graph_state` makes of it alone. Every graph is checked for
+    structure, not for the edge policy: antiparallel pairs are built.
     """
-    records = [validate(g, allow_antiparallel=allow_antiparallel) for g in graphs]
+    records = [validate(g, allow_antiparallel=True) for g in graphs]
     M = graphs[0].M
     if any(g.M != M for g in graphs):
         raise ValueError(f"a batch holds states of one M, got {sorted({g.M for g in graphs})}")
@@ -367,24 +366,19 @@ def _build(graphs, gps, alpha0, alpha1, allow_antiparallel) -> np.ndarray:
         [(1.0, cmath.exp(-2j * gp.theta), cmath.exp(-4j * gp.theta)) for gp in gps]
     )
     factor = pair_phase.ravel()[counts + np.arange(0, 3 * G, 3)[:, None, None]]
-    # one state is built as a plain vector: numpy calls on fewer dims cost less
-    lead = (G,) if G > 1 else ()
-    factor = factor.reshape(*lead, M, M)
     # qubit m's phase vector over its lowest J qubits, all m at once; qubit m
     # uses only the part below 2^m, which no factor[m, j >= m] touches
     J = min(M - 1, _TABLE_BITS)
-    table = np.empty((*lead, M, 1 << J), dtype=np.complex128)
-    table[..., 0] = np.array(
-        [
-            [a1 * cmath.exp(1j * (gp.theta - gp.psi) * rec.out_degree) for rec in recs]
-            for a1, gp, recs in zip(alpha1, gps, records)
-        ]
-    ).reshape(*lead, M)
+    table = np.empty((G, M, 1 << J), dtype=np.complex128)
+    table[..., 0] = [
+        [a1 * cmath.exp(1j * (gp.theta - gp.psi) * rec.out_degree) for rec in recs]
+        for a1, gp, recs in zip(alpha1, gps, records)
+    ]
     for j in range(J):
         _double(table, 1 << j, factor[..., :, j, None])
-    alpha0 = np.array(alpha0).reshape(*lead, 1) if G > 1 else alpha0[0]
+    alpha0 = np.array(alpha0)[:, None]
     buf = np.empty(G << M, dtype=np.complex128)
-    amps = buf.reshape(*lead, -1)
+    amps = buf.reshape(G, -1)
     amps[..., 0] = 1.0
     for m in range(M):
         n = 1 << m
@@ -413,7 +407,6 @@ def build_graph_state(
     gp: GateParams,
     alpha0: complex = 2**-0.5,
     alpha1: complex = 2**-0.5,
-    allow_antiparallel: bool = False,
 ) -> PureState:
     """Apply one edge gate per edge of ``g`` to the uniform product state.
 
@@ -436,7 +429,7 @@ def build_graph_state(
     may not exceed :data:`DEFAULT_MAX_QUBITS`. This is the one-state case of
     :func:`build_graph_states`, which runs the same steps on G rows at once.
     """
-    return PureState(g.M, _build([g], [gp], alpha0, alpha1, allow_antiparallel))
+    return PureState(g.M, _build([g], [gp], alpha0, alpha1))
 
 
 def build_graph_states(
@@ -444,7 +437,6 @@ def build_graph_states(
     gps,
     alpha0: complex | Sequence[complex] = 2**-0.5,
     alpha1: complex | Sequence[complex] = 2**-0.5,
-    allow_antiparallel: bool = False,
 ) -> np.ndarray:
     """The states of G graphs of equal M, as the rows of one frozen (G, 2^M) array.
 
@@ -459,7 +451,7 @@ def build_graph_states(
     one block (see :func:`batch_size`).
     """
     graphs = list(graphs)
-    amps = _build(graphs, list(gps), alpha0, alpha1, allow_antiparallel).reshape(len(graphs), -1)
+    amps = _build(graphs, list(gps), alpha0, alpha1).reshape(len(graphs), -1)
     _check_norms(amps)
     return amps
 
@@ -567,31 +559,28 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     G, N = amps.shape
     M = N.bit_length() - 1
     L = min(M, _GRAM_QUBITS)
-    # one state is read as a plain vector: numpy calls on fewer dims cost less
-    lead = (G,) if G > 1 else ()
-    amps = amps.reshape(*lead, N)
-    q = np.empty((*lead, 4, M))  # p0, p1, Re t and Im t of every qubit
-    f = amps.view(np.float64).reshape(*lead, -1, 2 << L)
-    gram = np.matmul(f.swapaxes(-1, -2), f).reshape(*lead, -1)
+    q = np.empty((G, 4, M))  # p0, p1, Re t and Im t of every qubit
+    f = amps.view(np.float64).reshape(G, -1, 2 << L)
+    gram = np.matmul(f.swapaxes(-1, -2), f).reshape(G, -1)
     sym, cross = _gram_entries(L)
     # take lays the gathered entries out state by state (gram[:, sym] would
     # put the state axis innermost), so each sum runs in the one-state order
     q[..., :3, :L] = gram.take(sym, axis=-1).sum(axis=-1)
     im = gram.take(cross, axis=-1).sum(axis=-1)
     np.subtract(im[..., 0, :], im[..., 1, :], out=q[..., 3, :L])
-    blocks = amps.reshape(*lead, -1, 1 << min(M, _BLOCK_BITS))
+    blocks = amps.reshape(G, -1, 1 << min(M, _BLOCK_BITS))
     low = range(L, min(M, _DOT_BITS))
     low_sums = []  # per block: p0, p1 and t of each low qubit
     high_sums = [[] for _ in range(_BLOCK_BITS, M)]  # per block pair: t
     if M > _DOT_BITS:
         mid = range(_DOT_BITS, min(M, _BLOCK_BITS))
-        norms = np.empty((*lead, N >> _DOT_BITS), np.complex128)
-        dots = [np.empty((*lead, 1 << (M - 1 - i), 1 << (i - _DOT_BITS)), np.complex128) for i in mid]
+        norms = np.empty((G, N >> _DOT_BITS), np.complex128)
+        dots = [np.empty((G, 1 << (M - 1 - i), 1 << (i - _DOT_BITS)), np.complex128) for i in mid]
     for b in range(blocks.shape[-2]):
         block = blocks[..., b, :]
         sums = []
         for i in low:
-            pairs = block.reshape(*lead, -1, 2, 1 << i)
+            pairs = block.reshape(G, -1, 2, 1 << i)
             a0, a1 = pairs[..., 0, :], pairs[..., 1, :]
             sums += (
                 np.vecdot(a0, a0).sum(axis=-1),
@@ -601,17 +590,17 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
         low_sums.append(sums)
         if M <= _DOT_BITS:
             continue
-        chunks = block.reshape(*lead, -1, 1 << _DOT_BITS)
+        chunks = block.reshape(G, -1, 1 << _DOT_BITS)
         first = b * chunks.shape[-2]
         np.vecdot(chunks, chunks, out=norms[..., first : first + chunks.shape[-2]])
         for i, dot in zip(mid, dots):
-            pairs = chunks.reshape(*lead, -1, 2, 1 << (i - _DOT_BITS), 1 << _DOT_BITS)
+            pairs = chunks.reshape(G, -1, 2, 1 << (i - _DOT_BITS), 1 << _DOT_BITS)
             row = first >> (i + 1 - _DOT_BITS)
             out = dot[..., row : row + pairs.shape[-4], :]
             np.vecdot(pairs[..., 0, :, :], pairs[..., 1, :, :], out=out)
         for k, parts in enumerate(high_sums):
             if not b >> k & 1:
-                partner = blocks[..., b + (1 << k), :].reshape(*lead, -1, 1 << _DOT_BITS)
+                partner = blocks[..., b + (1 << k), :].reshape(G, -1, 1 << _DOT_BITS)
                 parts.append(np.vecdot(chunks, partner).sum(axis=-1))
     # one block: its sums are the sums, with no merge to pay for on small states
     sums = low_sums[0] if len(low_sums) == 1 else [_tree_sum(p) for p in zip(*low_sums)]
@@ -619,17 +608,17 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
         q[..., 0, i], q[..., 1, i], q[..., 2, i], q[..., 3, i] = s0.real, s1.real, t.real, t.imag
     for i in range(_DOT_BITS, M):
         # contiguous copies, so p0 and p1 are summed in the order t is
-        half = norms.reshape(*lead, -1, 2, 1 << (i - _DOT_BITS))
-        s0 = np.ascontiguousarray(half[..., 0, :]).reshape(*lead, -1).sum(axis=-1)
-        s1 = np.ascontiguousarray(half[..., 1, :]).reshape(*lead, -1).sum(axis=-1)
+        half = norms.reshape(G, -1, 2, 1 << (i - _DOT_BITS))
+        s0 = np.ascontiguousarray(half[..., 0, :]).reshape(G, -1).sum(axis=-1)
+        s1 = np.ascontiguousarray(half[..., 1, :]).reshape(G, -1).sum(axis=-1)
         if i < _BLOCK_BITS:
-            t = dots[i - _DOT_BITS].reshape(*lead, -1).sum(axis=-1)
+            t = dots[i - _DOT_BITS].reshape(G, -1).sum(axis=-1)
         else:
             t = _tree_sum(high_sums[i - _BLOCK_BITS])
         q[..., 0, i], q[..., 1, i], q[..., 2, i], q[..., 3, i] = s0.real, s1.real, t.real, t.imag
     p0, p1 = q[..., 0, :], q[..., 1, :]
     nrm = p0 + p1
-    out = np.empty((*lead, 3, M))  # x, y and z of every qubit
+    out = np.empty((G, 3, M))  # x, y and z of every qubit
     np.multiply(2.0, q[..., 2:, :], out=out[..., :2, :])
     out[..., :2, :] /= nrm[..., None, :]
     np.subtract(p0, p1, out=out[..., 2, :])
@@ -637,7 +626,7 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     worst = float((out * out).sum(axis=-2).max())  # x*x + y*y + z*z, in that order
     if worst > 1.0 + _BLOCH_TOL:
         raise ValueError(f"Bloch bound violated: |v|^2 = {worst}")
-    return out.swapaxes(-1, -2).reshape(G, M, 3)
+    return out.swapaxes(1, 2)
 
 
 def bloch_vectors(state: PureState) -> tuple[PauliVector, ...]:

@@ -4,26 +4,26 @@ One table, :data:`CHECKS`, holds every invariant as a row
 ``(name, threshold, measure, cases)``. A row works in two steps. Its
 optional ``cases(seed, battery)`` names the statevector cases it needs
 beyond the battery's own reports, as graphs with angles; its
-``measure(pop, threshold, totals)`` then walks the population and the
-statevector ED of those cases, and yields one record per case: a label and
-the ``(error, bound)`` pairs seen on it, each error required to stay
-strictly below its bound. :func:`run_check` folds the records into a
-:class:`CheckResult` with the case count, the worst error and the
-violations. ``digraph-ed suite`` runs the table through :func:`run_suite`,
-and the pytest acceptance gate parametrises over it, so a new invariant is
-one new row.
+``measure(pop, threshold, read)`` then walks the population and those
+cases, each paired with its statevector ED, and yields one record per
+case: a label and the ``(error, bound)`` pairs seen on it, each error
+required to stay strictly below its bound. :func:`run_check` folds the
+records into a :class:`CheckResult` with the case count, the worst error
+and the violations. ``digraph-ed suite`` runs the table through
+:func:`run_suite`, and the pytest acceptance gate parametrises over it, so
+a new invariant is one new row.
 
 :func:`population` draws the battery, collects the cases of every row, and
 reads the battery and all those cases in one pass of
 :func:`~digraph_ed.entanglement.verify_and_total`, which builds and reads
 the states in batches of one M within a 1 MiB block, so cases of one M from
-every row share full batches. The antiparallel row reads its graphs in a
-pass of its own, under the policy that admits pairs, and the oracle rows
-build their few states one at a time. The values are those of one state
-at a time, bit for bit, so the report is too.
-Everything runs in one thread. Each seeded graph is checked and counted
+every row share full batches, the antiparallel row's pair graphs among
+them: the engine builds any structurally valid graph, so no row needs a
+pass of its own. The oracle rows build their few states one at a time. The
+values are those of one state at a time, bit for bit, so the report is
+too. Everything runs in one thread. Each graph is checked and counted
 once: measures that need its degrees read the records :func:`validate`
-kept on it.
+kept on it, and a row's measure gets the very case objects that were read.
 """
 
 from __future__ import annotations
@@ -133,14 +133,19 @@ def battery(seed: int, n_graphs: int, max_m: int) -> list[Case]:
 class Population:
     """The seeded graphs with their dual-route reports.
 
-    ``totals`` maps the name of each row that names cases to the
-    statevector ED of each of them, in order.
+    ``read`` maps the name of each row that names cases to those cases,
+    in order, each paired with its statevector ED.
     """
 
     seed: int
     cases: tuple[Case, ...]
     reports: tuple[ent.EDReport, ...]
-    totals: dict[str, list[float]]
+    read: dict[str, list[tuple[Case, float]]]
+
+    @property
+    def totals(self) -> dict[str, list[float]]:
+        """The statevector ED of each row's cases, in order."""
+        return {name: [total for _, total in read] for name, read in self.read.items()}
 
 
 # A case's label and its (error, bound) pairs; each error must stay
@@ -154,14 +159,14 @@ class Check(NamedTuple):
     ``cases(seed, battery)``, if the row has it, names the statevector
     cases the row needs beyond the battery's own reports, as a pure
     function of the suite seed and the battery. ``measure(pop, threshold,
-    totals)`` yields a record per case, where ``totals`` holds the
-    statevector ED of each named case, in order (empty for a row without
-    ``cases``).
+    read)`` yields a record per case, where ``read`` holds each named case,
+    in order, paired with its statevector ED: ``(case, total)`` (empty for
+    a row without ``cases``).
     """
 
     name: str
     threshold: float
-    measure: Callable[[Population, float, Sequence[float]], Iterable[Record]]
+    measure: Callable[[Population, float, Sequence[tuple[Case, float]]], Iterable[Record]]
     cases: Callable[[int, Sequence[Case]], list[Case]] | None = None
 
 
@@ -169,9 +174,9 @@ def population(seed: int, n_graphs: int, max_m: int) -> Population:
     """Build :func:`battery` and read it, with the cases of every row, in one pass.
 
     Every graph of the battery gets its dual-route report, and every row of
-    :data:`CHECKS` that names cases gets their totals, from one
-    :func:`~digraph_ed.entanglement.verify_and_total` call, so cases of one
-    M from the battery and from every row share batches.
+    :data:`CHECKS` that names cases gets them back paired with their totals,
+    from one :func:`~digraph_ed.entanglement.verify_and_total` call, so
+    cases of one M from the battery and from every row share batches.
     """
     graphs = tuple(battery(seed, n_graphs, max_m))
     infos = [f"suite seed={seed} idx={n}" for n in range(len(graphs))]
@@ -180,7 +185,7 @@ def population(seed: int, n_graphs: int, max_m: int) -> Population:
     reports, totals = ent.verify_and_total(graphs, extra, seed_infos=infos)
     by_row, start = {}, 0
     for name, cases in rows:
-        by_row[name] = totals[start : start + len(cases)]
+        by_row[name] = list(zip(cases, totals[start : start + len(cases)]))
         start += len(cases)
     return Population(seed, graphs, tuple(reports), by_row)
 
@@ -191,11 +196,11 @@ _EXACT = math.ulp(0.0)
 
 def run_check(check: Check, pop: Population) -> CheckResult:
     """Fold a measure's records into cases, worst error and violations."""
-    totals = pop.totals[check.name] if check.cases else []
+    read = pop.read[check.name] if check.cases else []
     cases = 0
     worst = 0.0
     bad = []
-    for label, pairs in check.measure(pop, check.threshold, totals):
+    for label, pairs in check.measure(pop, check.threshold, read):
         cases += 1
         for j, (err, bound) in enumerate(pairs):
             worst = max(worst, float(err))
@@ -217,22 +222,25 @@ def _angles(rng, low: float, high: float) -> GateParams:
     return GateParams(float(rng.uniform(low, high)), float(rng.uniform(low, high)))
 
 
-def _closed_form_agreement(pop, tol, totals):
+def _closed_form_agreement(pop, tol, read):
     for rep in pop.reports:
         yield rep.graph_hash[:12], [(rep.discrepancy, tol)]
 
 
-def _antiparallel_closed_form(pop, tol, totals):
+def _antiparallel_pairs(seed, graphs):
     # the 2-cycle, then battery graphs with M <= 8 with each edge doubled
-    # into an antiparallel pair with probability 1/2; read in a pass of
-    # their own, under the policy that admits pairs
-    rng = np.random.default_rng([pop.seed, 7])
-    graphs = [(DirectedGraph(2, ((0, 1), (1, 0))), GateParams(0.6, 0.8))]
-    for g, gp in [case for case in pop.cases if case[0].M <= 8][:23]:
+    # into an antiparallel pair with probability 1/2
+    rng = np.random.default_rng([seed, 7])
+    cases = [(DirectedGraph(2, ((0, 1), (1, 0))), GateParams(0.6, 0.8))]
+    for g, gp in [case for case in graphs if case[0].M <= 8][:23]:
         doubled = tuple((b, a) for a, b in g.edges if rng.random() < 0.5)
-        graphs.append((DirectedGraph(g.M, g.edges + doubled), gp))
-    for rep in ent.verify_graphs(graphs, allow_antiparallel=True):
-        yield rep.graph_hash[:12], [(rep.discrepancy, tol)]
+        cases.append((DirectedGraph(g.M, g.edges + doubled), gp))
+    return cases
+
+
+def _pair_closed_form(pop, tol, read):
+    for (g, gp), total in read:
+        yield graph_hash(g)[:12], [(abs(total - ent.ed_closed_form(g, gp.theta)), tol)]
 
 
 def _reoriented(seed, graphs):
@@ -250,9 +258,9 @@ def _relabeled(seed, graphs):
     return [(permute(g, rng.permutation(g.M)), gp) for g, gp in graphs[:50]]
 
 
-def _same_as_reports(pop, tol, totals):
+def _same_as_reports(pop, tol, read):
     # case k is a transform of battery graph k: same ED as its report
-    for rep, e in zip(pop.reports, totals):
+    for rep, (_, e) in zip(pop.reports, read):
         yield rep.graph_hash[:12], [(abs(e - rep.total_statevector), tol)]
 
 
@@ -265,9 +273,9 @@ def _psi_resampled(seed, graphs):
     ]
 
 
-def _psi_invariance(pop, tol, totals):
+def _psi_invariance(pop, tol, read):
     for k, rep in enumerate(pop.reports[:5]):
-        values = totals[10 * k : 10 * k + 10]
+        values = [e for _, e in read[10 * k : 10 * k + 10]]
         yield rep.graph_hash[:12], [(max(values) - min(values), tol)]
 
 
@@ -281,19 +289,19 @@ def _at_half_pi(seed, graphs):
     return cases + [(DirectedGraph(3, ()), GateParams(1.0, 0.5))]
 
 
-def _maximal_entanglement(pop, tol, totals):
-    *totals, empty = totals
+def _maximal_entanglement(pop, tol, read):
+    *read, (_, empty) = read
     labels = [
         rep.graph_hash[:12]
         for (g, _), rep in zip(pop.cases, pop.reports)
         if _no_isolated_vertex(g)
     ]
-    for label, e in zip(labels, totals):
+    for label, (_, e) in zip(labels, read):
         yield label, [(abs(e - 1.0), tol)]
     yield "empty graph", [(abs(empty), _EXACT)]
 
 
-def _alpha_optimality(pop, tol, totals):
+def _alpha_optimality(pop, tol, read):
     sweep = ent.alpha_sweep(GateParams(math.pi / 2, 0.0), 101)
     peak = len(sweep.samples) // 2
     for k, (t, e, s, d) in enumerate(sweep.samples):
@@ -307,7 +315,7 @@ def _alpha_optimality(pop, tol, totals):
         yield f"t={t:.2f}", pairs
 
 
-def _per_vertex_law(pop, tol, totals):
+def _per_vertex_law(pop, tol, read):
     for (g, gp), rep in zip(pop.cases, pop.reports):
         c = math.cos(gp.theta)
         recs = validate(g, allow_antiparallel=True)
@@ -316,7 +324,7 @@ def _per_vertex_law(pop, tol, totals):
             yield f"{rep.graph_hash[:12]} vertex {i}", [(err, tol)]
 
 
-def _gate_correctness(pop, tol, totals):
+def _gate_correctness(pop, tol, read):
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     gate = edge_gate_matrix(GateParams(math.pi / 2, math.pi / 2))
     yield "edge gate at (pi/2, pi/2) vs CZ", [(_max_abs(gate - cz), 1e-15)]
@@ -331,7 +339,7 @@ def _random_state(rng, M: int) -> PureState:
     return PureState(M, v / np.linalg.norm(v))
 
 
-def _kernel_cross_validation(pop, tol, totals):
+def _kernel_cross_validation(pop, tol, read):
     rng = np.random.default_rng([pop.seed, 5])
     for M in range(2, 9):
         for r in range(3):
@@ -378,7 +386,7 @@ def _center_record(d_out: int, d_in: int, gp: GateParams, tol: float) -> Record:
     return f"d_out={d_out}, d_in={d_in}", [(_bloch_gap(got, want), tol)]
 
 
-def _pauli_closed_forms(pop, tol, totals):
+def _pauli_closed_forms(pop, tol, read):
     rng = np.random.default_rng([pop.seed, 6])
     for d in range(1, 7):
         gp = _angles(rng, 0.0, math.pi)
@@ -400,8 +408,8 @@ def _paths_and_zigzags(seed, graphs):
     return cases
 
 
-def _degree_sufficiency(pop, tol, totals):
-    for M, path, zigzag in zip(range(3, 9), totals[0::2], totals[1::2]):
+def _degree_sufficiency(pop, tol, read):
+    for M, (_, path), (_, zigzag) in zip(range(3, 9), read[0::2], read[1::2]):
         yield f"M={M}", [(abs(path - zigzag), tol)]
 
 
@@ -410,7 +418,7 @@ def _degree_sufficiency(pop, tol, totals):
 # statevector ED of graphs beyond the battery's reports, the cases to read.
 CHECKS: tuple[Check, ...] = (
     Check("closed_form_agreement", ent.DISCREPANCY_TOL, _closed_form_agreement),
-    Check("antiparallel_closed_form", ent.DISCREPANCY_TOL, _antiparallel_closed_form),
+    Check("antiparallel_closed_form", ent.DISCREPANCY_TOL, _pair_closed_form, _antiparallel_pairs),
     Check("orientation_invariance", 1e-12, _same_as_reports, _reoriented),
     Check("relabeling_invariance", 1e-12, _same_as_reports, _relabeled),
     Check("psi_invariance", 1e-12, _psi_invariance, _psi_resampled),

@@ -219,21 +219,32 @@ class TestVerify:
         assert code == EXIT_OK and len(out.splitlines()) == 6
         assert walks == [4, 4]
 
-    def test_escape_hatch(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["ed", "verify", "sweep-theta"])
+    def test_escape_hatch(self, command, tmp_path, capsys):
+        # the CLI applies the edge policy for every command that builds a state
         path = tmp_path / "anti.json"
         path.write_text('{"M": 2, "edges": [[0, 1], [1, 0]]}')
-        code, _, err = run(["verify", "--graph", str(path), "--theta", "0.5"], capsys)
-        assert code == EXIT_BAD_INPUT  # rejected under default policy
+        argv = [command, "--graph", str(path)]
+        if command != "sweep-theta":
+            argv += ["--theta", "0.5"]
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_BAD_INPUT and out == ""  # rejected under default policy
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: antiparallel pair (0, 1)"), err
         assert "pass --allow-antiparallel to admit it" in err  # the flag, not the keyword
-        code, out, _ = run(
-            ["verify", "--graph", str(path), "--allow-antiparallel", "--theta", "0.5"], capsys
-        )
+        code, out, _ = run(argv + ["--allow-antiparallel"], capsys)
         assert code == EXIT_OK
-        doc = json.loads(out)
-        assert abs(doc["total_cf"] - (1.0 - math.cos(1.0) ** 2)) < 1e-15
-        assert doc["discrepancy"] < 1e-10 and doc["policy"] == "allow_antiparallel"
+        want = 1.0 - math.cos(1.0) ** 2  # the pair at theta 0.5: a factor cos(2 theta)
+        if command == "ed":
+            assert abs(float(out.splitlines()[-1].split(" = ")[1]) - want) < 1e-12
+        elif command == "verify":
+            doc = json.loads(out)
+            assert abs(doc["total_cf"] - want) < 1e-15
+            assert doc["discrepancy"] < 1e-10 and doc["policy"] == "allow_antiparallel"
+        else:
+            rows = out.splitlines()[1:]
+            assert len(rows) == 101
+            assert all(float(row.split(",")[3]) < 1e-10 for row in rows)
 
 
 class TestSweeps:

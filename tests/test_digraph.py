@@ -12,6 +12,7 @@ from digraph_ed.errors import (
     AntiparallelPairError,
     BadParamsError,
     DuplicateEdgeError,
+    GraphError,
     IndexOutOfRangeError,
     NotABijectionError,
     ParseError,
@@ -50,6 +51,21 @@ class TestValidate:
 
     def test_empty_graph_is_valid(self):
         digraph.validate(DirectedGraph(1, ()))
+
+
+class TestEndpoints:
+    def test_non_integer_endpoint_is_refused_not_truncated(self):
+        # 0.9 and 2.7 once became 0 and 2, and the truncated graph was reported on
+        for edges in (((0.9, 1), (1, 2.7)), ((0, 1), (1, np.float64(2.0))), ((0, "1"),)):
+            with pytest.raises(GraphError, match="endpoints must be integers") as info:
+                DirectedGraph(3, edges)
+            assert len(str(info.value).splitlines()) == 1
+
+    def test_numpy_integers_become_python_ints(self):
+        g = DirectedGraph(3, ((np.int64(0), np.int32(1)), [np.uint8(1), 2]))
+        assert g.edges == ((0, 1), (1, 2))
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert digraph.dump_graph(g) == digraph.dump_graph(DirectedGraph(3, ((0, 1), (1, 2))))
 
 
 class TestDegrees:

@@ -25,10 +25,10 @@ from digraph_ed.entanglement import (
 )
 from digraph_ed import statevector
 from digraph_ed.errors import (
-    AntiparallelPairError,
     BadGridError,
     CapacityError,
     NegativeEigenvalueError,
+    SelfLoopError,
 )
 from digraph_ed.statevector import (
     DensityMatrix1Q,
@@ -352,12 +352,12 @@ class TestVerifyGraph:
 
     def test_antiparallel_pairs_get_both_routes(self):
         g = DirectedGraph(2, ((0, 1), (1, 0)))
-        rep = verify_graph(g, GateParams(0.6, 0.8), allow_antiparallel=True)
+        rep = verify_graph(g, GateParams(0.6, 0.8))
         assert abs(rep.total_closed_form - (1.0 - math.cos(1.2) ** 2)) < 1e-15
         assert rep.discrepancy < 1e-10
         assert rep.policy == "allow_antiparallel"
         # dense oracle agrees with the statevector total
-        st = build_graph_state(g, GateParams(0.6, 0.8), allow_antiparallel=True)
+        st = build_graph_state(g, GateParams(0.6, 0.8))
         assert abs(rep.total_statevector - oracles.ed_total_dense(st.amplitudes, 2)) < 1e-12
 
     def test_antiparallel_pair_breaks_both_degree_readings(self):
@@ -367,7 +367,7 @@ class TestVerifyGraph:
         # (cos^2) reproduces; the closed form counts the pair as cos(2 theta).
         theta = 0.6
         g = DirectedGraph(2, ((0, 1), (1, 0)))
-        st = build_graph_state(g, GateParams(theta, 0.9), allow_antiparallel=True)
+        st = build_graph_state(g, GateParams(theta, 0.9))
         ev = 1.0 - bloch_vectors(st)[0].norm_sq
         assert abs(ev - (1.0 - math.cos(2 * theta) ** 2)) < 1e-12
         assert abs(ev - (1.0 - math.cos(theta) ** 4)) > 1e-2
@@ -420,9 +420,9 @@ class TestBatches:
             raise AssertionError("built a state before validating every graph")
 
         monkeypatch.setattr(statevector, "build_graph_states", refuse)
-        pair = DirectedGraph(2, ((0, 1), (1, 0)))
-        cases = [(generate("path", 3), GateParams(0.4)), (pair, GateParams(0.4))]
-        with pytest.raises(AntiparallelPairError):
+        loop = DirectedGraph(2, ((0, 1), (1, 1)))
+        cases = [(generate("path", 3), GateParams(0.4)), (loop, GateParams(0.4))]
+        with pytest.raises(SelfLoopError):
             ed_totals(cases)
 
     def test_over_the_cap_is_refused(self, monkeypatch):
@@ -471,7 +471,7 @@ class TestEDReportJson:
 
     def test_numbers_under_antiparallel_policy(self):
         g = DirectedGraph(2, ((0, 1), (1, 0)))
-        rep = verify_graph(g, GateParams(0.6, 0.8), allow_antiparallel=True)
+        rep = verify_graph(g, GateParams(0.6, 0.8))
         doc = json.loads(rep.to_json())
         assert doc["total_cf"] == rep.total_closed_form
         assert doc["discrepancy"] == rep.discrepancy

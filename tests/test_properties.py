@@ -62,7 +62,7 @@ def digraphs(draw, min_m=2, max_m=6):
 
 @st.composite
 def digraphs_with_pairs(draw, min_m=2, max_m=6):
-    """Graphs that need ``allow_antiparallel``: a chosen vertex pair gets one
+    """Graphs that may hold antiparallel pairs: a chosen vertex pair gets one
     orientation or both, in a shuffled edge order."""
     M = draw(st.integers(min_m, max_m))
     pairs = [(a, b) for a in range(M) for b in range(a + 1, M)]
@@ -109,18 +109,18 @@ def _bits(values) -> bytes:
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_batches_match_one_state_at_a_time(cases):
     """Batched builds, reads, reports and totals equal the one-state route bit for bit."""
-    reports = verify_graphs(cases, allow_antiparallel=True)
-    totals = ed_totals(cases, allow_antiparallel=True)
+    reports = verify_graphs(cases)
+    totals = ed_totals(cases)
     one_m = [(g, gp) for g, gp in cases if g.M == cases[0][0].M]
-    amps = build_graph_states(*zip(*one_m), allow_antiparallel=True)
+    amps = build_graph_states(*zip(*one_m))
     vectors = bloch_arrays(amps)
     assert amps.shape == (len(one_m), 1 << one_m[0][0].M) and not amps.flags.writeable
     for k, (g, gp) in enumerate(one_m):
-        state = build_graph_state(g, gp, allow_antiparallel=True)
+        state = build_graph_state(g, gp)
         assert amps[k].tobytes() == state.amplitudes.tobytes()
         assert _bits(vectors[k]) == _bits([(v.x, v.y, v.z) for v in bloch_vectors(state)])
     for (g, gp), rep, total in zip(cases, reports, totals):
-        one = verify_graph(g, gp, allow_antiparallel=True)
+        one = verify_graph(g, gp)
         assert _bits(rep.per_vertex) == _bits(one.per_vertex)
         assert _bits([rep.total_statevector, total]) == _bits([one.total_statevector] * 2)
         assert rep.to_json() == one.to_json()
@@ -145,11 +145,9 @@ def test_per_row_initial_states_match_one_state_at_a_time(M, data):
     states = [data.draw(initial_states()) for _ in graphs]
     if len(graphs) > 1:
         states[0], states[-1] = (0.0, 1.0), (1.0, 0.0)
-    amps = build_graph_states(
-        graphs, gps, [a0 for a0, _ in states], [a1 for _, a1 in states], allow_antiparallel=True
-    )
+    amps = build_graph_states(graphs, gps, [a0 for a0, _ in states], [a1 for _, a1 in states])
     for row, g, gp, (a0, a1) in zip(amps, graphs, gps, states):
-        one = build_graph_state(g, gp, a0, a1, allow_antiparallel=True)
+        one = build_graph_state(g, gp, a0, a1)
         assert row.tobytes() == one.amplitudes.tobytes()
 
 
@@ -159,7 +157,7 @@ def test_pair_closed_form(g, theta, psi):
     """Every Bloch vector, and the ED, follow the closed form at the vertex's
     degrees and antiparallel pair count."""
     gp = GateParams(theta, psi)
-    vectors = bloch_vectors(build_graph_state(g, gp, allow_antiparallel=True))
+    vectors = bloch_vectors(build_graph_state(g, gp))
     edge_set = set(g.edges)
     for i, (rec, v) in enumerate(zip(validate(g, allow_antiparallel=True), vectors)):
         pairs = sum((b, a) in edge_set for a, b in g.edges if a == i)

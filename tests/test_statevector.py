@@ -202,13 +202,17 @@ class TestBuildGraphState:
             st = build_graph_state(shuffled, gp)
             np.testing.assert_allclose(st.amplitudes, ref.amplitudes, rtol=0, atol=1e-15)
 
-    def test_policy_enforced(self):
+    def test_pair_graph_is_built_with_no_keyword(self):
+        # the edge policy belongs to where a graph enters; the engine builds
+        # any structurally valid graph, a 2-cycle included
         g = DirectedGraph(2, ((0, 1), (1, 0)))
-        from digraph_ed.errors import AntiparallelPairError
-
-        with pytest.raises(AntiparallelPairError):
-            build_graph_state(g, GateParams(0.4, 0.0))
-        build_graph_state(g, GateParams(0.4, 0.0), allow_antiparallel=True)
+        gp = GateParams(0.4, 0.0)
+        st = build_graph_state(g, gp)
+        np.testing.assert_allclose(
+            st.amplitudes, _edge_gate_chain(g, gp, INV_SQRT2, INV_SQRT2), rtol=0, atol=1e-15
+        )
+        rows = statevector.build_graph_states([g, g], [gp, gp])
+        assert rows[1].tobytes() == st.amplitudes.tobytes()
 
 
 def _edge_gate_chain(g, gp, alpha0, alpha1):
@@ -255,7 +259,7 @@ class TestDoublingKernel:
     def test_matches_edge_gate_chain_and_dense_operators(self, case):
         g, alpha0, alpha1 = KERNEL_CASES[case]
         for gp in (GateParams(0.7, -1.3), GateParams(math.pi / 2, math.pi / 2), GateParams(-2.9, 0.4)):
-            st = build_graph_state(g, gp, alpha0, alpha1, allow_antiparallel=True)
+            st = build_graph_state(g, gp, alpha0, alpha1)
             np.testing.assert_allclose(
                 st.amplitudes, _edge_gate_chain(g, gp, alpha0, alpha1), rtol=0, atol=1e-14
             )

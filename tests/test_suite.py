@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from digraph_ed import entanglement, statevector, suite
+from digraph_ed import digraph, entanglement, statevector, suite
 from digraph_ed.digraph import validate
 from digraph_ed.errors import BadParamsError
 from digraph_ed.suite import CHECKS, battery, population, run_check, run_suite
@@ -96,8 +96,9 @@ def test_worst_is_a_python_float_in_every_row():
 
 
 def test_one_pass_builds_in_few_batches(monkeypatch):
-    batches, lone = [], []
+    batches, lone, walks = [], [], []
     real_batch, real_lone = statevector.build_graph_states, suite.build_graph_state
+    real_walk = digraph._walk
 
     def count_batch(graphs, *args, **kwargs):
         batches.append(len(graphs))
@@ -109,11 +110,14 @@ def test_one_pass_builds_in_few_batches(monkeypatch):
 
     monkeypatch.setattr(statevector, "build_graph_states", count_batch)
     monkeypatch.setattr(suite, "build_graph_state", count_lone)
+    monkeypatch.setattr(digraph, "_walk", lambda g: walks.append(g.M) or real_walk(g))
     assert run_suite(seed=0).ok
-    # the battery and the orientation, relabeling, psi, maximal-entanglement
-    # (174 graphs and the empty one at seed 0) and degree-sufficiency cases
-    # share batches; the antiparallel cases and the alpha sweep make their own
-    assert len(batches) <= 36, batches
-    assert sum(batches) == 200 + 50 + 50 + 50 + 175 + 12 + 24 + 101
+    # the battery and the antiparallel, orientation, relabeling, psi,
+    # maximal-entanglement (174 graphs and the empty one at seed 0) and
+    # degree-sufficiency cases share batches; the alpha sweep makes its own
+    assert len(batches) <= 30, batches
+    assert sum(batches) == 200 + 24 + 50 + 50 + 50 + 175 + 12 + 101
     # the oracle rows build their states one at a time
     assert len(lone) == 26
+    # no graph is walked twice: the measures read the records its one walk kept
+    assert len(walks) == 361
