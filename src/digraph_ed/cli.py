@@ -13,10 +13,15 @@ Angles are radians unless --deg is given. Floats are printed at 17
 significant digits so identical configurations produce byte-identical
 artifacts. Exit codes: 0 success, 1 invariant violation found, 2 bad
 input/config, 64 capability exceeded (M, or suite --max-M, over the qubit
-cap, default 20, overridable via --max-qubits or DIGRAPH_ED_MAX_QUBITS up to
-the engine's 24; or a ``gen`` graph over MAX_GEN_EDGES), 70 internal error
-(any other exception: a bug, reported as one
-``error: internal: <type>: <message>`` line, never a traceback).
+cap; or a ``gen`` graph over MAX_GEN_EDGES), 70 internal error (any other
+exception: a bug, reported as one ``error: internal: <type>: <message>``
+line, never a traceback).
+The qubit cap is the engine's own,
+:data:`digraph_ed.statevector.DEFAULT_MAX_QUBITS` (24), read at call time;
+no option or environment variable changes it. ``ed``, ``verify`` and
+``sweep-theta`` check ``--M`` against it before generating a graph, and a
+``--graph`` file's M right after reading it; ``suite`` checks ``--max-M``
+before building its battery.
 Every ``--seed`` is an integer >= 0; a sweep's ``--grid`` is checked at
 parse time: 2 (sweep-theta) or 3 (sweep-alpha) to MAX_GRID (100000)
 points, and so is ``suite --graphs``: 1 to MAX_GRAPHS (10000).
@@ -39,12 +44,11 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 
 import numpy as np
 
-from . import digraph, suite as suite_mod
+from . import digraph, statevector, suite as suite_mod
 from .entanglement import (
     GateParams,
     _ed_total,
@@ -55,7 +59,7 @@ from .entanglement import (
     verify_graph,
 )
 from .errors import AntiparallelPairError, CapacityError, DigraphEdError, EdgeBoundError
-from .statevector import DEFAULT_MAX_QUBITS, bloch_vectors, build_graph_state
+from .statevector import bloch_vectors, build_graph_state
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -64,7 +68,6 @@ EXIT_CAPABILITY = 64
 #: an exception the program did not expect: a bug, not bad input (EX_SOFTWARE)
 EXIT_INTERNAL = 70
 
-DEFAULT_MAX_QUBITS_CLI = 20
 #: Most points a sweep's ``--grid`` takes: one row each, all held until written.
 MAX_GRID = 100_000
 #: Most graphs ``suite --graphs`` takes: the battery holds every case and its
@@ -104,8 +107,6 @@ def _int_range(low: int, high: int | None = None):
 
 #: ``--M`` and ``--jobs``
 _positive_int = _int_range(1)
-#: ``--max-qubits`` and DIGRAPH_ED_MAX_QUBITS: 1 to the engine's cap
-_qubit_cap = _int_range(1, DEFAULT_MAX_QUBITS)
 #: every ``--seed``
 _seed = _int_range(0)
 
@@ -131,21 +132,13 @@ def _add_angles(p: argparse.ArgumentParser, theta: bool = True) -> None:
     p.add_argument("--deg", action="store_true", help="interpret angles as degrees")
 
 
-def _add_output(p: argparse.ArgumentParser, formats=("csv", "json")) -> None:
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    if formats:
-        p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(prog="digraph-ed", description=__doc__.splitlines()[0])
-    ap.add_argument(
-        "--max-qubits",
-        type=_qubit_cap,
-        default=None,
-        help=f"qubit cap, at most {DEFAULT_MAX_QUBITS} "
-        f"(default {DEFAULT_MAX_QUBITS_CLI}, env DIGRAPH_ED_MAX_QUBITS)",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph and write its JSON")
@@ -207,9 +200,10 @@ def _angle(args, value: float) -> float:
     return math.radians(value) if getattr(args, "deg", False) else value
 
 
-def _check_cap(args, M: int) -> None:
-    if M > args.max_qubits:
-        raise CapacityError(M, args.max_qubits)
+def _check_cap(M: int) -> None:
+    """Refuse M over the engine's qubit cap, read at call time."""
+    if M > statevector.DEFAULT_MAX_QUBITS:
+        raise CapacityError(M, statevector.DEFAULT_MAX_QUBITS)
 
 
 def _gen_edges(kind: str, M: int) -> int:
@@ -235,11 +229,11 @@ def _resolve_graph(args) -> digraph.DirectedGraph:
     if from_gen:
         if args.M is None:
             raise DigraphEdError("--kind requires --M")
-        _check_cap(args, args.M)
+        _check_cap(args.M)
         return _generate(args)
     # validated by the command that uses it, under its edge policy
     g = digraph.read_graph(args.graph)
-    _check_cap(args, g.M)
+    _check_cap(g.M)
     return g
 
 
@@ -321,22 +315,15 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    _check_cap(args, args.max_m)
+    _check_cap(args.max_m)
     report = suite_mod.run_suite(seed=args.seed, n_graphs=args.graphs, max_m=args.max_m)
     sys.stdout.write("\n".join(report.summary_lines()) + "\n")
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-        if args.max_qubits is None:
-            env = os.environ.get("DIGRAPH_ED_MAX_QUBITS")
-            try:
-                args.max_qubits = _qubit_cap(env) if env else DEFAULT_MAX_QUBITS_CLI
-            except argparse.ArgumentTypeError as e:
-                parser.error(f"DIGRAPH_ED_MAX_QUBITS: {e}")
+        args = _parser().parse_args(argv)
     except SystemExit as e:  # argparse reports usage errors with code 2
         return int(e.code) if e.code else EXIT_OK
     # looked up per call, so a rebound command (a test double, a tracer) is the one run

@@ -44,17 +44,22 @@ GENERATOR_KINDS = ("path", "cycle", "star_out", "star_in", "complete_dag", "erdo
 class DirectedGraph:
     """A directed graph on M vertices with an ordered edge list.
 
-    Construction normalizes the edge list to a tuple of pairs of Python
-    ints but performs no policy checks; call :func:`validate` (or any
-    operation that requires a valid graph) to enforce the invariants. An
-    endpoint must be an integer (numpy integers included): any other value,
-    such as 0.9, raises :class:`GraphError` rather than being truncated.
+    Construction normalizes M to a Python int and the edge list to a tuple
+    of pairs of Python ints but performs no policy checks; call
+    :func:`validate` (or any operation that requires a valid graph) to
+    enforce the invariants, M >= 1 among them. M and every endpoint must be
+    integers (numpy integers included): any other value, such as 2.0, "3"
+    or 0.9, raises :class:`GraphError` rather than being truncated.
     """
 
     M: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "M", index(self.M))
+        except TypeError:
+            raise GraphError(f"M must be an integer, got {self.M!r}") from None
         try:
             edges = tuple((index(a), index(b)) for a, b in self.edges)
         except TypeError:
@@ -215,10 +220,17 @@ def reverse_edges(
 ) -> DirectedGraph:
     """Flip the orientation of the edges at the given indices.
 
-    The result must still satisfy the edge policy; per-vertex total degrees
-    are unchanged by construction.
+    An index must be an integer (numpy integers included): any other value,
+    such as 0.9, raises :class:`IndexOutOfRangeError` rather than being
+    truncated. The result must still satisfy the edge policy; per-vertex
+    total degrees are unchanged by construction.
     """
-    idx = set(int(i) for i in subset)
+    idx = set()
+    for i in subset:
+        try:
+            idx.add(index(i))
+        except TypeError:
+            raise IndexOutOfRangeError(f"edge index must be an integer, got {i!r}") from None
     for i in idx:
         if not 0 <= i < len(g.edges):
             raise IndexOutOfRangeError(f"edge index {i} out of range (|L|={len(g.edges)})")

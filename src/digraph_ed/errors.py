@@ -42,7 +42,7 @@ class AntiparallelPairError(GraphError):
 
 
 class IndexOutOfRangeError(DigraphEdError, IndexError):
-    """A vertex, qubit, or edge index falls outside its valid range."""
+    """A vertex, qubit, or edge index is not an integer in its valid range."""
 
 
 class NotABijectionError(GraphError):

@@ -73,8 +73,8 @@ from .errors import (
     SelfLoopError,
 )
 
-#: The engine's qubit cap, read at call time: 2^24 complex amplitudes = 256 MiB,
-#: the desk-scale bound.
+#: The qubit cap, read at call time by the engine and the CLI alike: 2^24
+#: complex amplitudes = 256 MiB, the desk-scale bound.
 DEFAULT_MAX_QUBITS = 24
 
 _TWO_PI = 2.0 * math.pi

@@ -323,26 +323,67 @@ class TestSweeps:
 
 
 class TestCaps:
-    def test_flag_cap(self, capsys):
-        code, _, err = run(
-            ["--max-qubits", "3", "ed", "--kind", "path", "--M", "4", "--theta", "0.5"], capsys
-        )
-        assert code == EXIT_CAPABILITY
-        assert "exceeds" in err
+    """The engine's qubit cap is the CLI's one cap: no flag or variable sets it."""
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIGRAPH_ED_MAX_QUBITS", "3")
-        code, _, _ = run(["ed", "--kind", "path", "--M", "4", "--theta", "0.5"], capsys)
-        assert code == EXIT_CAPABILITY
-        # explicit flag overrides the environment
-        code, _, _ = run(
+    def test_flag_cap(self, capsys):
+        # there is no --max-qubits: any use of it is a usage error
+        code, out, err = run(
             ["--max-qubits", "8", "ed", "--kind", "path", "--M", "4", "--theta", "0.5"], capsys
         )
-        assert code == EXIT_OK
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
 
-    def test_default_cap_is_20(self, capsys):
-        code, _, _ = run(["ed", "--kind", "path", "--M", "21", "--theta", "0.5"], capsys)
-        assert code == EXIT_CAPABILITY
+    def test_env_cap(self, capsys, monkeypatch):
+        # DIGRAPH_ED_MAX_QUBITS is not read: no value, not even a bad one, changes a run
+        argv = ["ed", "--kind", "path", "--M", "4", "--theta", "0.5"]
+        over = ["ed", "--kind", "path", "--M", "25", "--theta", "0.5"]
+        _, want, _ = run(argv, capsys)
+        for env in ("3", "abc", "-5", "25"):
+            monkeypatch.setenv("DIGRAPH_ED_MAX_QUBITS", env)
+            assert run(argv, capsys) == (EXIT_OK, want, ""), env
+            assert run(over, capsys) == (
+                EXIT_CAPABILITY, "", "error: M=25 qubits exceeds the cap of 24\n"
+            ), env
+
+    def test_default_cap_is_24(self, tmp_path, capsys, monkeypatch):
+        assert statevector.DEFAULT_MAX_QUBITS == 24
+        code, out, err = run(["ed", "--kind", "path", "--M", "21", "--theta", "0.5"], capsys)
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines()[-1].startswith("E_total = ")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a state over the qubit cap")
+
+        monkeypatch.setattr(cli, "verify_graph", refuse)
+        path = tmp_path / "g25.json"
+        path.write_text('{"M": 25, "edges": [[0, 1]]}')
+        report = tmp_path / "report.json"
+        for source in (["--kind", "path", "--M", "25"], ["--graph", str(path)]):
+            argv = ["verify", *source, "--theta", "0.5", "--out", str(report)]
+            code, out, err = run(argv, capsys)
+            assert code == EXIT_CAPABILITY
+            assert out == ""
+            assert err == "error: M=25 qubits exceeds the cap of 24\n"
+            assert not report.exists()
+
+    def test_engine_cap_governs_the_cli(self, tmp_path, capsys, monkeypatch):
+        # one monkeypatch of the engine's cap moves the CLI's, for every source
+        monkeypatch.setattr(statevector, "DEFAULT_MAX_QUBITS", 3)
+        path = tmp_path / "g.json"
+        path.write_text(digraph.dump_graph(digraph.generate("path", 4)))
+        for argv in (
+            ["ed", "--kind", "path", "--M", "4", "--theta", "0.5"],
+            ["verify", "--graph", str(path), "--theta", "0.5"],
+            ["suite", "--graphs", "1", "--max-M", "4"],
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == EXIT_CAPABILITY, argv
+            assert out == ""
+            assert err == "error: M=4 qubits exceeds the cap of 3\n"
+        code, _, _ = run(["ed", "--kind", "path", "--M", "3", "--theta", "0.5"], capsys)
+        assert code == EXIT_OK
 
 
 class TestSuiteCommand:
@@ -404,36 +445,33 @@ class TestInputHardening:
     """Bad numbers and bad bytes end in exit 2 and one ``error:`` line."""
 
     @pytest.mark.parametrize(
-        "argv,env",
+        "argv",
         [
-            (["ed", "--kind", "path", "--M", "3", "--theta", "0.5"], "abc"),
-            (["suite", "--graphs", "4", "--max-M", "1"], None),
-            (["verify", "--graph", "NON_UTF8", "--theta", "0.5"], None),
-            (["--max-qubits", "-5", "ed", "--kind", "path", "--M", "3", "--theta", "0.5"], None),
-            (["suite", "--graphs", "0"], None),
-            (["suite", "--jobs", "0"], None),
-            (["suite", "--jobs", "-4"], None),
-            (["--max-qubits", "25", "ed", "--kind", "path", "--M", "3", "--theta", "0.5"], None),
-            (["ed", "--kind", "path", "--M", "3", "--theta", "0.5"], "25"),
-            (["gen", "--kind", "path", "--M", "0"], None),
-            (["verify", "--kind", "path", "--M", "-3", "--theta", "0.5"], None),
-            (["gen", "--kind", "erdos_renyi", "--M", "3", "--p", "0.5", "--seed", "-1"], None),
-            (["verify", "--kind", "erdos_renyi", "--M", "3", "--p", "0.5",
-              "--theta", "0.5", "--seed", "-5"], None),
-            (["suite", "--seed", "-1"], None),
-            (["sweep-alpha", "--theta", "1", "--grid", "2"], None),
-            (["sweep-alpha", "--theta", "1", "--grid", "ten"], None),
+            ["suite", "--graphs", "4", "--max-M", "1"],
+            ["verify", "--graph", "NON_UTF8", "--theta", "0.5"],
+            # there is no --max-qubits: any value of it is a usage error
+            ["--max-qubits", "-5", "ed", "--kind", "path", "--M", "3", "--theta", "0.5"],
+            ["suite", "--graphs", "0"],
+            ["suite", "--jobs", "0"],
+            ["suite", "--jobs", "-4"],
+            ["--max-qubits", "25", "ed", "--kind", "path", "--M", "3", "--theta", "0.5"],
+            ["gen", "--kind", "path", "--M", "0"],
+            ["verify", "--kind", "path", "--M", "-3", "--theta", "0.5"],
+            ["gen", "--kind", "erdos_renyi", "--M", "3", "--p", "0.5", "--seed", "-1"],
+            ["verify", "--kind", "erdos_renyi", "--M", "3", "--p", "0.5",
+             "--theta", "0.5", "--seed", "-5"],
+            ["suite", "--seed", "-1"],
+            ["sweep-alpha", "--theta", "1", "--grid", "2"],
+            ["sweep-alpha", "--theta", "1", "--grid", "ten"],
         ],
-        ids=["env_cap_not_an_integer", "suite_max_m_1", "non_utf8_graph_file",
+        ids=["suite_max_m_1", "non_utf8_graph_file",
              "negative_max_qubits", "suite_zero_graphs", "suite_zero_jobs",
              "suite_negative_jobs", "max_qubits_over_engine_cap",
-             "env_cap_over_engine_cap", "gen_zero_M", "verify_negative_M",
+             "gen_zero_M", "verify_negative_M",
              "gen_negative_seed", "verify_negative_seed", "suite_negative_seed",
              "sweep_alpha_grid_2", "sweep_alpha_grid_not_an_integer"],
     )
-    def test_one_error_line_and_exit_2(self, argv, env, tmp_path, capsys, monkeypatch):
-        if env is not None:
-            monkeypatch.setenv("DIGRAPH_ED_MAX_QUBITS", env)
+    def test_one_error_line_and_exit_2(self, argv, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"M": 2, "edges": [], "labels_base": 0} \xe9'.encode("latin-1"))
         argv = [str(path) if a == "NON_UTF8" else a for a in argv]
@@ -444,40 +482,44 @@ class TestInputHardening:
         assert len(lines) == 1 and lines[0].startswith("error:"), err
 
     @pytest.mark.parametrize(
-        "argv,env,cap",
+        "max_m,env,engine_cap",
         [
-            (["suite", "--graphs", "1", "--max-M", "21"], None, 20),
-            (["--max-qubits", "8", "suite", "--graphs", "1", "--max-M", "21"], "24", 8),
-            (["suite", "--graphs", "1", "--max-M", "21"], "8", 8),
+            (25, None, None),
+            (21, None, 8),
+            # a set DIGRAPH_ED_MAX_QUBITS does not lower the cap
+            (25, "8", None),
         ],
-        ids=["suite_max_m_over_default_cap", "suite_max_m_over_flag_cap",
+        ids=["suite_max_m_over_default_cap", "suite_max_m_over_patched_cap",
              "suite_max_m_over_env_cap"],
     )
     def test_suite_max_m_is_checked_before_the_battery(
-        self, argv, env, cap, capsys, monkeypatch
+        self, max_m, env, engine_cap, capsys, monkeypatch
     ):
         def refuse(*args, **kwargs):
             raise AssertionError("built a battery over the qubit cap")
 
         if env is not None:
             monkeypatch.setenv("DIGRAPH_ED_MAX_QUBITS", env)
+        if engine_cap is not None:
+            monkeypatch.setattr(statevector, "DEFAULT_MAX_QUBITS", engine_cap)
         monkeypatch.setattr(suite, "population", refuse)
-        code, out, err = run(argv, capsys)
+        code, out, err = run(["suite", "--graphs", "1", "--max-M", str(max_m)], capsys)
         assert code == EXIT_CAPABILITY
         assert out == ""
-        assert err == f"error: M=21 qubits exceeds the cap of {cap}\n"
+        cap = engine_cap or 24
+        assert err == f"error: M={max_m} qubits exceeds the cap of {cap}\n"
 
     @pytest.mark.parametrize(
         "argv,refusal",
         [
             # gen is bounded by its edges, not by the qubit cap
             (["gen", "--kind", "complete_dag", "--M", "1000000"], "over the gen bound of"),
-            (["verify", "--kind", "complete_dag", "--M", "1000", "--theta", "1"],
-             "exceeds the cap of 20"),
-            (["ed", "--kind", "star_out", "--M", "100000", "--theta", "1"],
-             "exceeds the cap of 20"),
-            (["sweep-theta", "--kind", "erdos_renyi", "--M", "21", "--p", "0.5"],
-             "exceeds the cap of 20"),
+            (["verify", "--kind", "complete_dag", "--M", "25", "--theta", "1"],
+             "error: M=25 qubits exceeds the cap of 24"),
+            (["ed", "--kind", "star_out", "--M", "25", "--theta", "1"],
+             "error: M=25 qubits exceeds the cap of 24"),
+            (["sweep-theta", "--kind", "erdos_renyi", "--M", "25", "--p", "0.5"],
+             "error: M=25 qubits exceeds the cap of 24"),
         ],
         ids=["gen", "verify", "ed", "sweep_theta"],
     )

@@ -67,6 +67,23 @@ class TestEndpoints:
         assert all(type(v) is int for e in g.edges for v in e)
         assert digraph.dump_graph(g) == digraph.dump_graph(DirectedGraph(3, ((0, 1), (1, 2))))
 
+    def test_non_integer_M_is_a_graph_error(self):
+        # a float or str M once reached the walk and raised a bare TypeError there
+        for M in (2.0, "3", 2.5, None):
+            with pytest.raises(GraphError, match="M must be an integer") as info:
+                DirectedGraph(M, ((0, 1),))
+            assert len(str(info.value).splitlines()) == 1
+
+    def test_numpy_integer_M_becomes_a_python_int(self):
+        g = DirectedGraph(np.int64(3), ((0, 1), (1, 2)))
+        assert type(g.M) is int and g == DirectedGraph(3, ((0, 1), (1, 2)))
+        assert digraph.graph_hash(g) == digraph.graph_hash(DirectedGraph(3, ((0, 1), (1, 2))))
+
+    def test_M_below_one_still_fails_at_validate(self):
+        g = DirectedGraph(0, ())
+        with pytest.raises(IndexOutOfRangeError, match="M must be positive"):
+            digraph.validate(g)
+
 
 class TestDegrees:
     def test_star(self):
@@ -208,6 +225,19 @@ class TestReverseEdges:
         g = digraph.generate("path", 3)
         with pytest.raises(IndexOutOfRangeError):
             digraph.reverse_edges(g, [5])
+
+    def test_non_integer_index_is_refused_not_truncated(self):
+        # 0.9 once became 0 and flipped edge 0
+        g = DirectedGraph(3, ((0, 1), (1, 2)))
+        for subset in ([0.9], [1, np.float64(0.0)], ["0"]):
+            with pytest.raises(IndexOutOfRangeError, match="edge index must be an integer") as info:
+                digraph.reverse_edges(g, subset)
+            assert len(str(info.value).splitlines()) == 1
+
+    def test_numpy_integer_indices(self):
+        g = DirectedGraph(3, ((0, 1), (1, 2)))
+        h = digraph.reverse_edges(g, np.flatnonzero(np.array([False, True])))
+        assert h.edges == ((0, 1), (2, 1))
 
     def test_policy_checked_on_result(self):
         g = DirectedGraph(3, ((0, 1), (1, 0)))  # only legal under escape hatch
