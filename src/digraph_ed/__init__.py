@@ -35,24 +35,26 @@ from .entanglement import (
     verify_graphs,
     von_neumann_entropy,
 )
+from .reference import (
+    apply_edge_gate,
+    apply_two_qubit_dense,
+    commutation_check,
+    edge_gate_matrix,
+    init_product_state,
+    pauli_expectation,
+    reduced_density_1q,
+)
 from .statevector import (
     DEFAULT_MAX_QUBITS,
     DensityMatrix1Q,
     GateParams,
     PauliVector,
     PureState,
-    apply_edge_gate,
-    apply_two_qubit_dense,
     batch_size,
     bloch_arrays,
     bloch_vectors,
     build_graph_state,
     build_graph_states,
-    commutation_check,
-    edge_gate_matrix,
-    init_product_state,
-    pauli_expectation,
-    reduced_density_1q,
 )
 from .suite import SuiteReport, run_suite
 from . import errors

@@ -3,7 +3,7 @@
 Commands
 --------
 gen          write a graph JSON file
-ed           print per-vertex and total ED for one graph
+ed           print per-vertex and total ED for one graph, from the verify report
 verify       emit the dual-route EDReport as JSON
 sweep-theta  CSV/JSON rows (theta, E_sv, E_cf, discrepancy) over [0, pi]
 sweep-alpha  CSV/JSON rows (t, E, S_nats, D_HS) for the single-edge pair
@@ -36,7 +36,10 @@ edges (:func:`digraph_ed.digraph.validate`), however many commands read it.
 ``ed``, ``verify`` and ``sweep-theta`` apply the edge policy there, once,
 after the angles are parsed and before any state is built: antiparallel
 pairs exit 2 unless ``--allow-antiparallel`` is given. The library they
-call builds any structurally valid graph.
+call builds any structurally valid graph. ``ed`` and ``verify`` take one
+path to :func:`~digraph_ed.entanglement.verify_graph`; ``ed`` prints the
+report's per-vertex and total statevector ED. The top level takes no option
+but ``-h``/``--help``: any other before the command is named in the error.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ import numpy as np
 
 from . import digraph, statevector, suite as suite_mod
 from .entanglement import (
+    EDReport,
     GateParams,
-    _ed_total,
     alpha_sweep,
     ed_closed_form,
     ed_totals,
@@ -59,7 +62,6 @@ from .entanglement import (
     verify_graph,
 )
 from .errors import AntiparallelPairError, CapacityError, DigraphEdError, EdgeBoundError
-from .statevector import bloch_vectors, build_graph_state
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -268,25 +270,25 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_ed(args) -> int:
+def _report(args) -> EDReport:
+    """The dual-route report of the graph and angles ``args`` name, under its edge policy."""
     g = _resolve_graph(args)
     gp = GateParams(_angle(args, args.theta), _angle(args, args.psi))
+    source = args.graph if args.graph else f"kind={args.kind} M={args.M} seed={args.seed}"
     digraph.validate(g, args.allow_antiparallel)
-    state = build_graph_state(g, gp)
-    norm_sq = [v.norm_sq for v in bloch_vectors(state)]
-    lines = [f"E({i}) = {fmt17(1.0 - v)}" for i, v in enumerate(norm_sq)]
-    lines.append(f"E_total = {fmt17(_ed_total(norm_sq))}")
+    return verify_graph(g, gp, seed_info=source)
+
+
+def cmd_ed(args) -> int:
+    report = _report(args)
+    lines = [f"E({i}) = {fmt17(v)}" for i, v in enumerate(report.per_vertex)]
+    lines.append(f"E_total = {fmt17(report.total_statevector)}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    g = _resolve_graph(args)
-    gp = GateParams(_angle(args, args.theta), _angle(args, args.psi))
-    source = args.graph if args.graph else f"kind={args.kind} M={args.M} seed={args.seed}"
-    digraph.validate(g, args.allow_antiparallel)
-    report = verify_graph(g, gp, seed_info=source)
-    _emit(report.to_json() + "\n", args.out)
+    _emit(_report(args).to_json() + "\n", args.out)
     return EXIT_OK
 
 
@@ -322,7 +324,13 @@ def cmd_suite(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    first = argv[0].partition("=")[0] if argv else ""
     try:
+        # the top level takes -h and --help (or a prefix of it) alone, and argparse
+        # would read another option's value as the command: name the option instead
+        if first.startswith("-") and first != "-h" and not "--help".startswith(first):
+            _parser().error(f"unrecognized option {first!r} before the command")
         args = _parser().parse_args(argv)
     except SystemExit as e:  # argparse reports usage errors with code 2
         return int(e.code) if e.code else EXIT_OK

@@ -241,7 +241,7 @@ def _qubit0_densities(amps: np.ndarray) -> np.ndarray:
     """Qubit 0's reduced density matrix of each two-qubit row of ``amps``: (G, 2, 2).
 
     Each holds the values of
-    :func:`~digraph_ed.statevector.reduced_density_1q` of that row alone,
+    :func:`~digraph_ed.reference.reduced_density_1q` of that row alone,
     bit for bit up to the sign of a zero in rho01, whose magnitude alone
     the entropy and the HS distance read: the same products, each summed
     over its two terms, divided by the same trace.

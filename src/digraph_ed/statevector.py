@@ -41,12 +41,8 @@ amplitudes and Grams together, by one 2^_BLOCK_BITS-amplitude block
 The builders take every structurally valid graph, antiparallel pairs
 included: an out-of-range endpoint, a self-loop or a duplicate edge raises
 before any state is built, and the edge policy is applied where a graph
-enters (see :mod:`digraph_ed.digraph`).
-
-:func:`apply_edge_gate` (one gate as a per-amplitude phase multiply), the
-generic dense 4x4 two-qubit path and :func:`pauli_expectation` are
-independent oracles: the tests and the suite cross-validate the fast kernels
-against them, they are not on the production path.
+enters (see :mod:`digraph_ed.digraph`). The independent oracles the
+kernels are checked against live in :mod:`digraph_ed.reference`.
 
 States are never renormalized; norm drift beyond 1e-9 raises, since with
 phase-only gates any drift signals a kernel bug.
@@ -70,7 +66,6 @@ from .errors import (
     CapacityError,
     IndexOutOfRangeError,
     NotNormalizedError,
-    SelfLoopError,
 )
 
 #: The qubit cap, read at call time by the engine and the CLI alike: 2^24
@@ -150,18 +145,6 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def qubit_slices(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the amplitudes with qubit i fixed to 0 and to 1."""
-        if not 0 <= i < self.M:
-            raise IndexOutOfRangeError(f"qubit {i} out of range for M={self.M}")
-        view = self.amplitudes.reshape((2,) * self.M)
-        sel: list = [slice(None)] * self.M
-        sel[self.M - 1 - i] = 0
-        a0 = view[tuple(sel)]
-        sel[self.M - 1 - i] = 1
-        a1 = view[tuple(sel)]
-        return a0, a1
-
 
 def _check_norms(amps: np.ndarray) -> None:
     """Raise unless the state ``amps``, or each of its rows, has unit norm to 1e-9."""
@@ -218,33 +201,6 @@ class DensityMatrix1Q:
         return (mean - disc, mean + disc)
 
 
-def edge_gate_matrix(gp: GateParams) -> np.ndarray:
-    """The edge gate as a 4x4 matrix in the basis |control, target>."""
-    return np.diag(
-        [
-            1.0,
-            1.0,
-            np.exp(1j * (gp.theta - gp.psi)),
-            np.exp(-1j * (gp.theta + gp.psi)),
-        ]
-    ).astype(np.complex128)
-
-
-def init_product_state(M: int, alpha0: complex, alpha1: complex) -> PureState:
-    """Uniform product state: every qubit in alpha0|0> + alpha1|1>.
-
-    Amplitude at index k is the product over qubits of alpha0 or alpha1
-    according to bit i of k. Requires |alpha0|^2 + |alpha1|^2 = 1 to 1e-12
-    and M at most :data:`DEFAULT_MAX_QUBITS`.
-    """
-    alpha0, alpha1 = _qubit_amplitudes(M, alpha0, alpha1)
-    qubit = np.array([alpha0, alpha1], dtype=np.complex128)
-    amps = np.array([1.0 + 0.0j])
-    for _ in range(M):
-        amps = np.kron(qubit, amps)  # new qubit becomes the next-higher bit
-    return PureState(M, amps)
-
-
 def _qubit_amplitudes(M: int, alpha0: complex, alpha1: complex) -> tuple[complex, complex]:
     """Check the qubit count and the single-qubit state of a uniform product state."""
     if M < 1:
@@ -257,59 +213,6 @@ def _qubit_amplitudes(M: int, alpha0: complex, alpha1: complex) -> tuple[complex
     if abs(nrm - 1.0) > 1e-12:
         raise NotNormalizedError(f"|alpha0|^2 + |alpha1|^2 = {nrm!r} deviates from 1 beyond 1e-12")
     return alpha0, alpha1
-
-
-def _check_edge(M: int, edge: tuple[int, int]) -> tuple[int, int]:
-    a, b = int(edge[0]), int(edge[1])
-    if not (0 <= a < M and 0 <= b < M):
-        raise IndexOutOfRangeError(f"edge ({a}, {b}) out of range for M={M}")
-    if a == b:
-        raise SelfLoopError(a)
-    return a, b
-
-
-def apply_edge_gate(state: PureState, edge: tuple[int, int], gp: GateParams) -> PureState:
-    """One edge gate as a phase multiply on the control=1 half of the state.
-
-    Index k with bit_a(k)=1 picks up e^{i(theta-psi)} when bit_b(k)=0 and
-    e^{-i(theta+psi)} when bit_b(k)=1; everything else is untouched, so the
-    norm is preserved exactly. Chained over the edges from
-    :func:`init_product_state`, this is the gate-by-gate reference that
-    :func:`build_graph_state` is checked against.
-    """
-    a, b = _check_edge(state.M, edge)
-    amps = state.amplitudes.copy()
-    view = amps.reshape((2,) * state.M)
-    sel: list = [slice(None)] * state.M
-    sel[state.M - 1 - a] = 1
-    sel[state.M - 1 - b] = 0
-    view[tuple(sel)] *= np.exp(1j * (gp.theta - gp.psi))
-    sel[state.M - 1 - b] = 1
-    view[tuple(sel)] *= np.exp(-1j * (gp.theta + gp.psi))
-    amps.flags.writeable = False
-    return PureState(state.M, amps)
-
-
-def _apply_two_qubit_dense_raw(
-    amps: np.ndarray, M: int, a: int, b: int, matrix: np.ndarray
-) -> np.ndarray:
-    view = amps.reshape((2,) * M)
-    moved = np.moveaxis(view, (M - 1 - a, M - 1 - b), (0, 1)).reshape(4, -1)
-    out = np.asarray(matrix, dtype=np.complex128) @ moved
-    out = out.reshape((2, 2) + (2,) * (M - 2))
-    return np.moveaxis(out, (0, 1), (M - 1 - a, M - 1 - b)).reshape(-1)
-
-
-def apply_two_qubit_dense(
-    state: PureState, edge: tuple[int, int], matrix: np.ndarray
-) -> PureState:
-    """Generic dense 4x4 two-qubit gate; the cross-validation route.
-
-    ``matrix`` is indexed in the |first, second> basis (row 2*v_a + v_b).
-    Deliberately takes no shortcuts for diagonal input.
-    """
-    a, b = _check_edge(state.M, edge)
-    return PureState(state.M, _apply_two_qubit_dense_raw(state.amplitudes, state.M, a, b, matrix))
 
 
 def _initial_amplitudes(M: int, G: int, alpha0, alpha1) -> tuple[list, list]:
@@ -443,9 +346,10 @@ def build_graph_states(
     ``gps[r]`` are the angles of ``graphs[r]``. ``alpha0`` and ``alpha1``
     are both numbers, one initial state for every row, or both sequences of
     G numbers, one per row; every row's pair is checked as
-    :func:`init_product_state` checks it. Each step of the doubling build of :func:`build_graph_state`
-    is one numpy call over all G rows, so a batch of small states costs
-    about what one of them does; row r is bit for bit
+    :func:`~digraph_ed.reference.init_product_state` checks it. Each step of
+    the doubling build of :func:`build_graph_state` is one numpy call over
+    all G rows, so a batch of small states costs about what one of them
+    does; row r is bit for bit
     ``build_graph_state(graphs[r], gps[r], alpha0[r], alpha1[r]).amplitudes``,
     and each row passes the same norm check. Callers keep a batch within
     one block (see :func:`batch_size`).
@@ -512,10 +416,10 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     """Bloch vectors of G states of equal M, the rows of ``amps``: a (G, M, 3) array.
 
     Entry [r, i] is (x, y, z) of qubit i of state r, the same quantities as
-    :func:`pauli_expectation`, with t = sum(conj(a0) * a1) over the
-    amplitude pairs that differ in bit i, read from views of the amplitudes
-    without copying them. Every step below is one numpy call over all G
-    rows, and row r is bit for bit what the read of state r alone gives:
+    :func:`~digraph_ed.reference.pauli_expectation`, with t = sum(conj(a0) *
+    a1) over the amplitude pairs that differ in bit i, read from views of the
+    amplitudes without copying them. Every step below is one numpy call over
+    all G rows, and row r is bit for bit what the read of state r alone gives:
 
     * qubits i < L = min(M, _GRAM_QUBITS): the float view (re, im
       interleaved) of each state reshaped to (-1, 2^(L+1)) gives one BLAS
@@ -633,68 +537,3 @@ def bloch_vectors(state: PureState) -> tuple[PauliVector, ...]:
     """Bloch vectors of all M qubits, in qubit order: :func:`bloch_arrays` of one state."""
     vectors = bloch_arrays(state.amplitudes.reshape(1, -1))[0]
     return tuple(PauliVector(x, y, z) for x, y, z in vectors.tolist())
-
-
-def pauli_expectation(state: PureState, i: int) -> PauliVector:
-    """Expectations of the three Pauli operators on qubit i.
-
-    With a0/a1 the amplitude blocks where bit i is 0/1:
-        x + i y = 2 * sum(conj(a0) * a1)   (y sign fixed by sigma_y|0> = i|1>)
-        z       = |a0|^2 - |a1|^2
-    Each component is divided by <psi|psi> (a Rayleigh quotient). The state
-    is already unit-norm to 1e-9 and no amplitude is ever modified; the
-    division only stops ulp-level norm rounding from leaking into the
-    expectations, e.g. it pins the separable reference point of the ED to
-    zero exactly.
-
-    All three sums are pairwise ``np.sum`` reductions of one elementwise
-    product: a single long BLAS dot drifts to ~5e-13 at M=20, above the
-    fast path this oracle checks.
-    """
-    a0, a1 = state.qubit_slices(i)
-    t = np.sum(a0.conj() * a1)
-    p0 = float(np.sum(a0.conj() * a0).real)
-    p1 = float(np.sum(a1.conj() * a1).real)
-    nrm = p0 + p1
-    return PauliVector(2.0 * t.real / nrm, 2.0 * t.imag / nrm, (p0 - p1) / nrm)
-
-
-def reduced_density_1q(state: PureState, i: int) -> DensityMatrix1Q:
-    """Single-qubit reduced density matrix by partial trace over the rest.
-
-    Entries are divided by the raw trace (the squared state norm) so the
-    result traces to one exactly in the common case; this matches the
-    Rayleigh-quotient convention of :func:`pauli_expectation`, and like it
-    sums each entry pairwise (``np.sum`` of one elementwise product).
-    """
-    a0, a1 = state.qubit_slices(i)
-    p0 = float(np.sum(a0.conj() * a0).real)
-    p1 = float(np.sum(a1.conj() * a1).real)
-    tr = p0 + p1
-    rho01 = complex(np.sum(a0 * a1.conj())) / tr
-    return DensityMatrix1Q(complex(p0 / tr), rho01, np.conj(rho01), complex(p1 / tr))
-
-
-def commutation_check(gp: GateParams) -> float:
-    """Max entrywise magnitude over pairwise commutators of U01, U12, U02.
-
-    Each three-qubit 8x8 operator comes from one application of the dense
-    gate path (no diagonality assumed) to the 8x8 identity, read as the
-    6-qubit vector ``eye(8).ravel()``: index 8 r + c holds row r on qubits
-    3-5 and column c on qubits 0-2, so the gate on qubits a + 3 and b + 3
-    maps it to the operator's matrix, row by row. The contract is a result
-    below 1e-14 for every parameter choice, since the gates are in fact
-    diagonal.
-    """
-    u4 = edge_gate_matrix(gp)
-    eye = np.eye(8, dtype=np.complex128).ravel()
-    ops = [
-        _apply_two_qubit_dense_raw(eye, 6, a + 3, b + 3, u4).reshape(8, 8)
-        for a, b in ((0, 1), (1, 2), (0, 2))
-    ]
-    worst = 0.0
-    for m in range(3):
-        for n in range(m + 1, 3):
-            comm = ops[m] @ ops[n] - ops[n] @ ops[m]
-            worst = max(worst, float(np.max(np.abs(comm))))
-    return worst

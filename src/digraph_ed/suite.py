@@ -45,19 +45,16 @@ from .digraph import (
     validate,
 )
 from .errors import BadParamsError
-from .statevector import (
-    GateParams,
-    PureState,
+from .reference import (
     apply_edge_gate,
     apply_two_qubit_dense,
-    bloch_vectors,
-    build_graph_state,
     commutation_check,
     edge_gate_matrix,
     init_product_state,
     pauli_expectation,
     reduced_density_1q,
 )
+from .statevector import GateParams, PureState, bloch_vectors, build_graph_state
 
 
 @dataclass(frozen=True)

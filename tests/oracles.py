@@ -15,7 +15,8 @@ import numpy as np
 
 from digraph_ed.digraph import DirectedGraph
 from digraph_ed.entanglement import ed_total, von_neumann_entropy
-from digraph_ed.statevector import build_graph_state, reduced_density_1q
+from digraph_ed.reference import reduced_density_1q
+from digraph_ed.statevector import build_graph_state
 
 SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),

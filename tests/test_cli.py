@@ -1,5 +1,6 @@
 """CLI behavior: artifacts, formats, determinism, and exit codes."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -107,12 +108,12 @@ class TestEd:
             f"E({i}) = {fmt(1.0 - v.norm_sq)}\n"
             for i, v in enumerate(statevector.bloch_vectors(state))
         ) + f"E_total = {fmt(entanglement.ed_total(state))}\n"
+        # ed reads every qubit in one batched read of the one state
         calls = []
-        real = statevector.bloch_vectors
-        for module in (cli, entanglement):
-            monkeypatch.setattr(
-                module, "bloch_vectors", lambda st: calls.append(st.M) or real(st)
-            )
+        real = statevector.bloch_arrays
+        monkeypatch.setattr(
+            statevector, "bloch_arrays", lambda amps: calls.append(amps.shape) or real(amps)
+        )
         code, out, _ = run(
             ["ed", "--kind", "erdos_renyi", "--M", "7", "--p", "0.4", "--seed", "3",
              "--theta", "0.9", "--psi", "0.4"],
@@ -120,13 +121,38 @@ class TestEd:
         )
         assert code == EXIT_OK
         assert out == want
-        assert calls == [7]
+        assert calls == [(1, 1 << 7)]
 
     def test_star_output_is_pinned(self, capsys):
         _, out, _ = run(
             ["ed", "--kind", "star_out", "--M", "3", "--theta", str(math.pi / 4)], capsys
         )
         assert out == "E(0) = 0.75\nE(1) = 0.5\nE(2) = 0.5\nE_total = 0.58333333333333326\n"
+
+    def test_multi_block_output_is_pinned(self, capsys):
+        # M=17 spans two 1 MiB blocks; SHA-256 of stdout as the standalone read printed it
+        code, out, err = run(
+            ["ed", "--kind", "erdos_renyi", "--M", "17", "--p", "0.3", "--seed", "1",
+             "--theta", "0.7", "--psi", "0.3"],
+            capsys,
+        )
+        assert code == EXIT_OK and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "13de031de87c3295bccdb82f2920afe100714c03e86303e2a88fb01e9bc245b6"
+        )
+
+    def test_one_based_pair_file_output_is_pinned(self, tmp_path, capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text(
+            '{"M": 5, "edges": [[1, 2], [2, 1], [2, 3], [4, 5], [5, 1], [3, 4], [4, 3]], '
+            '"labels_base": 1}'
+        )
+        argv = ["ed", "--graph", str(path), "--theta", "0.9", "--psi", "-0.2"]
+        code, out, err = run(argv + ["--allow-antiparallel"], capsys)
+        assert code == EXIT_OK and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b4129ffdf8b0ef9957d209c49c8f258ebb2fbff4a5f80c14fb62e0dad6bdb118"
+        )
 
     def test_deg_flag(self, capsys):
         _, out_rad, _ = run(["ed", "--kind", "path", "--M", "2", "--theta", str(math.pi / 2)], capsys)
@@ -326,14 +352,16 @@ class TestCaps:
     """The engine's qubit cap is the CLI's one cap: no flag or variable sets it."""
 
     def test_flag_cap(self, capsys):
-        # there is no --max-qubits: any use of it is a usage error
-        code, out, err = run(
-            ["--max-qubits", "8", "ed", "--kind", "path", "--M", "4", "--theta", "0.5"], capsys
-        )
-        assert code == EXIT_BAD_INPUT
-        assert out == ""
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        # there is no --max-qubits: any use of it is a usage error that names it
+        for flag in (["--max-qubits", "8"], ["--max-qubits=8"]):
+            code, out, err = run(
+                [*flag, "ed", "--kind", "path", "--M", "4", "--theta", "0.5"], capsys
+            )
+            assert code == EXIT_BAD_INPUT
+            assert out == ""
+            assert err == (
+                "error: digraph-ed: unrecognized option '--max-qubits' before the command\n"
+            )
 
     def test_env_cap(self, capsys, monkeypatch):
         # DIGRAPH_ED_MAX_QUBITS is not read: no value, not even a bad one, changes a run
@@ -455,6 +483,8 @@ class TestInputHardening:
             ["suite", "--jobs", "0"],
             ["suite", "--jobs", "-4"],
             ["--max-qubits", "25", "ed", "--kind", "path", "--M", "3", "--theta", "0.5"],
+            ["--jobs", "2", "suite"],
+            ["-x", "ed", "--kind", "path", "--M", "3", "--theta", "0.5"],
             ["gen", "--kind", "path", "--M", "0"],
             ["verify", "--kind", "path", "--M", "-3", "--theta", "0.5"],
             ["gen", "--kind", "erdos_renyi", "--M", "3", "--p", "0.5", "--seed", "-1"],
@@ -467,6 +497,7 @@ class TestInputHardening:
         ids=["suite_max_m_1", "non_utf8_graph_file",
              "negative_max_qubits", "suite_zero_graphs", "suite_zero_jobs",
              "suite_negative_jobs", "max_qubits_over_engine_cap",
+             "jobs_before_the_command", "unknown_short_option_before_the_command",
              "gen_zero_M", "verify_negative_M",
              "gen_negative_seed", "verify_negative_seed", "suite_negative_seed",
              "sweep_alpha_grid_2", "sweep_alpha_grid_not_an_integer"],
@@ -480,6 +511,17 @@ class TestInputHardening:
         assert "suite: PASS" not in out
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
+        if argv[0].startswith("-"):
+            # the option is named, not its value taken for the command
+            assert lines[0] == (
+                f"error: digraph-ed: unrecognized option {argv[0]!r} before the command"
+            )
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he", "ed"], ["-h", "--M", "3"]])
+    def test_help_before_the_command(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_OK and err == ""
+        assert out.startswith("usage: digraph-ed ")
 
     @pytest.mark.parametrize(
         "max_m,env,engine_cap",

@@ -30,15 +30,13 @@ from digraph_ed.errors import (
     NegativeEigenvalueError,
     SelfLoopError,
 )
+from digraph_ed.reference import init_product_state, pauli_expectation, reduced_density_1q
 from digraph_ed.statevector import (
     DensityMatrix1Q,
     GateParams,
     PureState,
     bloch_vectors,
     build_graph_state,
-    init_product_state,
-    pauli_expectation,
-    reduced_density_1q,
 )
 
 INV_SQRT2 = 2**-0.5

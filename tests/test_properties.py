@@ -34,6 +34,7 @@ from digraph_ed.entanglement import (
     von_neumann_entropy,
 )
 from digraph_ed.errors import AntiparallelPairError
+from digraph_ed.reference import pauli_expectation, reduced_density_1q
 from digraph_ed.statevector import (
     GateParams,
     PureState,
@@ -41,8 +42,6 @@ from digraph_ed.statevector import (
     bloch_vectors,
     build_graph_state,
     build_graph_states,
-    pauli_expectation,
-    reduced_density_1q,
 )
 
 COMMON = dict(max_examples=80, deadline=None, derandomize=True)

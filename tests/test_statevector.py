@@ -16,20 +16,22 @@ from digraph_ed.errors import (
     NotNormalizedError,
     SelfLoopError,
 )
-from digraph_ed import statevector
-from digraph_ed.statevector import (
-    DensityMatrix1Q,
-    GateParams,
-    PureState,
+from digraph_ed import reference, statevector
+from digraph_ed.reference import (
     apply_edge_gate,
     apply_two_qubit_dense,
-    bloch_vectors,
-    build_graph_state,
     commutation_check,
     edge_gate_matrix,
     init_product_state,
     pauli_expectation,
     reduced_density_1q,
+)
+from digraph_ed.statevector import (
+    DensityMatrix1Q,
+    GateParams,
+    PureState,
+    bloch_vectors,
+    build_graph_state,
 )
 
 INV_SQRT2 = 2**-0.5
@@ -277,16 +279,16 @@ class TestDoublingKernel:
 
     def test_makes_no_edge_gate_calls(self, monkeypatch):
         calls = []
-        real = statevector.apply_edge_gate
+        real = reference.apply_edge_gate
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(statevector, "apply_edge_gate", counting)
+        monkeypatch.setattr(reference, "apply_edge_gate", counting)
         build_graph_state(generate("complete_dag", 6), GateParams(0.9, 0.1))
         assert calls == []
-        statevector.apply_edge_gate(init_product_state(2, 0.6, 0.8), (0, 1), GateParams(0.9))
+        reference.apply_edge_gate(init_product_state(2, 0.6, 0.8), (0, 1), GateParams(0.9))
         assert len(calls) == 1  # the counter sees calls made through the module
 
     def test_capacity_and_alpha_checks(self, monkeypatch):
@@ -584,13 +586,13 @@ class TestCommutation:
 
     def test_one_dense_application_per_operator(self, monkeypatch):
         calls = []
-        real = statevector._apply_two_qubit_dense_raw
+        real = reference._apply_two_qubit_dense_raw
 
         def counting(amps, M, a, b, matrix):
             calls.append((M, a, b))
             return real(amps, M, a, b, matrix)
 
-        monkeypatch.setattr(statevector, "_apply_two_qubit_dense_raw", counting)
+        monkeypatch.setattr(reference, "_apply_two_qubit_dense_raw", counting)
         commutation_check(GateParams(0.7, 1.3))
         assert calls == [(6, 3, 4), (6, 4, 5), (6, 3, 5)]
 
@@ -600,9 +602,9 @@ class TestCommutation:
         u4 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for a, b in ((0, 1), (1, 2), (0, 2), (2, 0)):
             eye = np.eye(8, dtype=complex).ravel()
-            op = statevector._apply_two_qubit_dense_raw(eye, 6, a + 3, b + 3, u4).reshape(8, 8)
+            op = reference._apply_two_qubit_dense_raw(eye, 6, a + 3, b + 3, u4).reshape(8, 8)
             cols = [
-                statevector._apply_two_qubit_dense_raw(np.eye(8, dtype=complex)[k], 3, a, b, u4)
+                reference._apply_two_qubit_dense_raw(np.eye(8, dtype=complex)[k], 3, a, b, u4)
                 for k in range(8)
             ]
             np.testing.assert_array_equal(op, np.column_stack(cols))
