@@ -31,9 +31,8 @@ the most edges a kind can make at M (M for path, cycle and the stars,
 M (M - 1) / 2 for complete_dag and erdos_renyi, which keeps at most one
 edge of a pair) may not exceed MAX_GEN_EDGES (4500000), checked before
 generating.
-A graph is checked and its degrees counted in one walk over its
-edges (:func:`digraph_ed.digraph.validate`), however many commands read it.
-``ed``, ``verify`` and ``sweep-theta`` apply the edge policy there, once,
+Degrees from ``g.degrees``, policy from :func:`~digraph_ed.digraph.validate`,
+at entry: ``ed``, ``verify`` and ``sweep-theta`` apply the edge policy once,
 after the angles are parsed and before any state is built: antiparallel
 pairs exit 2 unless ``--allow-antiparallel`` is given. The library they
 call builds any structurally valid graph. ``ed`` and ``verify`` take one
@@ -83,11 +82,17 @@ MAX_GRAPHS = 10_000
 MAX_GEN_EDGES = 4_500_000
 
 
+def _error_line(message) -> str:
+    """``error: <message>`` as one line: each line break in the message becomes a space."""
+    return "error: " + " ".join(str(message).splitlines()) + "\n"
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse that reports a usage error as one ``error:`` line, exit 2."""
 
     def error(self, message):
-        self.exit(EXIT_BAD_INPUT, f"error: {self.prog}: {message}\n")
+        # "unrecognized arguments" quotes the arguments raw, line breaks and all
+        self.exit(EXIT_BAD_INPUT, _error_line(f"{self.prog}: {message}"))
 
 
 def _int_range(low: int, high: int | None = None):
@@ -339,18 +344,17 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except CapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
+        sys.stderr.write(_error_line(e))
         return EXIT_CAPABILITY
     except AntiparallelPairError as e:
         error = AntiparallelPairError(*e.pair, remedy="pass --allow-antiparallel")
-        print(f"error: {error}", file=sys.stderr)
+        sys.stderr.write(_error_line(error))
         return EXIT_BAD_INPUT
     except (DigraphEdError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        sys.stderr.write(_error_line(e))
         return EXIT_BAD_INPUT
     except Exception as e:
-        message = str(e).replace("\n", " ")
-        print(f"error: internal: {type(e).__name__}: {message}", file=sys.stderr)
+        sys.stderr.write(_error_line(f"internal: {type(e).__name__}: {e}"))
         return EXIT_INTERNAL
 
 

@@ -1,23 +1,24 @@
-"""Directed graphs G(V, L): validation, degrees, generators, and transforms.
+"""Directed graphs G(V, L): degrees, the edge policy, generators, and transforms.
 
 Vertices are labeled 0..M-1 internally; graph files may use 1-based labels
 (see ``from_json_dict``). Edges are ordered pairs (a, b). The default policy
 forbids self-loops, duplicate edges, and antiparallel pairs; the last can be
 admitted explicitly. Both ED routes cover such a pair: its two gates compose
 into one double-angle gate, which enters the closed form as a factor
-cos(2 theta) in place of cos(theta)^2. So the antiparallel rule is a choice
-of inputs, made where a graph enters (:func:`validate`'s default,
-:func:`generate`, :func:`reverse_edges`, the CLI's ``--allow-antiparallel``);
-the state and ED layers build and read any structurally valid graph.
+cos(2 theta) in place of cos(theta)^2.
 
-This module is the one place that walks an edge list to check it or to
-count it: :func:`validate` checks a graph and returns one :class:`DegreeRecord`
-per vertex (out-degree, in-degree, antiparallel pairs) from a single pass,
-kept on the graph, and every consumer of degrees reads those records.
+Degrees from ``g.degrees``, policy from :func:`validate`, at entry. The
+first read of :attr:`DirectedGraph.degrees` is the one walk over an edge
+list: it raises on a structural fault and keeps one :class:`DegreeRecord`
+per vertex (out-degree, in-degree, antiparallel pairs) on the graph, for
+the state and ED layers to read. :func:`validate` applies the antiparallel
+rule, a choice of inputs, only where a graph enters: :func:`generate`,
+:func:`reverse_edges` and the CLI's ``--allow-antiparallel``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -45,11 +46,12 @@ class DirectedGraph:
     """A directed graph on M vertices with an ordered edge list.
 
     Construction normalizes M to a Python int and the edge list to a tuple
-    of pairs of Python ints but performs no policy checks; call
-    :func:`validate` (or any operation that requires a valid graph) to
-    enforce the invariants, M >= 1 among them. M and every endpoint must be
-    integers (numpy integers included): any other value, such as 2.0, "3"
-    or 0.9, raises :class:`GraphError` rather than being truncated.
+    of pairs of Python ints but performs no other checks: the first read of
+    :attr:`degrees` checks the structure, M >= 1 among it, and
+    :func:`validate` applies the edge policy. M and every endpoint must be
+    integers (numpy integers included): any other value, such as 2.0, "3",
+    0.9 or True, and any edge that is not a pair, raises :class:`GraphError`
+    rather than being truncated.
     """
 
     M: int
@@ -57,19 +59,53 @@ class DirectedGraph:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "M", index(self.M))
+            object.__setattr__(self, "M", _integer(self.M))
         except TypeError:
             raise GraphError(f"M must be an integer, got {self.M!r}") from None
         try:
-            edges = tuple((index(a), index(b)) for a, b in self.edges)
+            edges = map(_edge, self.edges)
         except TypeError:
-            bad = next(e for e in self.edges if not all(hasattr(v, "__index__") for v in e))
-            raise GraphError(f"edge endpoints must be integers, got {tuple(bad)!r}") from None
-        object.__setattr__(self, "edges", edges)
+            raise GraphError(f"edges must be a sequence of pairs, got {self.edges!r}") from None
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @property
+    def degrees(self) -> tuple[DegreeRecord, ...]:
+        """One :class:`DegreeRecord` per vertex, from one walk, kept; no policy applied.
+
+        The first read raises on the first structural fault in edge order.
+        The records live outside the fields: equality, hashing and repr ignore them.
+        """
+        return self._edge_walk[0]
+
+    @functools.cached_property
+    def _edge_walk(self) -> tuple[tuple[DegreeRecord, ...], tuple[int, int] | None]:
+        return _walk(self)
+
+
+def _integer(v) -> int:
+    """``v`` as a Python int; a bool or a non-integer raises TypeError."""
+    if isinstance(v, bool):
+        raise TypeError(v)
+    return index(v)
+
+
+def _edge(e) -> tuple[int, int]:
+    """``e`` as a pair of Python ints, else :class:`GraphError` naming it.
+
+    As in :func:`_integer`, a bool is no integer; the check is inlined
+    because this runs once per edge.
+    """
+    try:
+        a, b = e
+        if type(a) is bool or type(b) is bool:
+            raise TypeError(e)
+        return index(a), index(b)
+    except (TypeError, ValueError):
+        raise GraphError(f"edge endpoints must be integers, got {e!r}") from None
 
 
 @dataclass(frozen=True)
@@ -125,21 +161,13 @@ def _walk(g: DirectedGraph) -> tuple[tuple[DegreeRecord, ...], tuple[int, int] |
 
 
 def validate(g: DirectedGraph, allow_antiparallel: bool = False) -> tuple[DegreeRecord, ...]:
-    """Raise unless ``g`` satisfies the structural invariants; else its degree records.
+    """The edge-policy gate where a graph enters: raise unless ``g`` is admitted.
 
-    Out-of-range endpoints, self-loops and duplicate edges are always
-    rejected, and are found before the policy is applied. Antiparallel pairs
-    (a, b)/(b, a) are rejected by default; ``allow_antiparallel=True`` admits
-    them. The records, one per vertex in vertex order, count each edge once
-    at its tail's out-degree and once at its head's in-degree. The one walk
-    over the edges is kept on ``g``, outside its fields, so equality, hashing
-    and repr ignore it and a later call on the same graph does not walk again.
+    Structural faults raise first, from ``g.degrees``. Antiparallel pairs
+    (a, b)/(b, a) are then rejected by default, naming the first one in edge
+    order; ``allow_antiparallel=True`` admits them. Returns ``g.degrees``.
     """
-    walked = getattr(g, "_walked", None)
-    if walked is None:
-        walked = _walk(g)
-        object.__setattr__(g, "_walked", walked)
-    records, pair = walked
+    records, pair = g._edge_walk
     if pair is not None and not allow_antiparallel:
         raise AntiparallelPairError(*pair)
     return records
@@ -164,6 +192,7 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     params = dict(params or {})
     if kind not in GENERATOR_KINDS:
         raise UnsupportedKindError(f"unknown kind {kind!r}; expected one of {GENERATOR_KINDS}")
+    M, seed = _int_param("M", M), _int_param("seed", seed)
     if M < 1:
         raise BadParamsError(f"M must be >= 1, got {M}")
     if seed < 0:
@@ -172,7 +201,11 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     if kind == "erdos_renyi":
         if "p" not in params:
             raise BadParamsError("erdos_renyi requires params['p']")
-        p = float(params.pop("p"))
+        p = params.pop("p")
+        try:
+            p = float(p)
+        except (TypeError, ValueError):
+            raise BadParamsError(f"edge probability p must be a number, got {p!r}") from None
         if not 0.0 <= p <= 1.0:
             raise BadParamsError(f"edge probability p={p} outside [0, 1]")
     if params:
@@ -207,6 +240,14 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     return g
 
 
+def _int_param(name: str, value) -> int:
+    """A generator's integer parameter as a Python int, else :class:`BadParamsError`."""
+    try:
+        return _integer(value)
+    except TypeError:
+        raise BadParamsError(f"{name} must be an integer, got {value!r}") from None
+
+
 def permute(g: DirectedGraph, perm: list[int] | tuple[int, ...]) -> DirectedGraph:
     """Relabel vertices: edge (a, b) becomes (perm[a], perm[b])."""
     perm = list(perm)
@@ -215,15 +256,16 @@ def permute(g: DirectedGraph, perm: list[int] | tuple[int, ...]) -> DirectedGrap
     return DirectedGraph(g.M, tuple((perm[a], perm[b]) for a, b in g.edges))
 
 
-def reverse_edges(
-    g: DirectedGraph, subset, allow_antiparallel: bool = False
-) -> DirectedGraph:
+def reverse_edges(g: DirectedGraph, subset) -> DirectedGraph:
     """Flip the orientation of the edges at the given indices.
 
     An index must be an integer (numpy integers included): any other value,
     such as 0.9, raises :class:`IndexOutOfRangeError` rather than being
-    truncated. The result must still satisfy the edge policy; per-vertex
-    total degrees are unchanged by construction.
+    truncated. The result is a graph that enters, so it must pass
+    :func:`validate` under the default policy, as :func:`generate`'s do
+    (a caller who wants an antiparallel pair builds the flipped graph with
+    :class:`DirectedGraph` directly, which applies no policy);
+    per-vertex total degrees are unchanged by construction.
     """
     idx = set()
     for i in subset:
@@ -238,7 +280,11 @@ def reverse_edges(
         (b, a) if i in idx else (a, b) for i, (a, b) in enumerate(g.edges)
     )
     out = DirectedGraph(g.M, new_edges)
-    validate(out, allow_antiparallel=allow_antiparallel)
+    try:
+        validate(out)
+    except AntiparallelPairError as e:
+        remedy = "build the flipped graph with DirectedGraph directly"
+        raise AntiparallelPairError(*e.pair, remedy=remedy) from None
     return out
 
 

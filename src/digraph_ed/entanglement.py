@@ -14,8 +14,8 @@ cos(theta)^(2 d(i)) law), independent of psi, of edge orientations, and of
 vertex labels. This module computes ED from first principles (Pauli
 expectations on the statevector), evaluates the closed form, and provides
 the sweep and verification helpers used to check one against the other.
-d(i) and p(i) come from the degree records that
-:func:`~digraph_ed.digraph.validate` returns; nothing here counts edges.
+Degrees from ``g.degrees``, policy from :func:`~digraph_ed.digraph.validate`,
+at entry: nothing here counts edges or applies the edge policy.
 
 :func:`verify_and_total` takes many cases (g, gp) at once, some to report
 on and some only to total: it groups all of them by M and builds and reads
@@ -25,9 +25,8 @@ shares its numpy calls with others of its size. Its results are, bit for
 bit and in input order, those of :func:`verify_graph` and :func:`ed_total`
 one case at a time. :func:`verify_graphs` and :func:`ed_totals` are its
 report-only and total-only calls, and :func:`verify_graph` the one-case
-call. None of them applies the edge policy: every graph is checked for
-structure before any state is built, and antiparallel pairs are read like
-any other edges (see :mod:`digraph_ed.digraph`).
+call. Each reads every graph's degrees, which checks its structure, before
+any state is built; antiparallel pairs are read like any other edges.
 :func:`alpha_sweep` reads its grid the same way, one initial state per
 row: ED from :func:`~digraph_ed.statevector.bloch_arrays`, the HS
 distance from one numpy call per step over the batch's reduced states
@@ -129,16 +128,15 @@ def ed_closed_form(g: DirectedGraph, theta: float) -> float:
     """Degree-only evaluation: 1 - (1/M) sum_i cos(theta)^(2 (d - 2p)) cos(2 theta)^(2p).
 
     d is a vertex's total degree and p its number of antiparallel pairs
-    (each pair is two of its d edges), both read from the degree records
-    :func:`~digraph_ed.digraph.validate` returns. Independent of psi and of
-    edge orientations by construction. Without pairs every cos(2 theta)
-    factor is exactly 1.0, so the value is the paper's cos(theta)^(2d) law
-    bit for bit.
+    (each pair is two of its d edges), both read from ``g.degrees``.
+    Independent of psi and of edge orientations by construction. Without
+    pairs every cos(2 theta) factor is exactly 1.0, so the value is the
+    paper's cos(theta)^(2d) law bit for bit.
     """
     c = math.cos(theta)
     c2 = math.cos(2.0 * theta)
     acc = 0.0
-    for rec in digraph.validate(g, allow_antiparallel=True):
+    for rec in g.degrees:
         p = rec.pairs
         acc += c ** (2 * (rec.total - 2 * p)) * c2 ** (2 * p)
     return 1.0 - acc / g.M
@@ -275,15 +273,14 @@ def _batches(cases):
     :func:`~digraph_ed.statevector.batch_size` states, so a batch with its
     Grams stays within one 1 MiB block. It is built at the balanced initial
     state, and row r of the (G, M) array yielded with it holds the squared
-    Bloch length of every qubit of the case at ``positions[r]``. Every graph
-    is checked for structure, in input order, before any state is built;
-    antiparallel pairs are read like any other edges.
+    Bloch length of every qubit of the case at ``positions[r]``. Every
+    graph's degrees are read, in input order, before any state is built,
+    so a structural fault raises first.
     """
-    for g, _ in cases:
-        digraph.validate(g, allow_antiparallel=True)
     by_m: dict[int, list[int]] = {}
     for n, (g, _) in enumerate(cases):
-        by_m.setdefault(g.M, []).append(n)
+        # the read checks the structure; there is one record per vertex
+        by_m.setdefault(len(g.degrees), []).append(n)
     for M, positions in by_m.items():
         size = statevector.batch_size(M)
         for start in range(0, len(positions), size):
@@ -305,14 +302,12 @@ def verify_and_total(reported, totalled, seed_infos=None) -> tuple[list[EDReport
     cases of one M from either list share batches. Each report is, bit for
     bit and in input order, what :func:`verify_graph` gives the case alone,
     and each total ``ed_total(build_graph_state(g, gp, ...))``: the squared
-    lengths are summed in qubit order, as :func:`ed_total` does. Each
-    distinct graph object in ``reported`` is hashed once; ``seed_infos``,
-    if given, holds one ``seed_info`` per reported case.
+    lengths are summed in qubit order, as :func:`ed_total` does.
+    ``seed_infos``, if given, holds one ``seed_info`` per reported case.
     """
     reported, totalled = list(reported), list(totalled)
     cases = reported + totalled
     infos = [""] * len(reported) if seed_infos is None else list(seed_infos)
-    hashes: dict[int, str] = {}
     reports: list = [None] * len(reported)
     totals = [0.0] * len(totalled)
     for part, norm_sq in _batches(cases):
@@ -322,18 +317,15 @@ def verify_and_total(reported, totalled, seed_infos=None) -> tuple[list[EDReport
                 totals[n - len(reported)] = total_sv
                 continue
             g, gp = cases[n]
-            if id(g) not in hashes:
-                hashes[id(g)] = digraph.graph_hash(g)
-            records = digraph.validate(g, allow_antiparallel=True)
             total_cf = ed_closed_form(g, gp.theta)
             reports[n] = EDReport(
                 per_vertex=tuple(1.0 - v for v in lengths),
                 total_statevector=total_sv,
                 total_closed_form=total_cf,
                 discrepancy=abs(total_sv - total_cf),
-                graph_hash=hashes[id(g)],
+                graph_hash=digraph.graph_hash(g),
                 gp=gp,
-                policy="allow_antiparallel" if any(r.pairs for r in records) else "default",
+                policy="allow_antiparallel" if any(r.pairs for r in g.degrees) else "default",
                 seed_info=infos[n],
             )
     return reports, totals
@@ -362,12 +354,12 @@ def verify_graphs(cases, seed_infos=None) -> list[EDReport]:
 def verify_graph(g: DirectedGraph, gp: GateParams, seed_info: str = "") -> EDReport:
     """Dual-route ED for one graph at the balanced initial state.
 
-    Checks ``g`` for structure (antiparallel pairs are admitted), builds the
-    state with alpha0 = alpha1 = 1/sqrt(2), computes per-vertex and total ED
-    from one read of every qubit's Bloch vector, and evaluates the closed
-    form; the recorded discrepancy stays below ``DISCREPANCY_TOL`` for every
-    structurally valid graph. The graph's edge list is walked once, by that
-    check; the build and the closed form read the degree records it kept.
+    Builds the state of any structurally valid ``g`` (antiparallel pairs
+    are admitted) with alpha0 = alpha1 = 1/sqrt(2), computes per-vertex and
+    total ED from one read of every qubit's Bloch vector, and evaluates the
+    closed form; the recorded discrepancy stays below ``DISCREPANCY_TOL``.
+    The graph's edge list is walked once, at the first read of
+    ``g.degrees``; the build and the closed form read the records it kept.
     This is the one-case call of :func:`verify_graphs`.
     """
     return verify_graphs([(g, gp)], [seed_info])[0]

@@ -39,10 +39,10 @@ amplitudes and Grams together, by one 2^_BLOCK_BITS-amplitude block
 (1 MiB); from M = 15 up a state is always read alone.
 
 The builders take every structurally valid graph, antiparallel pairs
-included: an out-of-range endpoint, a self-loop or a duplicate edge raises
-before any state is built, and the edge policy is applied where a graph
-enters (see :mod:`digraph_ed.digraph`). The independent oracles the
-kernels are checked against live in :mod:`digraph_ed.reference`.
+included: degrees from ``g.degrees``, policy from
+:func:`~digraph_ed.digraph.validate`, at entry (see :mod:`digraph_ed.digraph`).
+The independent oracles the kernels are checked against live in
+:mod:`digraph_ed.reference`.
 
 States are never renormalized; norm drift beyond 1e-9 raises, since with
 phase-only gates any drift signals a kernel bug.
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import DirectedGraph, validate
+from .digraph import DirectedGraph
 from .errors import (
     BadParamsError,
     CapacityError,
@@ -244,10 +244,10 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     Row r of ``buf.reshape(G, 2^M)`` is the state of ``graphs[r]`` at
     ``gps[r]`` from the initial state ``(alpha0[r], alpha1[r])`` (or the one
     ``(alpha0, alpha1)`` of every row), bit for bit what
-    :func:`build_graph_state` makes of it alone. Every graph is checked for
-    structure, not for the edge policy: antiparallel pairs are built.
+    :func:`build_graph_state` makes of it alone. Reading each graph's
+    degrees checks its structure; antiparallel pairs are built.
     """
-    records = [validate(g, allow_antiparallel=True) for g in graphs]
+    records = [g.degrees for g in graphs]
     M = graphs[0].M
     if any(g.M != M for g in graphs):
         raise ValueError(f"a batch holds states of one M, got {sorted({g.M for g in graphs})}")
@@ -264,7 +264,7 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     directed = directed.reshape(G, M, M)
     # counts[r, m, j]: edges between m and j in graphs[r], either way
     counts = directed + directed.swapaxes(1, 2)
-    # phase picked up per edge between two set bits; validate admits at most two
+    # phase picked up per edge between two set bits, of which there are at most two
     pair_phase = np.array(
         [(1.0, cmath.exp(-2j * gp.theta), cmath.exp(-4j * gp.theta)) for gp in gps]
     )
@@ -328,7 +328,7 @@ def build_graph_state(
     doublings, up to 2^6 entries, are run for every qubit together in one
     small table. Total cost is O(2^M) whatever |L|, in one buffer that the
     returned state adopts.
-    d_out(m) is read from the degree records :func:`validate` returns, and M
+    d_out(m) is read from ``g.degrees``, and M
     may not exceed :data:`DEFAULT_MAX_QUBITS`. This is the one-state case of
     :func:`build_graph_states`, which runs the same steps on G rows at once.
     """

@@ -21,9 +21,10 @@ every row share full batches, the antiparallel row's pair graphs among
 them: the engine builds any structurally valid graph, so no row needs a
 pass of its own. The oracle rows build their few states one at a time. The
 values are those of one state at a time, bit for bit, so the report is
-too. Everything runs in one thread. Each graph is checked and counted
-once: measures that need its degrees read the records :func:`validate`
-kept on it, and a row's measure gets the very case objects that were read.
+too. Everything runs in one thread. Degrees from ``g.degrees``, policy
+from :func:`~digraph_ed.digraph.validate`, at entry: the battery's graphs
+enter through :func:`~digraph_ed.digraph.generate`, each graph's edges are
+walked once, and a row's measure gets the very case objects that were read.
 """
 
 from __future__ import annotations
@@ -36,14 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import entanglement as ent
-from .digraph import (
-    DirectedGraph,
-    generate,
-    graph_hash,
-    permute,
-    reverse_edges,
-    validate,
-)
+from .digraph import DirectedGraph, generate, graph_hash, permute, reverse_edges
 from .errors import BadParamsError
 from .reference import (
     apply_edge_gate,
@@ -176,10 +170,9 @@ def population(seed: int, n_graphs: int, max_m: int) -> Population:
     cases of one M from the battery and from every row share batches.
     """
     graphs = tuple(battery(seed, n_graphs, max_m))
-    infos = [f"suite seed={seed} idx={n}" for n in range(len(graphs))]
     rows = [(check.name, check.cases(seed, graphs)) for check in CHECKS if check.cases]
     extra = [case for _, cases in rows for case in cases]
-    reports, totals = ent.verify_and_total(graphs, extra, seed_infos=infos)
+    reports, totals = ent.verify_and_total(graphs, extra)
     by_row, start = {}, 0
     for name, cases in rows:
         by_row[name] = list(zip(cases, totals[start : start + len(cases)]))
@@ -277,7 +270,7 @@ def _psi_invariance(pop, tol, read):
 
 
 def _no_isolated_vertex(g: DirectedGraph) -> bool:
-    return min(rec.total for rec in validate(g, allow_antiparallel=True)) >= 1
+    return min(rec.total for rec in g.degrees) >= 1
 
 
 def _at_half_pi(seed, graphs):
@@ -315,8 +308,7 @@ def _alpha_optimality(pop, tol, read):
 def _per_vertex_law(pop, tol, read):
     for (g, gp), rep in zip(pop.cases, pop.reports):
         c = math.cos(gp.theta)
-        recs = validate(g, allow_antiparallel=True)
-        for i, (rec, ev) in enumerate(zip(recs, rep.per_vertex)):
+        for i, (rec, ev) in enumerate(zip(g.degrees, rep.per_vertex)):
             err = abs(ev - (1.0 - c ** (2 * rec.total)))
             yield f"{rep.graph_hash[:12]} vertex {i}", [(err, tol)]
 

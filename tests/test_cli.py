@@ -472,6 +472,14 @@ class TestInternalErrors:
 class TestInputHardening:
     """Bad numbers and bad bytes end in exit 2 and one ``error:`` line."""
 
+    @pytest.mark.parametrize("word", ["\n", "a\r\nb", "x\u2028y"])
+    def test_a_line_break_in_an_argument_stays_on_the_error_line(self, word, capsys):
+        # argparse quotes unrecognized arguments raw: a newline once split the error
+        code, out, err = run(["suite", word], capsys)
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert err.startswith("error: digraph-ed: unrecognized arguments:")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

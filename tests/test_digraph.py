@@ -61,6 +61,20 @@ class TestEndpoints:
                 DirectedGraph(3, edges)
             assert len(str(info.value).splitlines()) == 1
 
+    @pytest.mark.parametrize("edges", [[1], [(0, 1, 2)], [(0,)], [(True, 2)], [(0, np.True_)], 5])
+    def test_an_edge_that_is_not_an_integer_pair_is_a_graph_error(self, edges):
+        # [1] and (0, 1, 2) once escaped as a bare TypeError and ValueError,
+        # and (True, 2) was read as the edge (1, 2)
+        bad = edges if isinstance(edges, int) else edges[0]
+        with pytest.raises(GraphError) as info:
+            DirectedGraph(3, edges)
+        assert repr(bad) in str(info.value) and len(str(info.value).splitlines()) == 1
+
+    def test_a_bool_M_is_a_graph_error(self):
+        for M in (True, np.True_):
+            with pytest.raises(GraphError, match="M must be an integer"):
+                DirectedGraph(M, ())
+
     def test_numpy_integers_become_python_ints(self):
         g = DirectedGraph(3, ((np.int64(0), np.int32(1)), [np.uint8(1), 2]))
         assert g.edges == ((0, 1), (1, 2))
@@ -103,6 +117,25 @@ class TestDegrees:
         recs = digraph.validate(DirectedGraph(4, ()), allow_antiparallel=True)
         assert all((r.out_degree, r.in_degree, r.total, r.pairs) == (0, 0, 0, 0) for r in recs)
 
+    def test_one_walk_kept_outside_the_fields(self, monkeypatch):
+        walks = []
+        real = digraph._walk
+        monkeypatch.setattr(digraph, "_walk", lambda g: walks.append(g.M) or real(g))
+        g = DirectedGraph(3, ((0, 1), (1, 0), (1, 2)))  # degrees apply no policy
+        recs = g.degrees
+        assert g.degrees is recs and digraph.validate(g, allow_antiparallel=True) is recs
+        with pytest.raises(AntiparallelPairError, match=r"\(0, 1\) / \(1, 0\)"):
+            digraph.validate(g)
+        assert walks == [3]
+        twin = DirectedGraph(3, g.edges)
+        assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+
+    def test_a_structural_fault_raises_at_the_first_read(self):
+        g = DirectedGraph(3, ((0, 1), (2, 2), (0, 1)))
+        for _ in range(2):
+            with pytest.raises(SelfLoopError):
+                g.degrees
+
     def test_total_sum_is_twice_edge_count(self):
         g = digraph.generate("erdos_renyi", 9, {"p": 0.5}, seed=11)
         assert sum(r.total for r in digraph.validate(g)) == 2 * g.num_edges
@@ -126,6 +159,28 @@ class TestGenerate:
         for m in (1, 2):
             with pytest.raises(BadParamsError):
                 digraph.generate("cycle", m)
+
+    @pytest.mark.parametrize(
+        "kwargs, bad",
+        [
+            ({"M": 3.0}, 3.0),
+            ({"M": True}, True),
+            ({"kind": "erdos_renyi", "params": {"p": 0.5}, "seed": 1.5}, 1.5),
+            ({"seed": "1"}, "1"),
+            ({"kind": "erdos_renyi", "params": {"p": "x"}}, "x"),
+            ({"kind": "erdos_renyi", "params": {"p": None}}, None),
+        ],
+    )
+    def test_a_non_integer_parameter_is_bad_params(self, kwargs, bad):
+        # M=3.0 and seed=1.5 once escaped as bare TypeErrors
+        kwargs = {"kind": "path", "M": 3, **kwargs}
+        with pytest.raises(BadParamsError) as info:
+            digraph.generate(**kwargs)
+        assert f"got {bad!r}" in str(info.value)
+
+    def test_numpy_integer_parameters_are_integers(self):
+        g = digraph.generate("erdos_renyi", np.int64(6), {"p": 0.5}, seed=np.uint8(3))
+        assert g == digraph.generate("erdos_renyi", 6, {"p": 0.5}, seed=3)
 
     def test_path(self):
         assert digraph.generate("path", 4).edges == ((0, 1), (1, 2), (2, 3))
@@ -243,7 +298,14 @@ class TestReverseEdges:
         g = DirectedGraph(3, ((0, 1), (1, 0)))  # only legal under escape hatch
         with pytest.raises(AntiparallelPairError):
             digraph.reverse_edges(g, ())
-        assert digraph.reverse_edges(g, (), allow_antiparallel=True) == g
+
+    def test_refusal_names_a_remedy_that_applies(self):
+        g = DirectedGraph(3, ((0, 1), (1, 0), (1, 2)))
+        with pytest.raises(AntiparallelPairError, match="with DirectedGraph directly") as e:
+            digraph.reverse_edges(g, (2,))
+        assert "allow_antiparallel" not in str(e.value)
+        flipped = DirectedGraph(3, ((0, 1), (1, 0), (2, 1)))  # the remedy: no policy applied
+        assert [r.pairs for r in flipped.degrees] == [1, 1, 0]
 
 
 def load(path):

@@ -1,4 +1,6 @@
-"""The oracles' independence, checked on the imports, and their index checks."""
+"""Checked boundaries, on the source: the oracles' independence, seen in the
+imports, and the edge-policy gate, seen in the calls; then the oracles' index
+checks."""
 
 import ast
 from pathlib import Path
@@ -59,6 +61,80 @@ class TestIndependence:
         )
         assert imports_from(path, "reference") == ["apply_edge_gate", "*", "*"]
         assert imports_from(path, "statevector") == ["_build", "bloch_arrays"]
+
+
+def calls_of(path: Path, name: str | None = None) -> list[tuple[str, ast.Call]]:
+    """Every call of ``name`` (bare or as an attribute; any call if None) in the
+    module at ``path``, with the top-level function or class it is in."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = []
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and name in (None, called_name(node)):
+                calls.append((where, node))
+    return calls
+
+
+def called_name(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def admits_pairs(call: ast.Call) -> bool:
+    """Whether ``call`` passes ``allow_antiparallel=True`` (to ``validate``, or True
+    after the graph)."""
+    values = [k.value for k in call.keywords if k.arg == "allow_antiparallel"]
+    if called_name(call) == "validate":
+        values += call.args[1:]
+    return any(isinstance(v, ast.Constant) and v.value is True for v in values)
+
+
+#: Where a graph enters: the only callers of the edge-policy gate.
+GATE_CALLERS = {
+    ("digraph", "generate"),
+    ("digraph", "reverse_edges"),
+    ("cli", "_report"),
+    ("cli", "cmd_sweep_theta"),
+}
+
+
+class TestPolicyGate:
+    """Degrees from ``g.degrees``, policy from ``validate``, at entry."""
+
+    def test_no_call_admits_antiparallel_pairs(self):
+        found = [
+            f"{path.stem}.{where}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for where, call in calls_of(path)
+            if admits_pairs(call)
+        ]
+        assert found == []
+
+    def test_validate_is_called_only_where_a_graph_enters(self):
+        callers = {
+            (path.stem, where)
+            for path in PACKAGE.glob("*.py")
+            for where, _ in calls_of(path, "validate")
+        }
+        assert callers == GATE_CALLERS
+
+    def test_the_check_sees_each_call_form(self, tmp_path):
+        path = tmp_path / "m.py"
+        path.write_text(
+            "from .digraph import validate\n"
+            "def f(g):\n    return validate(g, allow_antiparallel=True)\n"
+            "class C:\n    def m(self, g):\n        digraph.validate(g, True)\n"
+            "reverse_edges(g, (), allow_antiparallel=True)\n"
+            "validate(g)\n"
+            "print(g, True)\n",
+            encoding="utf-8",
+        )
+        calls = calls_of(path, "validate")
+        assert [where for where, _ in calls] == ["f", "C", "<module>"]
+        assert [admits_pairs(call) for _, call in calls_of(path)] == [
+            True, True, True, False, False
+        ]
 
 
 class TestIndices:
