@@ -32,7 +32,6 @@ from .entanglement import (
     pauli_vector_closed_form,
     verify_and_total,
     verify_graph,
-    verify_graphs,
     von_neumann_entropy,
 )
 from .reference import (
@@ -105,6 +104,5 @@ __all__ = [
     "validate",
     "verify_and_total",
     "verify_graph",
-    "verify_graphs",
     "von_neumann_entropy",
 ]

@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -88,7 +89,17 @@ def _error_line(message) -> str:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse that reports a usage error as one ``error:`` line, exit 2."""
+    """argparse that reports a usage error as one ``error:`` line, exit 2.
+
+    It takes ``-1e-3``, ``-.5e2`` and ``-inf`` for option values, as it
+    takes ``-1`` and ``-1.5``, where argparse alone reads them as options.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.I
+        )
 
     def error(self, message):
         # "unrecognized arguments" quotes the arguments raw, line breaks and all

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import index
 
@@ -177,7 +178,8 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     """Deterministic graph fixtures; pure function of (kind, M, params, seed).
 
     Kinds: path, cycle (M >= 3), star_out, star_in, complete_dag, and
-    erdos_renyi with ``params={"p": float}``; ``seed`` is an integer >= 0.
+    erdos_renyi with ``params={"p": float}``; ``params`` is a mapping or
+    None, and ``seed`` is an integer >= 0.
     The Erdos-Renyi sampler draws each ordered pair (a, b), a != b, with
     probability p in the scan order a = 0..M-1, b = 0..M-1 and skips draws
     that would create an antiparallel pair, so the output always passes
@@ -189,6 +191,8 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     O(M^2) numpy operations plus O(|L|) Python for the edge list and its
     validation.
     """
+    if params is not None and not isinstance(params, Mapping):
+        raise BadParamsError(f"params must be a mapping or None, got {params!r}")
     params = dict(params or {})
     if kind not in GENERATOR_KINDS:
         raise UnsupportedKindError(f"unknown kind {kind!r}; expected one of {GENERATOR_KINDS}")

@@ -17,16 +17,19 @@ the sweep and verification helpers used to check one against the other.
 Degrees from ``g.degrees``, policy from :func:`~digraph_ed.digraph.validate`,
 at entry: nothing here counts edges or applies the edge policy.
 
-:func:`verify_and_total` takes many cases (g, gp) at once, some to report
-on and some only to total: it groups all of them by M and builds and reads
-each group in batches that fit, with their Gram matrices, in one 1 MiB
-block (:func:`~digraph_ed.statevector.batch_size`), so a state of M <= 14
-shares its numpy calls with others of its size. Its results are, bit for
-bit and in input order, those of :func:`verify_graph` and :func:`ed_total`
-one case at a time. :func:`verify_graphs` and :func:`ed_totals` are its
-report-only and total-only calls, and :func:`verify_graph` the one-case
-call. Each reads every graph's degrees, which checks its structure, before
-any state is built; antiparallel pairs are read like any other edges.
+Three entries read states in batches. :func:`verify_and_total` takes many
+cases (g, gp) at once, some to report on and some only to total: it groups
+all of them by M and builds and reads each group in batches that fit, with
+their Gram matrices, in one 1 MiB block
+(:func:`~digraph_ed.statevector.batch_size`), so a state of M <= 14 shares
+its numpy calls with others of its size. Its results are, bit for bit and in
+input order, those of :func:`verify_graph` and :func:`ed_total` one case at
+a time. :func:`verify_graph` is its one-case call, which attaches a
+``seed_info`` to the report, and :func:`ed_totals` its total-only call.
+Each reads every graph's degrees, which checks its structure, before any
+state is built; antiparallel pairs are read like any other edges. Every
+squared Bloch length, batched or of one :func:`ed_total` state, comes from
+one formula over :func:`~digraph_ed.statevector.bloch_arrays`.
 :func:`alpha_sweep` reads its grid the same way, one initial state per
 row: ED from :func:`~digraph_ed.statevector.bloch_arrays`, the HS
 distance from one numpy call per step over the batch's reduced states
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +53,6 @@ from .statevector import (
     GateParams,
     PureState,
     PauliVector,
-    bloch_vectors,
 )
 
 #: Closed form vs statevector agreement threshold; absorbs 2^M-term rounding.
@@ -116,7 +118,7 @@ class SweepResult:
 
 def ed_total(state: PureState) -> float:
     """ED per qubit: 1 - mean over qubits of the squared Bloch length."""
-    return _ed_total([v.norm_sq for v in bloch_vectors(state)])
+    return _ed_total(_squared_lengths(state.amplitudes.reshape(1, -1))[0].tolist())
 
 
 def _ed_total(norm_sq: list[float]) -> float:
@@ -294,7 +296,7 @@ def _batches(cases):
             yield part, _squared_lengths(amps)
 
 
-def verify_and_total(reported, totalled, seed_infos=None) -> tuple[list[EDReport], list[float]]:
+def verify_and_total(reported, totalled) -> tuple[list[EDReport], list[float]]:
     """One batched pass: dual-route reports for ``reported``, ED totals for ``totalled``.
 
     Both are sequences of cases (g, gp) at the balanced initial state. The
@@ -302,12 +304,11 @@ def verify_and_total(reported, totalled, seed_infos=None) -> tuple[list[EDReport
     cases of one M from either list share batches. Each report is, bit for
     bit and in input order, what :func:`verify_graph` gives the case alone,
     and each total ``ed_total(build_graph_state(g, gp, ...))``: the squared
-    lengths are summed in qubit order, as :func:`ed_total` does.
-    ``seed_infos``, if given, holds one ``seed_info`` per reported case.
+    lengths are summed in qubit order, as :func:`ed_total` does. Every
+    report's ``seed_info`` is empty.
     """
     reported, totalled = list(reported), list(totalled)
     cases = reported + totalled
-    infos = [""] * len(reported) if seed_infos is None else list(seed_infos)
     reports: list = [None] * len(reported)
     totals = [0.0] * len(totalled)
     for part, norm_sq in _batches(cases):
@@ -326,7 +327,6 @@ def verify_and_total(reported, totalled, seed_infos=None) -> tuple[list[EDReport
                 graph_hash=digraph.graph_hash(g),
                 gp=gp,
                 policy="allow_antiparallel" if any(r.pairs for r in g.degrees) else "default",
-                seed_info=infos[n],
             )
     return reports, totals
 
@@ -340,17 +340,6 @@ def ed_totals(cases) -> list[float]:
     return verify_and_total((), cases)[1]
 
 
-def verify_graphs(cases, seed_infos=None) -> list[EDReport]:
-    """Dual-route ED reports for many cases (g, gp) at the balanced initial state.
-
-    The reports are those :func:`verify_graph` gives one case at a time,
-    bit for bit and in input order, but the states are built and read in
-    batches of one M; this is :func:`verify_and_total` with nothing to
-    total. ``seed_infos``, if given, holds one ``seed_info`` per case.
-    """
-    return verify_and_total(cases, (), seed_infos)[0]
-
-
 def verify_graph(g: DirectedGraph, gp: GateParams, seed_info: str = "") -> EDReport:
     """Dual-route ED for one graph at the balanced initial state.
 
@@ -360,6 +349,7 @@ def verify_graph(g: DirectedGraph, gp: GateParams, seed_info: str = "") -> EDRep
     closed form; the recorded discrepancy stays below ``DISCREPANCY_TOL``.
     The graph's edge list is walked once, at the first read of
     ``g.degrees``; the build and the closed form read the records it kept.
-    This is the one-case call of :func:`verify_graphs`.
+    This is the one-case call of :func:`verify_and_total`, with
+    ``seed_info`` attached to its report.
     """
-    return verify_graphs([(g, gp)], [seed_info])[0]
+    return replace(verify_and_total([(g, gp)], ())[0][0], seed_info=seed_info)

@@ -17,14 +17,15 @@ index, which :func:`build_graph_state` writes directly by qubit doubling:
 O(2^M) work whatever the edge count, in one buffer that becomes the
 state's frozen amplitude array (peak memory about one state, at most two).
 :func:`bloch_vectors` reads every qubit's Bloch vector from views of the
-amplitudes, with no copy of the state: one BLAS Gram matrix of the float
-view covers the low qubits, and one walk over the state in cache-sized
-blocks covers all the others, with complex dot products along contiguous
-rows of at most 2^_DOT_BITS amplitudes. A qubit whose amplitude pairs lie
-within a block is read while that block is in cache; a qubit at or above
-_BLOCK_BITS pairs the block with a later one. The per-block sums are merged
-as a balanced binary tree, which is numpy's pairwise sum over the whole
-row-dot array bit for bit. Within a qubit, p0, p1 and Re<0|rho|1> come from
+amplitudes, with no copy of the state, in one of three schemes: one BLAS
+Gram matrix of the float view covers qubits 0 to 4; the others are read in
+one walk over the state in cache-sized blocks, with complex dot products
+along contiguous rows of at most 2^_DOT_BITS amplitudes. Qubits 5 to 9 are
+summed per block and the block sums merged as a balanced binary tree, which
+is numpy's pairwise sum over the whole row-dot array bit for bit; each qubit
+from 10 up writes its row dots into one array, pairing chunks within the
+block below _BLOCK_BITS and the block with a later one from there up, and
+that array is summed once. Within a qubit, p0, p1 and Re<0|rho|1> come from
 one routine and one operand shape, so product states stay exactly pure.
 
 Both kernels carry a leading batch axis. :func:`build_graph_states` builds
@@ -84,8 +85,8 @@ _DOT_BITS = 10
 #: state in blocks of 2^_BLOCK_BITS amplitudes (1 MiB), which stay in a core's
 #: L2 cache.
 _BLOCK_BITS = 16
-# Every qubit's row dots in one block are an aligned run of at least
-# 2^(_BLOCK_BITS - _DOT_BITS) of its row-dot array. numpy's pairwise sum of a
+# A qubit below _DOT_BITS has at least 2^(_BLOCK_BITS - _DOT_BITS) row dots
+# in one block, an aligned run of its row-dot array. numpy's pairwise sum of a
 # complex array ends in leaves of 64 elements, so with runs of >= 64 a block's
 # sum is a node of numpy's summation tree, and the tree merge of the block sums
 # in bloch_arrays is np.sum of the whole array, bit for bit.
@@ -436,21 +437,20 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
 
       - qubits L <= i < _DOT_BITS: the block reshaped to (-1, 2, 2^i) puts
         the bit-i=0 rows a0 and the bit-i=1 rows a1 side by side, and
-        p0 = a0.a0, p1 = a1.a1 and t = a0.a1 are summed per block;
+        p0 = a0.a0, p1 = a1.a1 and t = a0.a1 are summed per block. The
+        block sums are merged by :func:`_tree_sum`: each is the sum of an
+        aligned run of at least 64 row dots, a node of numpy's pairwise
+        summation tree, so the merged sums are bit for bit ``np.sum`` of
+        the whole row-dot arrays. A state of one block (M <= _BLOCK_BITS)
+        takes the block sums as they are;
       - qubits i >= _DOT_BITS pair whole rows (chunks) of 2^_DOT_BITS
         amplitudes. Their p0 and p1 sum the chunk self-dots whose bit i is 0
         and 1, computed once per block for all of them, so each qubit reads
-        the state once more, for t. Qubits below _BLOCK_BITS find both
-        chunks of a pair in the block and write its row dots into one array
-        per qubit, summed at the end; a qubit i >= _BLOCK_BITS pairs the
-        block b whose bit i - _BLOCK_BITS is 0 with block b + 2^(i -
-        _BLOCK_BITS) and sums their row dots.
-
-      The per-block sums are merged by :func:`_tree_sum`. Each is the sum of
-      an aligned run of at least 2^(_BLOCK_BITS - _DOT_BITS) = 64 row dots,
-      a node of numpy's pairwise summation tree, so the merged sums are bit
-      for bit ``np.sum`` of the whole row-dot arrays. A state of one block
-      (M <= _BLOCK_BITS) takes the block sums as they are.
+        the state once more, for t: chunk c, with bit i - _DOT_BITS clear,
+        pairs with chunk c + 2^(i - _DOT_BITS), which lies in the same
+        block for i < _BLOCK_BITS and in block b + 2^(i - _BLOCK_BITS) from
+        there up. Either way the row dot goes into one array per qubit, in
+        the order of c, and each array is summed once at the end.
 
     Within a qubit, p0, p1 and Re t come from one routine over operands of
     one shape and are summed in one order, so for a product state with
@@ -475,11 +475,9 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     blocks = amps.reshape(G, -1, 1 << min(M, _BLOCK_BITS))
     low = range(L, min(M, _DOT_BITS))
     low_sums = []  # per block: p0, p1 and t of each low qubit
-    high_sums = [[] for _ in range(_BLOCK_BITS, M)]  # per block pair: t
     if M > _DOT_BITS:
-        mid = range(_DOT_BITS, min(M, _BLOCK_BITS))
         norms = np.empty((G, N >> _DOT_BITS), np.complex128)
-        dots = [np.empty((G, 1 << (M - 1 - i), 1 << (i - _DOT_BITS)), np.complex128) for i in mid]
+        dots = [np.empty((G, N >> (_DOT_BITS + 1)), np.complex128) for _ in range(_DOT_BITS, M)]
     for b in range(blocks.shape[-2]):
         block = blocks[..., b, :]
         sums = []
@@ -497,15 +495,18 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
         chunks = block.reshape(G, -1, 1 << _DOT_BITS)
         first = b * chunks.shape[-2]
         np.vecdot(chunks, chunks, out=norms[..., first : first + chunks.shape[-2]])
-        for i, dot in zip(mid, dots):
-            pairs = chunks.reshape(G, -1, 2, 1 << (i - _DOT_BITS), 1 << _DOT_BITS)
-            row = first >> (i + 1 - _DOT_BITS)
-            out = dot[..., row : row + pairs.shape[-4], :]
-            np.vecdot(pairs[..., 0, :, :], pairs[..., 1, :, :], out=out)
-        for k, parts in enumerate(high_sums):
-            if not b >> k & 1:
-                partner = blocks[..., b + (1 << k), :].reshape(G, -1, 1 << _DOT_BITS)
-                parts.append(np.vecdot(chunks, partner).sum(axis=-1))
+        for i, dot in enumerate(dots, _DOT_BITS):
+            # the block's pairs fill a run of qubit i's row dots, from its
+            # first chunk with bit h clear, numbered with bit h dropped
+            h = i - _DOT_BITS
+            start = (first >> (h + 1) << h) | (first & ((1 << h) - 1))
+            if i < _BLOCK_BITS:  # both chunks of a pair lie in this block
+                pairs = chunks.reshape(G, -1, 2, 1 << h, 1 << _DOT_BITS)
+                out = dot[..., start : start + chunks.shape[-2] // 2].reshape(G, -1, 1 << h)
+                np.vecdot(pairs[..., 0, :, :], pairs[..., 1, :, :], out=out)
+            elif not b >> (i - _BLOCK_BITS) & 1:  # the partner is a later block
+                partner = blocks[..., b + (1 << (i - _BLOCK_BITS)), :].reshape(chunks.shape)
+                np.vecdot(chunks, partner, out=dot[..., start : start + chunks.shape[-2]])
     # one block: its sums are the sums, with no merge to pay for on small states
     sums = low_sums[0] if len(low_sums) == 1 else [_tree_sum(p) for p in zip(*low_sums)]
     for i, (s0, s1, t) in enumerate(zip(sums[0::3], sums[1::3], sums[2::3]), L):
@@ -515,10 +516,7 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
         half = norms.reshape(G, -1, 2, 1 << (i - _DOT_BITS))
         s0 = np.ascontiguousarray(half[..., 0, :]).reshape(G, -1).sum(axis=-1)
         s1 = np.ascontiguousarray(half[..., 1, :]).reshape(G, -1).sum(axis=-1)
-        if i < _BLOCK_BITS:
-            t = dots[i - _DOT_BITS].reshape(G, -1).sum(axis=-1)
-        else:
-            t = _tree_sum(high_sums[i - _BLOCK_BITS])
+        t = dots[i - _DOT_BITS].sum(axis=-1)
         q[..., 0, i], q[..., 1, i], q[..., 2, i], q[..., 3, i] = s0.real, s1.real, t.real, t.imag
     p0, p1 = q[..., 0, :], q[..., 1, :]
     nrm = p0 + p1

@@ -133,11 +133,6 @@ class Population:
     reports: tuple[ent.EDReport, ...]
     read: dict[str, list[tuple[Case, float]]]
 
-    @property
-    def totals(self) -> dict[str, list[float]]:
-        """The statevector ED of each row's cases, in order."""
-        return {name: [total for _, total in read] for name, read in self.read.items()}
-
 
 # A case's label and its (error, bound) pairs; each error must stay
 # strictly below its bound.

@@ -642,6 +642,36 @@ class TestInputHardening:
         assert err.endswith(f"{message}\n") and err.count("\n") == 1, err
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-.5e2", "-2E+1", "-1", "-2.5"])
+    @pytest.mark.parametrize("option", ["--theta", "--psi"])
+    def test_a_negative_float_is_an_option_value(self, option, value, capsys):
+        # argparse itself reads only -1 and -2.5 as numbers, -1e-3 as an option
+        angles = {"--theta": "1", "--psi": "0", option: value}
+        spaced = [word for pair in angles.items() for word in pair]
+        joined = [f"{name}={v}" for name, v in angles.items()]
+        code, out, err = run(["sweep-alpha", "--grid", "3", *spaced], capsys)
+        assert (code, out, err) == run(["sweep-alpha", "--grid", "3", *joined], capsys)
+        assert code == EXIT_OK and len(out.splitlines()) == 4
+        args = cli.build_parser().parse_args(["sweep-alpha", *spaced])
+        assert getattr(args, option[2:]) == float(value)
+
+    @pytest.mark.parametrize("command", ["gen", "verify"])
+    def test_a_negative_p_reaches_the_generator(self, command, capsys):
+        argv = [command, "--kind", "erdos_renyi", "--M", "3", "--p", "-1e-3"]
+        code, out, err = run(argv + (["--theta", "1"] if command == "verify" else []), capsys)
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert err == "error: edge probability p=-0.001 outside [0, 1]\n"
+
+    @pytest.mark.parametrize(
+        "angles,shown",
+        [(["--theta", "-inf"], "(-inf, 0.0)"), (["--theta", "1", "--psi", "-inf"], "(1.0, -inf)"),
+         (["--theta", "-Infinity", "--deg"], "(-inf, 0.0)")],
+    )
+    def test_a_non_finite_angle_is_refused(self, angles, shown, capsys):
+        code, out, err = run(["sweep-alpha", "--grid", "3", *angles], capsys)
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert err == f"error: gate angles must be finite, got {shown}\n"
+
     def test_grid_bounds_are_accepted(self, capsys):
         code, out, _ = run(["sweep-theta", "--kind", "path", "--M", "2", "--grid", "2"], capsys)
         assert code == EXIT_OK and len(out.splitlines()) == 3

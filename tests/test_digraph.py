@@ -178,6 +178,13 @@ class TestGenerate:
             digraph.generate(**kwargs)
         assert f"got {bad!r}" in str(info.value)
 
+    @pytest.mark.parametrize("params", [5, 0, "p", [("p", 0.5)]])
+    def test_params_that_are_not_a_mapping_are_bad_params(self, params):
+        # generate("path", 3, 5) once escaped as a bare TypeError
+        with pytest.raises(BadParamsError) as info:
+            digraph.generate("erdos_renyi", 3, params)
+        assert str(info.value) == f"params must be a mapping or None, got {params!r}"
+
     def test_numpy_integer_parameters_are_integers(self):
         g = digraph.generate("erdos_renyi", np.int64(6), {"p": 0.5}, seed=np.uint8(3))
         assert g == digraph.generate("erdos_renyi", 6, {"p": 0.5}, seed=3)

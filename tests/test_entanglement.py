@@ -1,5 +1,6 @@
 """ED measures, closed forms, sweeps, and the dual-route verification."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -20,7 +21,6 @@ from digraph_ed.entanglement import (
     pauli_vector_closed_form,
     verify_and_total,
     verify_graph,
-    verify_graphs,
     von_neumann_entropy,
 )
 from digraph_ed import statevector
@@ -385,12 +385,13 @@ class TestBatches:
         cases = [
             (generate("star_out", M), GateParams(0.3 * M, 0.1)) for M in (5, 2, 9, 2, 5, 14, 14)
         ]
-        infos = [f"case {n}" for n in range(len(cases))]
-        reports = verify_graphs(cases, seed_infos=infos)
-        for (g, gp), info, rep in zip(cases, infos, reports):
-            assert rep == verify_graph(g, gp, seed_info=info)
-        assert ed_totals(cases) == [rep.total_statevector for rep in reports]
-        assert verify_graphs([]) == [] and ed_totals([]) == []
+        reports, totals = verify_and_total(cases, cases)
+        for (g, gp), rep in zip(cases, reports):
+            assert rep == verify_graph(g, gp)
+        assert totals == ed_totals(cases) == [rep.total_statevector for rep in reports]
+        g, gp = cases[0]
+        assert verify_graph(g, gp, "case 0") == dataclasses.replace(reports[0], seed_info="case 0")
+        assert ed_totals([]) == []
 
     def test_reports_and_totals_share_one_pass(self, monkeypatch):
         reported = [(generate("star_out", M), GateParams(0.3 * M, 0.1)) for M in (5, 2, 9, 5)]
@@ -398,8 +399,7 @@ class TestBatches:
             (generate("erdos_renyi", M, {"p": 0.5}, seed=M), GateParams(0.2 * M, -0.4))
             for M in (9, 2, 5, 3, 5)
         ]
-        infos = [f"case {n}" for n in range(len(reported))]
-        want = (verify_graphs(reported, seed_infos=infos), ed_totals(totalled))
+        want = ([verify_graph(g, gp) for g, gp in reported], ed_totals(totalled))
         calls = []
         real = statevector.build_graph_states
 
@@ -408,7 +408,7 @@ class TestBatches:
             return real(graphs, *args, **kwargs)
 
         monkeypatch.setattr(statevector, "build_graph_states", count)
-        assert verify_and_total(reported, totalled, seed_infos=infos) == want
+        assert verify_and_total(reported, totalled) == want
         # one batch per M, shared by the reported and the totalled cases
         assert sorted(calls) == [[2], [3], [5], [9]]
         assert verify_and_total([], []) == ([], [])
@@ -426,7 +426,7 @@ class TestBatches:
     def test_over_the_cap_is_refused(self, monkeypatch):
         monkeypatch.setattr(statevector, "DEFAULT_MAX_QUBITS", 4)
         with pytest.raises(CapacityError):
-            verify_graphs([(generate("path", M), GateParams(0.4)) for M in (3, 5)])
+            verify_and_total([(generate("path", M), GateParams(0.4)) for M in (3, 5)], ())
 
     def test_memory_stays_within_a_few_blocks(self):
         # 5000 states of M=5, each with a 32 KiB Gram: 160 MiB in one batch,

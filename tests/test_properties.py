@@ -29,8 +29,8 @@ from digraph_ed.entanglement import (
     ed_totals,
     hs_distance,
     pauli_vector_closed_form,
+    verify_and_total,
     verify_graph,
-    verify_graphs,
     von_neumann_entropy,
 )
 from digraph_ed.errors import AntiparallelPairError
@@ -108,8 +108,8 @@ def _bits(values) -> bytes:
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_batches_match_one_state_at_a_time(cases):
     """Batched builds, reads, reports and totals equal the one-state route bit for bit."""
-    reports = verify_graphs(cases)
-    totals = ed_totals(cases)
+    reports, totals = verify_and_total(cases, cases)
+    assert totals == ed_totals(cases)
     one_m = [(g, gp) for g, gp in cases if g.M == cases[0][0].M]
     amps = build_graph_states(*zip(*one_m))
     vectors = bloch_arrays(amps)
@@ -121,7 +121,8 @@ def test_batches_match_one_state_at_a_time(cases):
     for (g, gp), rep, total in zip(cases, reports, totals):
         one = verify_graph(g, gp)
         assert _bits(rep.per_vertex) == _bits(one.per_vertex)
-        assert _bits([rep.total_statevector, total]) == _bits([one.total_statevector] * 2)
+        alone = ed_total(build_graph_state(g, gp))
+        assert _bits([rep.total_statevector, total, alone]) == _bits([one.total_statevector] * 3)
         assert rep.to_json() == one.to_json()
 
 

@@ -399,11 +399,12 @@ class TestBlochVectors:
                 want = oracles.pauli_expectation_dense(st.amplitudes, g.M, i)
                 np.testing.assert_allclose((v.x, v.y, v.z), want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("M", [11, 17, 18, 20])
+    @pytest.mark.parametrize("M", [11, 17, 18, 20, 21])
     @pytest.mark.parametrize("kind", ["erdos_renyi", "star_out", "complete_dag", "random"])
     def test_dot_pass_matches_plain_row_dots_exactly(self, kind, M):
-        # M=11 is one block; M=17, 18 and 20 sweep 2, 4 and 16 blocks, merge the
-        # per-block sums, and pair blocks for qubits 16 and up (16-19 at M=20)
+        # M=11 is one block; M=17, 18, 20 and 21 sweep 2, 4, 16 and 32 blocks,
+        # merge the per-block sums of qubits 5-9, and pair blocks for qubits 16
+        # and up, with partners up to 16 blocks away at M=21
         if kind == "random":
             st = PureState(M, oracles.random_state(np.random.default_rng(M), M))
         else:
@@ -413,6 +414,18 @@ class TestBlochVectors:
         assert got == oracles.bloch_vectors_by_row_dots(
             st.amplitudes, M, statevector._GRAM_QUBITS, statevector._DOT_BITS
         )
+
+    def test_a_stack_of_multi_block_states_reads_as_each_row_alone(self):
+        # M=17: two blocks per row, qubit 16 pairs them
+        kinds = [("star_out", {}), ("erdos_renyi", {"p": 0.3}), ("complete_dag", {})]
+        graphs = [generate(kind, 17, params, seed=3) for kind, params in kinds]
+        gps = [GateParams(0.7, -1.3), GateParams(2.1, 0.4), GateParams(-0.5, 0.9)]
+        amps = statevector.build_graph_states(
+            graphs, gps, [INV_SQRT2, 0.6, 0.8], [INV_SQRT2, 0.8j, -0.6]
+        )
+        stack = statevector.bloch_arrays(amps)
+        for r in range(3):
+            assert stack[r].tobytes() == statevector.bloch_arrays(amps[r : r + 1])[0].tobytes()
 
     def test_product_states_are_exactly_pure(self):
         # to M=18: four blocks, merged

@@ -73,14 +73,17 @@ def test_battery_draws_p_as_rng_choice_does():
 @pytest.mark.parametrize("args", [(0, 200, 12), (1, 200, 12), (2, 200, 12), (21, 15, 7)])
 def test_one_pass_matches_each_row_on_its_own(args):
     # population reads the battery and every row's cases in one pass; each
-    # row's totals are those of its cases read on their own, and run_suite
-    # is every row run over that population
+    # row's cases come back in order, each with the total it has when the
+    # cases are read on their own, and run_suite is every row run over that
+    # population
     pop = population(*args)
     for check in CHECKS:
         if check.cases:
-            want = entanglement.ed_totals(check.cases(pop.seed, pop.cases))
-            assert [e.hex() for e in pop.totals[check.name]] == [e.hex() for e in want]
-    assert sorted(pop.totals) == sorted(c.name for c in CHECKS if c.cases)
+            cases = check.cases(pop.seed, pop.cases)
+            want = entanglement.ed_totals(cases)
+            assert [case for case, _ in pop.read[check.name]] == cases
+            assert [e.hex() for _, e in pop.read[check.name]] == [e.hex() for e in want]
+    assert sorted(pop.read) == sorted(c.name for c in CHECKS if c.cases)
 
     def fields(results):
         return [(c.name, c.cases, c.threshold, c.worst.hex(), c.violations) for c in results]
