@@ -13,7 +13,8 @@ list: it raises on a structural fault and keeps one :class:`DegreeRecord`
 per vertex (out-degree, in-degree, antiparallel pairs) on the graph, for
 the state and ED layers to read. :func:`validate` applies the antiparallel
 rule, a choice of inputs, only where a graph enters: :func:`generate`,
-:func:`reverse_edges` and the CLI's ``--allow-antiparallel``.
+:func:`reverse_edges` and the CLI's ``--allow-antiparallel``. Every integer
+argument is read by :func:`~digraph_ed.errors.integer`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     ParseError,
     SelfLoopError,
     UnsupportedKindError,
+    integer,
 )
 
 GENERATOR_KINDS = ("path", "cycle", "star_out", "star_in", "complete_dag", "erdos_renyi")
@@ -49,20 +51,16 @@ class DirectedGraph:
     Construction normalizes M to a Python int and the edge list to a tuple
     of pairs of Python ints but performs no other checks: the first read of
     :attr:`degrees` checks the structure, M >= 1 among it, and
-    :func:`validate` applies the edge policy. M and every endpoint must be
-    integers (numpy integers included): any other value, such as 2.0, "3",
-    0.9 or True, and any edge that is not a pair, raises :class:`GraphError`
-    rather than being truncated.
+    :func:`validate` applies the edge policy. M and every endpoint are read
+    by :func:`~digraph_ed.errors.integer`: a non-integer, such as 2.0, "3" or
+    True, or an edge that is not a pair, raises :class:`GraphError`.
     """
 
     M: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "M", _integer(self.M))
-        except TypeError:
-            raise GraphError(f"M must be an integer, got {self.M!r}") from None
+        object.__setattr__(self, "M", integer(self.M, "M", GraphError))
         try:
             edges = map(_edge, self.edges)
         except TypeError:
@@ -87,18 +85,11 @@ class DirectedGraph:
         return _walk(self)
 
 
-def _integer(v) -> int:
-    """``v`` as a Python int; a bool or a non-integer raises TypeError."""
-    if isinstance(v, bool):
-        raise TypeError(v)
-    return index(v)
-
-
 def _edge(e) -> tuple[int, int]:
     """``e`` as a pair of Python ints, else :class:`GraphError` naming it.
 
-    As in :func:`_integer`, a bool is no integer; the check is inlined
-    because this runs once per edge.
+    Each endpoint is read by the rule of :func:`~digraph_ed.errors.integer`,
+    inlined because this runs once per edge, where a call is measurably slower.
     """
     try:
         a, b = e
@@ -196,7 +187,7 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     params = dict(params or {})
     if kind not in GENERATOR_KINDS:
         raise UnsupportedKindError(f"unknown kind {kind!r}; expected one of {GENERATOR_KINDS}")
-    M, seed = _int_param("M", M), _int_param("seed", seed)
+    M, seed = integer(M, "M", BadParamsError), integer(seed, "seed", BadParamsError)
     if M < 1:
         raise BadParamsError(f"M must be >= 1, got {M}")
     if seed < 0:
@@ -244,17 +235,9 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     return g
 
 
-def _int_param(name: str, value) -> int:
-    """A generator's integer parameter as a Python int, else :class:`BadParamsError`."""
-    try:
-        return _integer(value)
-    except TypeError:
-        raise BadParamsError(f"{name} must be an integer, got {value!r}") from None
-
-
 def permute(g: DirectedGraph, perm: list[int] | tuple[int, ...]) -> DirectedGraph:
     """Relabel vertices: edge (a, b) becomes (perm[a], perm[b])."""
-    perm = list(perm)
+    perm = [integer(p, "perm entry", NotABijectionError) for p in perm]
     if sorted(perm) != list(range(g.M)):
         raise NotABijectionError(f"perm {perm} is not a bijection on 0..{g.M - 1}")
     return DirectedGraph(g.M, tuple((perm[a], perm[b]) for a, b in g.edges))
@@ -263,20 +246,14 @@ def permute(g: DirectedGraph, perm: list[int] | tuple[int, ...]) -> DirectedGrap
 def reverse_edges(g: DirectedGraph, subset) -> DirectedGraph:
     """Flip the orientation of the edges at the given indices.
 
-    An index must be an integer (numpy integers included): any other value,
-    such as 0.9, raises :class:`IndexOutOfRangeError` rather than being
-    truncated. The result is a graph that enters, so it must pass
-    :func:`validate` under the default policy, as :func:`generate`'s do
-    (a caller who wants an antiparallel pair builds the flipped graph with
-    :class:`DirectedGraph` directly, which applies no policy);
-    per-vertex total degrees are unchanged by construction.
+    Each index is read by :func:`~digraph_ed.errors.integer`, a bad one
+    raising :class:`IndexOutOfRangeError`. The result is a graph that
+    enters, so it must pass :func:`validate` under the default policy, as
+    :func:`generate`'s do (a caller who wants an antiparallel pair builds
+    the flipped graph with :class:`DirectedGraph` directly, which applies no
+    policy); per-vertex total degrees are unchanged by construction.
     """
-    idx = set()
-    for i in subset:
-        try:
-            idx.add(index(i))
-        except TypeError:
-            raise IndexOutOfRangeError(f"edge index must be an integer, got {i!r}") from None
+    idx = {integer(i, "edge index", IndexOutOfRangeError) for i in subset}
     for i in idx:
         if not 0 <= i < len(g.edges):
             raise IndexOutOfRangeError(f"edge index {i} out of range (|L|={len(g.edges)})")

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import digraph, statevector
 from .digraph import DirectedGraph
-from .errors import BadGridError, NegativeEigenvalueError
+from .errors import BadGridError, BadParamsError, NegativeEigenvalueError, integer
 from .statevector import (
     DensityMatrix1Q,
     GateParams,
@@ -154,10 +154,13 @@ def pauli_vector_closed_form(d_out: int, d_in: int, gp: GateParams, pairs: int =
     incoming (target-side) edge: phi = d_out*psi + d_in*theta. The phase
     composition is pinned against the statevector route in the test suite.
     """
+    d_out = integer(d_out, "d_out", BadParamsError)
+    d_in = integer(d_in, "d_in", BadParamsError)
+    pairs = integer(pairs, "pairs", BadParamsError)
     if d_out < 0 or d_in < 0:
-        raise ValueError(f"degrees must be non-negative, got ({d_out}, {d_in})")
+        raise BadParamsError(f"degrees must be non-negative, got ({d_out}, {d_in})")
     if not 0 <= pairs <= min(d_out, d_in):
-        raise ValueError(f"pairs must lie in [0, min(d_out, d_in)], got {pairs}")
+        raise BadParamsError(f"pairs must lie in [0, min(d_out, d_in)], got {pairs}")
     r = math.cos(gp.theta) ** (d_out + d_in - 2 * pairs) * math.cos(2.0 * gp.theta) ** pairs
     phi = d_out * gp.psi + d_in * gp.theta
     return PauliVector(r * math.cos(phi), -r * math.sin(phi), 0.0)
@@ -203,6 +206,7 @@ def alpha_sweep(gp: GateParams, grid: int) -> SweepResult:
     within one 1 MiB block however long the grid; every sample is bit for
     bit what one state built and read alone gives.
     """
+    grid = integer(grid, "grid", BadGridError)
     if grid < 3:
         raise BadGridError(f"grid must be >= 3, got {grid}")
     g = DirectedGraph(2, ((0, 1),))

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer reader.
 
 Every error raised on purpose by this package derives from DigraphEdError,
 so callers (notably the CLI) can separate expected failures from bugs.
+Every count, index and size the package takes is read by :func:`integer`.
 """
+
+from operator import index
 
 
 class DigraphEdError(Exception):
@@ -91,3 +94,14 @@ class BadGridError(DigraphEdError, ValueError):
 
 class ParseError(DigraphEdError, ValueError):
     """A graph file does not match the JSON schema."""
+
+
+def integer(value, what: str, error: type[Exception]) -> int:
+    """``value`` as a Python int, else ``error`` naming it: a bool or a value
+    without ``__index__`` (which numpy integers have) is no integer."""
+    try:
+        if not isinstance(value, bool):
+            return index(value)
+    except TypeError:
+        pass
+    raise error(f"{what} must be an integer, got {value!r}")

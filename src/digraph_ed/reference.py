@@ -9,32 +9,23 @@ production path.
 That check means something only while the two routes share no code, so this
 module imports from :mod:`digraph_ed.statevector` its types and its input
 check alone (``GateParams``, ``PureState``, ``PauliVector``,
-``DensityMatrix1Q`` and ``_qubit_amplitudes``), never a kernel, and
-``statevector``, ``entanglement``, ``digraph`` and ``cli`` import nothing
-from here. ``tests/test_reference.py`` parses the imports and enforces both.
+``DensityMatrix1Q`` and ``_qubit_amplitudes``), never a kernel, and from
+:mod:`digraph_ed.errors` its errors and the reader ``integer``; ``statevector``,
+``entanglement``, ``digraph`` and ``cli`` import nothing from here.
+``tests/test_reference.py`` parses the imports and enforces both.
 """
 
 from __future__ import annotations
 
-from operator import index
-
 import numpy as np
 
-from .errors import IndexOutOfRangeError, SelfLoopError
+from .errors import IndexOutOfRangeError, SelfLoopError, integer
 from .statevector import DensityMatrix1Q, GateParams, PauliVector, PureState, _qubit_amplitudes
-
-
-def _index(value, what: str) -> int:
-    """``value`` as an int, or one error naming it: nothing is truncated."""
-    try:
-        return index(value)
-    except TypeError:
-        raise IndexOutOfRangeError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _qubit_slices(state: PureState, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of the amplitudes with qubit i fixed to 0 and to 1."""
-    i = _index(i, "qubit index")
+    i = integer(i, "qubit index", IndexOutOfRangeError)
     if not 0 <= i < state.M:
         raise IndexOutOfRangeError(f"qubit {i} out of range for M={state.M}")
     view = state.amplitudes.reshape((2,) * state.M)
@@ -74,7 +65,7 @@ def init_product_state(M: int, alpha0: complex, alpha1: complex) -> PureState:
 
 
 def _check_edge(M: int, edge: tuple[int, int]) -> tuple[int, int]:
-    a, b = _index(edge[0], "edge endpoint"), _index(edge[1], "edge endpoint")
+    a, b = (integer(edge[n], "edge endpoint", IndexOutOfRangeError) for n in (0, 1))
     if not (0 <= a < M and 0 <= b < M):
         raise IndexOutOfRangeError(f"edge ({a}, {b}) out of range for M={M}")
     if a == b:

@@ -67,6 +67,7 @@ from .errors import (
     CapacityError,
     IndexOutOfRangeError,
     NotNormalizedError,
+    integer,
 )
 
 #: The qubit cap, read at call time by the engine and the CLI alike: 2^24
@@ -106,7 +107,13 @@ class GateParams:
     psi: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.psi)):
+        try:
+            finite = math.isfinite(self.theta) and math.isfinite(self.psi)
+        except TypeError:
+            raise BadParamsError(
+                f"gate angles must be real numbers, got ({self.theta!r}, {self.psi!r})"
+            ) from None
+        if not finite:
             raise BadParamsError(f"gate angles must be finite, got ({self.theta}, {self.psi})")
         object.__setattr__(self, "theta", _canonical_angle(self.theta))
         object.__setattr__(self, "psi", _canonical_angle(self.psi))
@@ -136,6 +143,7 @@ class PureState:
         )
         if not adoptable:
             amps = np.array(amps, dtype=np.complex128)
+        object.__setattr__(self, "M", integer(self.M, "M", IndexOutOfRangeError))
         if self.M < 1:
             raise IndexOutOfRangeError(f"M must be positive, got {self.M}")
         if amps.shape != (1 << self.M,):
@@ -204,6 +212,7 @@ class DensityMatrix1Q:
 
 def _qubit_amplitudes(M: int, alpha0: complex, alpha1: complex) -> tuple[complex, complex]:
     """Check the qubit count and the single-qubit state of a uniform product state."""
+    M = integer(M, "M", IndexOutOfRangeError)
     if M < 1:
         raise IndexOutOfRangeError(f"M must be positive, got {M}")
     if M > DEFAULT_MAX_QUBITS:
@@ -251,7 +260,7 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     records = [g.degrees for g in graphs]
     M = graphs[0].M
     if any(g.M != M for g in graphs):
-        raise ValueError(f"a batch holds states of one M, got {sorted({g.M for g in graphs})}")
+        raise BadParamsError(f"a batch holds states of one M, got {sorted({g.M for g in graphs})}")
     G = len(graphs)
     alpha0, alpha1 = _initial_amplitudes(M, G, alpha0, alpha1)
     # ends: a0, b0, a1, b1, ... over the edges of every graph, in order
@@ -356,6 +365,8 @@ def build_graph_states(
     one block (see :func:`batch_size`).
     """
     graphs = list(graphs)
+    if not graphs:
+        raise BadParamsError("a batch needs at least one graph, got none")
     amps = _build(graphs, list(gps), alpha0, alpha1).reshape(len(graphs), -1)
     _check_norms(amps)
     return amps
@@ -441,8 +452,7 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
         block sums are merged by :func:`_tree_sum`: each is the sum of an
         aligned run of at least 64 row dots, a node of numpy's pairwise
         summation tree, so the merged sums are bit for bit ``np.sum`` of
-        the whole row-dot arrays. A state of one block (M <= _BLOCK_BITS)
-        takes the block sums as they are;
+        the whole row-dot arrays;
       - qubits i >= _DOT_BITS pair whole rows (chunks) of 2^_DOT_BITS
         amplitudes. Their p0 and p1 sum the chunk self-dots whose bit i is 0
         and 1, computed once per block for all of them, so each qubit reads
@@ -507,8 +517,7 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
             elif not b >> (i - _BLOCK_BITS) & 1:  # the partner is a later block
                 partner = blocks[..., b + (1 << (i - _BLOCK_BITS)), :].reshape(chunks.shape)
                 np.vecdot(chunks, partner, out=dot[..., start : start + chunks.shape[-2]])
-    # one block: its sums are the sums, with no merge to pay for on small states
-    sums = low_sums[0] if len(low_sums) == 1 else [_tree_sum(p) for p in zip(*low_sums)]
+    sums = [_tree_sum(p) for p in zip(*low_sums)]
     for i, (s0, s1, t) in enumerate(zip(sums[0::3], sums[1::3], sums[2::3]), L):
         q[..., 0, i], q[..., 1, i], q[..., 2, i], q[..., 3, i] = s0.real, s1.real, t.real, t.imag
     for i in range(_DOT_BITS, M):

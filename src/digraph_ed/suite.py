@@ -38,7 +38,7 @@ import numpy as np
 
 from . import entanglement as ent
 from .digraph import DirectedGraph, generate, graph_hash, permute, reverse_edges
-from .errors import BadParamsError
+from .errors import BadParamsError, integer
 from .reference import (
     apply_edge_gate,
     apply_two_qubit_dense,
@@ -102,12 +102,7 @@ def battery(seed: int, n_graphs: int, max_m: int) -> list[Case]:
     seed is refused, and so is an empty population or one with no
     admissible M, since every check would pass on it vacuously.
     """
-    if seed < 0:
-        raise BadParamsError(f"the suite seed must be >= 0, got {seed}")
-    if n_graphs < 1:
-        raise BadParamsError(f"the suite needs at least 1 graph, got {n_graphs}")
-    if max_m < 2:
-        raise BadParamsError(f"the suite needs max_m >= 2, got {max_m}")
+    seed, n_graphs, max_m = _suite_params(seed, n_graphs, max_m)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_graphs):
@@ -118,6 +113,20 @@ def battery(seed: int, n_graphs: int, max_m: int) -> list[Case]:
         psi = float(rng.uniform(0.0, math.pi))
         out.append((generate("erdos_renyi", M, {"p": p}, gseed), GateParams(theta, psi)))
     return out
+
+
+def _suite_params(seed: int, n_graphs: int, max_m: int) -> tuple[int, int, int]:
+    """The suite's arguments as ints, read and checked as :func:`battery` says."""
+    seed = integer(seed, "seed", BadParamsError)
+    n_graphs = integer(n_graphs, "n_graphs", BadParamsError)
+    max_m = integer(max_m, "max_m", BadParamsError)
+    if seed < 0:
+        raise BadParamsError(f"the suite seed must be >= 0, got {seed}")
+    if n_graphs < 1:
+        raise BadParamsError(f"the suite needs at least 1 graph, got {n_graphs}")
+    if max_m < 2:
+        raise BadParamsError(f"the suite needs max_m >= 2, got {max_m}")
+    return seed, n_graphs, max_m
 
 
 @dataclass(frozen=True)
@@ -422,6 +431,7 @@ def run_suite(seed: int = 0, n_graphs: int = 200, max_m: int = 12) -> SuiteRepor
     The battery and the cases of every row are read in one pass (see
     :func:`population`).
     """
+    seed, n_graphs, max_m = _suite_params(seed, n_graphs, max_m)
     pop = population(seed, n_graphs, max_m)
     checks = tuple(run_check(check, pop) for check in CHECKS)
     return SuiteReport(seed=seed, n_graphs=n_graphs, max_m=max_m, checks=checks)

@@ -1,6 +1,6 @@
 """Checked boundaries, on the source: the oracles' independence, seen in the
-imports, and the edge-policy gate, seen in the calls; then the oracles' index
-checks."""
+imports, the edge-policy gate and the one integer reader, seen in the calls;
+then the oracles' index checks."""
 
 import ast
 from pathlib import Path
@@ -135,6 +135,53 @@ class TestPolicyGate:
         assert [admits_pairs(call) for _, call in calls_of(path)] == [
             True, True, True, False, False
         ]
+
+
+def index_calls(path: Path) -> set[tuple[str, str]]:
+    """Where the module at ``path`` calls ``operator.index`` (under any name it
+    imports it as) or an ``__index__`` method: (module, top-level function or class)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "operator":
+            names |= {a.asname or a.name for a in node.names if a.name == "index"}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "operator"}
+    found = set()
+    for where, call in calls_of(path):
+        f = call.func
+        if (
+            isinstance(f, ast.Name) and f.id in names
+            or isinstance(f, ast.Attribute) and f.attr == "__index__"
+            or isinstance(f, ast.Attribute) and f.attr == "index"
+            and isinstance(f.value, ast.Name) and f.value.id in modules
+        ):
+            found.add((path.stem, where))
+    return found
+
+
+class TestOneIntegerReader:
+    """Every integer is read by ``errors.integer``; ``digraph._edge`` inlines it
+    because it runs once per edge. Nothing else writes the rule again."""
+
+    def test_operator_index_is_called_only_in_the_reader_and_the_edge_read(self):
+        found = set().union(*(index_calls(path) for path in PACKAGE.glob("*.py")))
+        assert found == {("errors", "integer"), ("digraph", "_edge")}
+
+    def test_the_check_sees_each_call_form(self, tmp_path):
+        path = tmp_path / "m.py"
+        path.write_text(
+            "import operator\n"
+            "import operator as op\n"
+            "from operator import index as ix\n"
+            "def f(v):\n    return operator.index(v)\n"
+            "def g(v):\n    return op.index(v)\n"
+            "class C:\n    def m(self, v):\n        return ix(v)\n"
+            "def h(v):\n    return v.__index__()\n"
+            "def not_this(s, xs):\n    return s.index('a') + xs.index(2) + index(3)\n",
+            encoding="utf-8",
+        )
+        assert index_calls(path) == {("m", "f"), ("m", "g"), ("m", "C"), ("m", "h")}
 
 
 class TestIndices:

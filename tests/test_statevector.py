@@ -55,6 +55,22 @@ class TestGateParams:
             with pytest.raises(BadParamsError):
                 GateParams(0.0, bad)
 
+    @pytest.mark.parametrize("bad", ["1.0", 1j, None])
+    def test_an_angle_that_is_no_real_number_is_refused(self, bad):
+        # each once escaped as a bare TypeError from math.isfinite
+        for theta, psi in ((bad, 0.0), (0.5, bad)):
+            with pytest.raises(BadParamsError) as info:
+                GateParams(theta, psi)
+            assert str(info.value) == (
+                f"gate angles must be real numbers, got ({theta!r}, {psi!r})"
+            )
+
+    def test_floats_ints_and_numpy_floats_are_angles(self):
+        want = GateParams(0.5, 2.0)
+        assert GateParams(np.float64(0.5), 2) == want
+        assert GateParams(np.float32(0.5), np.int64(2)) == want
+        assert GateParams(0.5, np.float64(2.0)) == want
+
 
 class TestPureState:
     def test_norm_enforced(self):
@@ -337,6 +353,19 @@ class TestDoublingKernel:
             statevector.build_graph_states(graphs, gps, [1.0, 0.6, 0.6], [0.0, 0.8j, 0.7])
         with pytest.raises(BadParamsError):
             statevector.build_graph_states(graphs, gps, [1.0, 0.6], [0.0, 0.8])
+
+    def test_an_empty_batch_is_refused(self):
+        # it once escaped as a bare IndexError from graphs[0]
+        with pytest.raises(BadParamsError) as info:
+            statevector.build_graph_states([], [])
+        assert str(info.value) == "a batch needs at least one graph, got none"
+
+    def test_a_batch_of_mixed_M_is_bad_params(self):
+        # it was once a bare ValueError, no error of the package's own
+        with pytest.raises(BadParamsError) as info:
+            graphs = [generate("path", 3), generate("path", 4)]
+            statevector.build_graph_states(graphs, [GateParams(0.4)] * 2)
+        assert str(info.value) == "a batch holds states of one M, got [3, 4]"
 
     def test_norm_check_sees_every_row(self):
         amps = np.array([[1.0, 0.0], [0.6, 0.8j], [1.0, 1e-4]])
