@@ -39,6 +39,7 @@ from .errors import (
     SelfLoopError,
     UnsupportedKindError,
     integer,
+    shown,
 )
 
 GENERATOR_KINDS = ("path", "cycle", "star_out", "star_in", "complete_dag", "erdos_renyi")
@@ -64,7 +65,9 @@ class DirectedGraph:
         try:
             edges = map(_edge, self.edges)
         except TypeError:
-            raise GraphError(f"edges must be a sequence of pairs, got {self.edges!r}") from None
+            raise GraphError(
+                f"edges must be a sequence of pairs, got {shown(self.edges)}"
+            ) from None
         object.__setattr__(self, "edges", tuple(edges))
 
     @property
@@ -97,7 +100,7 @@ def _edge(e) -> tuple[int, int]:
             raise TypeError(e)
         return index(a), index(b)
     except (TypeError, ValueError):
-        raise GraphError(f"edge endpoints must be integers, got {e!r}") from None
+        raise GraphError(f"edge endpoints must be integers, got {shown(e)}") from None
 
 
 @dataclass(frozen=True)
@@ -183,10 +186,12 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     validation.
     """
     if params is not None and not isinstance(params, Mapping):
-        raise BadParamsError(f"params must be a mapping or None, got {params!r}")
+        raise BadParamsError(f"params must be a mapping or None, got {shown(params)}")
     params = dict(params or {})
     if kind not in GENERATOR_KINDS:
-        raise UnsupportedKindError(f"unknown kind {kind!r}; expected one of {GENERATOR_KINDS}")
+        raise UnsupportedKindError(
+            f"unknown kind {shown(kind)}; expected one of {GENERATOR_KINDS}"
+        )
     M, seed = integer(M, "M", BadParamsError), integer(seed, "seed", BadParamsError)
     if M < 1:
         raise BadParamsError(f"M must be >= 1, got {M}")
@@ -200,7 +205,7 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
         try:
             p = float(p)
         except (TypeError, ValueError):
-            raise BadParamsError(f"edge probability p must be a number, got {p!r}") from None
+            raise BadParamsError(f"edge probability p must be a number, got {shown(p)}") from None
         if not 0.0 <= p <= 1.0:
             raise BadParamsError(f"edge probability p={p} outside [0, 1]")
     if params:
@@ -295,10 +300,10 @@ def from_json_dict(obj) -> DirectedGraph:
         raise ParseError("graph object requires keys 'M' and 'edges'")
     M = obj["M"]
     if not isinstance(M, int) or isinstance(M, bool) or M < 1:
-        raise ParseError(f"'M' must be a positive integer, got {M!r}")
+        raise ParseError(f"'M' must be a positive integer, got {shown(M)}")
     base = obj.get("labels_base", 0)
     if not isinstance(base, int) or isinstance(base, bool) or base not in (0, 1):
-        raise ParseError(f"'labels_base' must be 0 or 1, got {base!r}")
+        raise ParseError(f"'labels_base' must be 0 or 1, got {shown(base)}")
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise ParseError("'edges' must be a list of [a, b] pairs")
@@ -309,7 +314,7 @@ def from_json_dict(obj) -> DirectedGraph:
             or len(e) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
         ):
-            raise ParseError(f"edges[{n}] must be a pair of integers, got {e!r}")
+            raise ParseError(f"edges[{n}] must be a pair of integers, got {shown(e)}")
         edges.append((e[0] - base, e[1] - base))
     return DirectedGraph(M, tuple(edges))
 

@@ -2,9 +2,11 @@
 
 Every error raised on purpose by this package derives from DigraphEdError,
 so callers (notably the CLI) can separate expected failures from bugs.
-Every count, index and size the package takes is read by :func:`integer`.
+Every count, index and size the package takes is read by :func:`integer`,
+and a refused value is named in its message by :func:`shown`.
 """
 
+import reprlib
 from operator import index
 
 
@@ -104,4 +106,24 @@ def integer(value, what: str, error: type[Exception]) -> int:
             return index(value)
     except TypeError:
         pass
-    raise error(f"{what} must be an integer, got {value!r}")
+    raise error(f"{what} must be an integer, got {shown(value)}")
+
+
+#: :func:`shown` cuts a longer text; its reprlib stops after 16 items of a list or tuple.
+_SHOWN_CHARS = 80
+_REPR = reprlib.Repr()
+_REPR.maxlist = _REPR.maxtuple = 16
+_REPR.maxstring = _REPR.maxlong = _REPR.maxother = _SHOWN_CHARS
+
+
+def shown(value) -> str:
+    """``repr(value)`` on one line and at most _SHOWN_CHARS long, for an error message.
+
+    :mod:`reprlib` stops early in long containers, strings and reprs, each
+    line break with its indent becomes one space, and what is still too
+    long is cut, ending in ``...``.
+    """
+    text = " ".join(line.strip() for line in _REPR.repr(value).splitlines())
+    if len(text) > _SHOWN_CHARS:
+        text = text[: _SHOWN_CHARS - 3] + "..."
+    return text

@@ -68,6 +68,7 @@ from .errors import (
     IndexOutOfRangeError,
     NotNormalizedError,
     integer,
+    shown,
 )
 
 #: The qubit cap, read at call time by the engine and the CLI alike: 2^24
@@ -108,10 +109,13 @@ class GateParams:
 
     def __post_init__(self):
         try:
+            # math.isfinite refuses a Python complex but reads a numpy one's real part
+            if any(isinstance(a, np.complexfloating) for a in (self.theta, self.psi)):
+                raise TypeError
             finite = math.isfinite(self.theta) and math.isfinite(self.psi)
         except TypeError:
             raise BadParamsError(
-                f"gate angles must be real numbers, got ({self.theta!r}, {self.psi!r})"
+                f"gate angles must be real numbers, got ({shown(self.theta)}, {shown(self.psi)})"
             ) from None
         if not finite:
             raise BadParamsError(f"gate angles must be finite, got ({self.theta}, {self.psi})")
@@ -243,11 +247,6 @@ def _initial_amplitudes(M: int, G: int, alpha0, alpha1) -> tuple[list, list]:
     return [x for x, _ in checked], [y for _, y in checked]
 
 
-#: :func:`_build` runs the first J = min(M - 1, _TABLE_BITS) doubling steps of
-#: every qubit's phase vector together, in one (G, M, 2^J) table.
-_TABLE_BITS = 6
-
-
 def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     """G graph states of equal M, built together into one owned buffer, frozen.
 
@@ -279,16 +278,6 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
         [(1.0, cmath.exp(-2j * gp.theta), cmath.exp(-4j * gp.theta)) for gp in gps]
     )
     factor = pair_phase.ravel()[counts + np.arange(0, 3 * G, 3)[:, None, None]]
-    # qubit m's phase vector over its lowest J qubits, all m at once; qubit m
-    # uses only the part below 2^m, which no factor[m, j >= m] touches
-    J = min(M - 1, _TABLE_BITS)
-    table = np.empty((G, M, 1 << J), dtype=np.complex128)
-    table[..., 0] = [
-        [a1 * cmath.exp(1j * (gp.theta - gp.psi) * rec.out_degree) for rec in recs]
-        for a1, gp, recs in zip(alpha1, gps, records)
-    ]
-    for j in range(J):
-        _double(table, 1 << j, factor[..., :, j, None])
     alpha0 = np.array(alpha0)[:, None]
     buf = np.empty(G << M, dtype=np.complex128)
     amps = buf.reshape(G, -1)
@@ -296,8 +285,12 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     for m in range(M):
         n = 1 << m
         upper = amps[..., n : 2 * n]
-        upper[..., : min(n, 1 << J)] = table[..., m, : min(n, 1 << J)]
-        for j in range(J, m):
+        # qubit m's phase vector starts at alpha1 e^{i(theta-psi) d_out(m)}
+        upper[..., 0] = [
+            a1 * cmath.exp(1j * (gp.theta - gp.psi) * recs[m].out_degree)
+            for a1, gp, recs in zip(alpha1, gps, records)
+        ]
+        for j in range(m):
             _double(upper, 1 << j, factor[..., m, j, None])
         upper *= amps[..., :n]
         amps[..., :n] *= alpha0
@@ -333,11 +326,9 @@ def build_graph_state(
     ``amps[2^m:2^(m+1)]`` to alpha1 e^{i(theta-psi) d_out(m)} e^{-2i theta c_m(k)}
     times the |0> half, where c_m(k) counts the edges between m and the set
     bits of k (an antiparallel pair counts twice), then scales the |0> half
-    by alpha0. The phase vector e^{-2i theta c_m(k)} is itself grown by
-    doubling over the lower qubits, inside the |1> half; its first
-    doublings, up to 2^6 entries, are run for every qubit together in one
-    small table. Total cost is O(2^M) whatever |L|, in one buffer that the
-    returned state adopts.
+    by alpha0. The phase vector, head phase included, is itself grown by
+    doubling over the lower qubits, inside the |1> half. Total cost is
+    O(2^M) whatever |L|, in one buffer that the returned state adopts.
     d_out(m) is read from ``g.degrees``, and M
     may not exceed :data:`DEFAULT_MAX_QUBITS`. This is the one-state case of
     :func:`build_graph_states`, which runs the same steps on G rows at once.

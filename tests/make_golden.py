@@ -54,6 +54,9 @@ def cases() -> list[list[str]]:
                 out.append([command, *source, *_ANGLES])
         for allow in ([], ["--allow-antiparallel"]):
             out.append([command, "--graph", "pair.json", *_ANGLES, *allow])
+    # the shapes the benchmark's verify_large times
+    for kind, *params in _KINDS:
+        out.append(["verify", "--kind", kind, "--M", "20", *params, "--seed", "1", *_ANGLES])
     out.append(["ed", "--kind", "cycle", "--M", "5", "--theta", "40", "--psi", "10", "--deg"])
     for fmt in ("csv", "json"):
         out.append(

@@ -525,6 +525,10 @@ class TestInputHardening:
                 f"error: digraph-ed: unrecognized option {argv[0]!r} before the command"
             )
 
+    def test_kind_without_M(self, capsys):
+        code, out, err = run(["verify", "--kind", "path", "--theta", "1"], capsys)
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", "error: --kind requires --M\n")
+
     @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he", "ed"], ["-h", "--M", "3"]])
     def test_help_before_the_command(self, argv, capsys):
         code, out, err = run(argv, capsys)

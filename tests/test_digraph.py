@@ -361,6 +361,11 @@ class TestJsonSchema:
             with pytest.raises(ParseError):
                 load(path)
 
+    def test_edges_that_are_no_list_are_refused(self):
+        with pytest.raises(ParseError) as info:
+            digraph.from_json_dict({"M": 2, "edges": 5})
+        assert str(info.value) == "'edges' must be a list of [a, b] pairs"
+
     def test_dump_matches_schema(self):
         g = DirectedGraph(2, ((0, 1),))
         assert json.loads(digraph.dump_graph(g)) == {"M": 2, "edges": [[0, 1]]}

@@ -158,3 +158,55 @@ class TestReader:
             errors.integer(value, "the size", BadGridError)
         assert str(info.value) == f"the size must be an integer, got {value!r}"
         assert info.value.__cause__ is None and info.value.__context__ is None
+
+
+class TestShown:
+    """A refused value is named on one line of at most 80 characters."""
+
+    @pytest.mark.parametrize(
+        "value", [3.0, "3", None, [3], (0, 1, 2), np.float64(2.5), list(range(16)), "x" * 78]
+    )
+    def test_a_short_value_is_shown_by_its_repr(self, value):
+        assert errors.shown(value) == repr(value)
+
+    def test_a_two_line_repr_is_one_line(self):
+        with pytest.raises(GraphError) as info:
+            ed.DirectedGraph(np.zeros((2, 2)))
+        assert str(info.value) == "M must be an integer, got array([[0., 0.], [0., 0.]])"
+        with pytest.raises(GraphError) as info:
+            ed.DirectedGraph(3, [(0, np.zeros((2, 2)))])
+        assert str(info.value) == (
+            "edge endpoints must be integers, got (0, array([[0., 0.], [0., 0.]]))"
+        )
+
+    def test_a_long_value_is_cut_short(self):
+        # the whole list was once the message, 688916 characters
+        with pytest.raises(BadParamsError) as info:
+            ed.generate("path", list(range(100000)))
+        assert str(info.value) == (
+            "M must be an integer, got "
+            "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, ...]"
+        )
+        with pytest.raises(GraphError) as info:
+            ed.DirectedGraph(3, [tuple(range(100000))])
+        assert str(info.value) == (
+            "edge endpoints must be integers, got "
+            "(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, ...)"
+        )
+
+    def test_a_long_value_from_a_graph_file_is_cut_short(self):
+        with pytest.raises(errors.ParseError) as info:
+            ed.digraph.from_json_dict({"M": 2, "edges": [[0, list(range(100000))]]})
+        assert str(info.value) == (
+            "edges[0] must be a pair of integers, got [0, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, "
+            "10, 11, 12, 13, 14, 15, ...]]"
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.zeros((100, 100)), "x" * 1000, 10**200, [[list(range(50))] * 50], "a\nb\n" * 50],
+        ids=["array", "str", "int", "nested", "lines"],
+    )
+    def test_any_value_is_one_line_of_at_most_80_characters(self, value):
+        text = errors.shown(value)
+        assert "\n" not in text and len(text) <= 80

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from digraph_ed.reference import (
 from digraph_ed.statevector import (
     DensityMatrix1Q,
     GateParams,
+    PauliVector,
     PureState,
     bloch_vectors,
     build_graph_state,
@@ -65,6 +67,23 @@ class TestGateParams:
                 f"gate angles must be real numbers, got ({theta!r}, {psi!r})"
             )
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["warnings", "warnings_as_errors"])
+    @pytest.mark.parametrize(
+        "bad",
+        [np.complex128(1 + 2j), np.complex64(1), np.array(1 + 2j)],
+        ids=["complex128", "complex64", "complex_0d_array"],
+    )
+    def test_a_numpy_complex_is_refused_as_a_python_complex_is(self, bad, strict):
+        # math.isfinite once read np.complex128(1 + 2j) as theta = 1.0, warning twice
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if strict else "always")
+            for theta, psi in ((bad, 0.0), (0.5, bad)):
+                with pytest.raises(BadParamsError) as info:
+                    GateParams(theta, psi)
+                assert str(info.value) == (
+                    f"gate angles must be real numbers, got ({theta!r}, {psi!r})"
+                )
+
     def test_floats_ints_and_numpy_floats_are_angles(self):
         want = GateParams(0.5, 2.0)
         assert GateParams(np.float64(0.5), 2) == want
@@ -73,6 +92,11 @@ class TestGateParams:
 
 
 class TestPureState:
+    def test_no_qubits_is_refused(self):
+        with pytest.raises(IndexOutOfRangeError) as info:
+            PureState(0, np.array([1.0]))
+        assert str(info.value) == "M must be positive, got 0"
+
     def test_norm_enforced(self):
         with pytest.raises(NotNormalizedError):
             PureState(1, np.array([1.0, 1.0]))
@@ -86,6 +110,11 @@ class TestPureState:
 
 
 class TestInitProductState:
+    def test_no_qubits_is_refused(self):
+        with pytest.raises(IndexOutOfRangeError) as info:
+            init_product_state(0, 1.0, 0.0)
+        assert str(info.value) == "M must be positive, got 0"
+
     def test_all_zero_ket(self):
         st = init_product_state(1, 1.0, 0.0)
         np.testing.assert_array_equal(st.amplitudes, [1.0, 0.0])
@@ -545,6 +574,11 @@ class TestPauliExpectation:
         with pytest.raises(IndexOutOfRangeError):
             pauli_expectation(st, 2)
 
+    def test_a_pauli_vector_outside_the_bloch_ball_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            PauliVector(1.0, 1.0, 0.0)
+        assert str(info.value) == "Bloch bound violated: |v|^2 = 2.0"
+
 
 class TestReducedDensity:
     def test_plus_projector(self):
@@ -616,6 +650,11 @@ class TestReducedDensity:
             DensityMatrix1Q(0.5, 0.1, 0.2, 0.5)  # not Hermitian
         with pytest.raises(ValueError):
             DensityMatrix1Q(0.9, 0.0, 0.0, 0.9)  # trace 1.8
+
+    def test_a_complex_diagonal_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            DensityMatrix1Q(0.5 + 0.1j, 0.0, 0.0, 0.5 - 0.1j)
+        assert str(info.value) == "diagonal of a density matrix must be real"
 
 
 class TestCommutation:

@@ -40,6 +40,12 @@ def test_negative_seed_is_refused():
         battery(-1, 20, 8)
 
 
+def test_no_graphs_is_refused():
+    with pytest.raises(BadParamsError) as info:
+        run_suite(0, 0)
+    assert str(info.value) == "the suite needs at least 1 graph, got 0"
+
+
 def test_small_run_passes_every_check():
     report = run_suite(seed=21, n_graphs=15, max_m=7)
     assert report.ok
