@@ -61,7 +61,7 @@ from .entanglement import (
     fmt17,
     verify_graph,
 )
-from .errors import AntiparallelPairError, CapacityError, DigraphEdError, EdgeBoundError
+from .errors import AntiparallelPairError, CapacityError, DigraphEdError, EdgeBoundError, shown
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -113,11 +113,11 @@ def _int_range(low: int, high: int | None = None):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"expected an integer, got {shown(text)}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {shown(value)}")
         if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {shown(value)}")
         return value
 
     return parse
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
         # the top level takes -h and --help (or a prefix of it) alone, and argparse
         # would read another option's value as the command: name the option instead
         if first.startswith("-") and first != "-h" and not "--help".startswith(first):
-            _parser().error(f"unrecognized option {first!r} before the command")
+            _parser().error(f"unrecognized option {shown(first)} before the command")
         args = _parser().parse_args(argv)
     except SystemExit as e:  # argparse reports usage errors with code 2
         return int(e.code) if e.code else EXIT_OK

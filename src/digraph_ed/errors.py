@@ -72,7 +72,7 @@ class CapacityError(DigraphEdError):
     def __init__(self, M: int, cap: int):
         self.M = M
         self.cap = cap
-        super().__init__(f"M={M} qubits exceeds the cap of {cap}")
+        super().__init__(f"M={shown(M)} qubits exceeds the cap of {cap}")
 
 
 class EdgeBoundError(CapacityError):
@@ -81,9 +81,10 @@ class EdgeBoundError(CapacityError):
     def __init__(self, kind: str, M: int, edges: int, bound: int):
         self.M = M
         self.cap = bound
-        DigraphEdError.__init__(
-            self, f"{kind} at M={M} makes up to {edges} edges, over the gen bound of {bound}"
-        )
+        # past 2^64 the count is named by its power of two, not written out in decimal
+        count = edges if edges >> 64 == 0 else f"at least 2^{edges.bit_length() - 1}"
+        text = f"{kind} at M={shown(M)} makes up to {count} edges, over the gen bound of {bound}"
+        DigraphEdError.__init__(self, text)
 
 
 class NegativeEigenvalueError(DigraphEdError, ValueError):

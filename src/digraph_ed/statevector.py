@@ -46,7 +46,11 @@ The independent oracles the kernels are checked against live in
 :mod:`digraph_ed.reference`.
 
 States are never renormalized; norm drift beyond 1e-9 raises, since with
-phase-only gates any drift signals a kernel bug.
+phase-only gates any drift signals a kernel bug. The norm is checked where
+a state is made into a :class:`PureState`, and where :func:`bloch_arrays`
+reads it: there each qubit's p0 + p1, which the read sums anyway, is the
+state's squared norm, so a batch from :func:`build_graph_states` needs no
+pass of its own.
 """
 
 from __future__ import annotations
@@ -351,16 +355,15 @@ def build_graph_states(
     the doubling build of :func:`build_graph_state` is one numpy call over
     all G rows, so a batch of small states costs about what one of them
     does; row r is bit for bit
-    ``build_graph_state(graphs[r], gps[r], alpha0[r], alpha1[r]).amplitudes``,
-    and each row passes the same norm check. Callers keep a batch within
+    ``build_graph_state(graphs[r], gps[r], alpha0[r], alpha1[r]).amplitudes``.
+    The rows' norms are checked when :func:`bloch_arrays` reads them, to
+    the tolerance :class:`PureState` applies. Callers keep a batch within
     one block (see :func:`batch_size`).
     """
     graphs = list(graphs)
     if not graphs:
         raise BadParamsError("a batch needs at least one graph, got none")
-    amps = _build(graphs, list(gps), alpha0, alpha1).reshape(len(graphs), -1)
-    _check_norms(amps)
-    return amps
+    return _build(graphs, list(gps), alpha0, alpha1).reshape(len(graphs), -1)
 
 
 def batch_size(M: int) -> int:
@@ -456,10 +459,13 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     Within a qubit, p0, p1 and Re t come from one routine over operands of
     one shape and are summed in one order, so for a product state with
     equal amplitudes they are bitwise equal and its ED is exactly zero.
-    A squared length above 1 + 1e-9 raises ValueError, as
-    :class:`PauliVector` does. States of more than one block are read
-    right in any number, but then each step's working set is G blocks, out
-    of cache; :func:`batch_size` keeps them alone.
+    Each qubit's p0 + p1 is its state's squared norm: before dividing by
+    it, any that is off 1 by more than 1e-9 raises NotNormalizedError,
+    naming the worst, as :class:`PureState` does. A squared length above
+    1 + 1e-9 raises ValueError, as :class:`PauliVector` does. States of
+    more than one block are read right in any number, but then each step's
+    working set is G blocks, out of cache; :func:`batch_size` keeps them
+    alone.
     """
     G, N = amps.shape
     M = N.bit_length() - 1
@@ -509,17 +515,19 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
                 partner = blocks[..., b + (1 << (i - _BLOCK_BITS)), :].reshape(chunks.shape)
                 np.vecdot(chunks, partner, out=dot[..., start : start + chunks.shape[-2]])
     sums = [_tree_sum(p) for p in zip(*low_sums)]
-    for i, (s0, s1, t) in enumerate(zip(sums[0::3], sums[1::3], sums[2::3]), L):
-        q[..., 0, i], q[..., 1, i], q[..., 2, i], q[..., 3, i] = s0.real, s1.real, t.real, t.imag
     for i in range(_DOT_BITS, M):
         # contiguous copies, so p0 and p1 are summed in the order t is
         half = norms.reshape(G, -1, 2, 1 << (i - _DOT_BITS))
-        s0 = np.ascontiguousarray(half[..., 0, :]).reshape(G, -1).sum(axis=-1)
-        s1 = np.ascontiguousarray(half[..., 1, :]).reshape(G, -1).sum(axis=-1)
-        t = dots[i - _DOT_BITS].sum(axis=-1)
+        sums += [np.ascontiguousarray(half[..., j, :]).reshape(G, -1).sum(axis=-1) for j in (0, 1)]
+        sums.append(dots[i - _DOT_BITS].sum(axis=-1))
+    for i, (s0, s1, t) in enumerate(zip(sums[0::3], sums[1::3], sums[2::3]), L):
         q[..., 0, i], q[..., 1, i], q[..., 2, i], q[..., 3, i] = s0.real, s1.real, t.real, t.imag
     p0, p1 = q[..., 0, :], q[..., 1, :]
-    nrm = p0 + p1
+    nrm = p0 + p1  # each qubit's p0 + p1 is its state's squared norm
+    drift = np.abs(nrm - 1.0)
+    if drift.max() > _NORM_TOL:
+        worst = float(nrm.flat[drift.argmax()])
+        raise NotNormalizedError(f"state norm^2 = {worst!r} deviates from 1 beyond {_NORM_TOL}")
     out = np.empty((G, 3, M))  # x, y and z of every qubit
     np.multiply(2.0, q[..., 2:, :], out=out[..., :2, :])
     out[..., :2, :] /= nrm[..., None, :]

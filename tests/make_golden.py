@@ -46,7 +46,7 @@ _KINDS = (["star_out"], ["erdos_renyi", "--p", "0.3"], ["complete_dag"])
 
 def cases() -> list[list[str]]:
     """Every argv of the corpus, in a fixed order."""
-    out = [["suite", "--seed", str(seed)] for seed in range(4)]
+    out = [["suite", "--seed", str(seed)] for seed in range(8)]
     for command in ("verify", "ed"):
         for kind, *params in _KINDS:
             for M in (3, 9, 12, 17):
@@ -57,6 +57,11 @@ def cases() -> list[list[str]]:
     # the shapes the benchmark's verify_large times
     for kind, *params in _KINDS:
         out.append(["verify", "--kind", kind, "--M", "20", *params, "--seed", "1", *_ANGLES])
+    for M in (14, 16, 18):
+        out.append(
+            ["verify", "--kind", "erdos_renyi", "--M", str(M), "--p", "0.3", "--seed", "1",
+             *_ANGLES]
+        )
     out.append(["ed", "--kind", "cycle", "--M", "5", "--theta", "40", "--psi", "10", "--deg"])
     for fmt in ("csv", "json"):
         out.append(
@@ -68,6 +73,11 @@ def cases() -> list[list[str]]:
         out.append(
             ["sweep-alpha", "--theta", "1.2", "--psi", "0.4", "--grid", "11", "--format", fmt]
         )
+        out.append(
+            ["sweep-theta", "--kind", "erdos_renyi", "--M", "10", "--p", "0.3", "--seed", "1",
+             "--grid", "101", "--format", fmt]
+        )
+        out.append(["sweep-alpha", *_ANGLES, "--grid", "101", "--format", fmt])
     # M=1 is the one-vertex empty graph for every kind but cycle, which
     # refuses it; only erdos_renyi reads --seed.
     out.append(["gen", "--kind", "path", "--M", "1"])

@@ -3,13 +3,15 @@
 Most of this is deliberately written the slow, obvious way (explicit bit
 loops, full 2^M x 2^M operators) and shares no code with the package
 kernels, so a test comparing the two exercises genuinely different routes.
-The last two are the plain loops that batched package code replaced, kept
-as the references those batches must equal: the Erdos-Renyi draw in scan
-order, and the alpha sweep one state at a time through the package's
-one-state calls.
+Two are the plain loops that batched package code replaced, kept as the
+references those batches must equal: the Erdos-Renyi draw in scan order,
+and the alpha sweep one state at a time through the package's one-state
+calls. The last three read the degree law in integers, with no float at
+all, at angles that are multiples of pi/6.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -157,3 +159,46 @@ def alpha_sweep_samples(gp, grid):
         d_hs = math.sqrt(0.5 * float(np.sum(np.abs(rho.matrix - 0.5 * np.eye(2)) ** 2)))
         samples.append((t, ed_total(state), von_neumann_entropy(rho), d_hs))
     return samples
+
+
+#: 2 cos(pi m / 6) = _TWICE_COS[0][m] + _TWICE_COS[1][m] sqrt(3), for m mod 12.
+_TWICE_COS = np.array([[2, 0, 1, 0, -1, 0, -2, 0, -1, 0, 1, 0],
+                       [0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1]])
+#: cos^2(pi m / 6), for m mod 6.
+_COS_SQ = [Fraction(1), Fraction(3, 4), Fraction(1, 4), Fraction(0), Fraction(1, 4), Fraction(3, 4)]
+
+
+def phase_exponents(g, n_theta, n_psi):
+    """Exponent e_k, mod 12, of each amplitude 2^(-M/2) w^(e_k) of the balanced state.
+
+    w = e^(i pi/6), at theta = n_theta pi/6 and psi = n_psi pi/6. Straight
+    from the edge gates, one edge at a time: gate (a, b) adds
+    theta - psi where bit a is set, and -2 theta more where bit b is too.
+    """
+    bits = (np.arange(1 << g.M)[:, None] >> np.arange(g.M)) & 1
+    e = np.zeros(1 << g.M, dtype=np.int64)
+    for a, b in g.edges:
+        e += bits[:, a] * ((n_theta - n_psi) - 2 * n_theta * bits[:, b])
+    return e % 12
+
+
+def squared_bloch_lengths_exact(exponents, M):
+    """Per qubit i, the integers (A, B) with |r_i|^2 = 2^(1-2M) (A + B sqrt 3).
+
+    With amplitudes 2^(-M/2) w^(e_k), z_i = 0 and 2^M t_i = sum_j c_j w^j,
+    where c_j counts the pairs (k0, k0 + 2^i) whose exponent difference is
+    j mod 12; |r_i|^2 = 4 |t_i|^2 = 2^(1-2M) sum_{j,l} c_j c_l 2cos(pi(j-l)/6).
+    """
+    m = (np.arange(12)[:, None] - np.arange(12)) % 12
+    out = []
+    for i in range(M):
+        pairs = exponents.reshape(-1, 2, 1 << i)
+        c = np.bincount(((pairs[:, 1] - pairs[:, 0]) % 12).ravel(), minlength=12)
+        cc = c[:, None] * c
+        out.append(tuple(int((cc * part[m]).sum()) for part in _TWICE_COS))
+    return out
+
+
+def degree_law_exact(d, p, n_theta):
+    """cos^2(theta)^(d-2p) cos^2(2 theta)^p at theta = n_theta pi/6, as a Fraction."""
+    return _COS_SQ[n_theta % 6] ** (d - 2 * p) * _COS_SQ[2 * n_theta % 6] ** p

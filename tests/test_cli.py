@@ -681,3 +681,52 @@ class TestInputHardening:
         assert code == EXIT_OK and len(out.splitlines()) == 3
         code, out, _ = run(["sweep-alpha", "--theta", "1", "--grid", "3"], capsys)
         assert code == EXIT_OK and len(out.splitlines()) == 4
+
+    WORD, NINES = "x" * 2000, "9" * 2000
+
+    @pytest.mark.parametrize(
+        "huge,short,code",
+        [
+            (["gen", "--kind", "path", "--M", WORD], ["gen", "--kind", "path", "--M", "x"],
+             EXIT_BAD_INPUT),
+            (["gen", "--kind", "path", "--M", "3", "--seed", WORD],
+             ["gen", "--kind", "path", "--M", "3", "--seed", "x"], EXIT_BAD_INPUT),
+            (["gen", "--kind", "path", "--M", "3", "--seed", "-" + NINES],
+             ["gen", "--kind", "path", "--M", "3", "--seed", "-9"], EXIT_BAD_INPUT),
+            (["sweep-alpha", "--theta", "1", "--grid", NINES],
+             ["sweep-alpha", "--theta", "1", "--grid", "999999"], EXIT_BAD_INPUT),
+            (["--" + WORD, "suite"], ["--x", "suite"], EXIT_BAD_INPUT),
+            (["gen", "--kind", "path", "--M", NINES],
+             ["gen", "--kind", "path", "--M", str(cli.MAX_GEN_EDGES + 1)], EXIT_CAPABILITY),
+            # M (M - 1) / 2 has about 8000 digits, past Python's int-to-str limit
+            (["gen", "--kind", "complete_dag", "--M", "9" * 4000],
+             ["gen", "--kind", "complete_dag", "--M", "1000000"], EXIT_CAPABILITY),
+            (["verify", "--kind", "path", "--M", NINES, "--theta", "1"],
+             ["verify", "--kind", "path", "--M", "25", "--theta", "1"], EXIT_CAPABILITY),
+            (["suite", "--max-M", NINES], ["suite", "--max-M", "25"], EXIT_CAPABILITY),
+        ],
+        ids=["gen_M_word", "gen_seed_word", "gen_seed_negative", "sweep_alpha_grid",
+             "top_level_option", "gen_path_M", "gen_complete_dag_M", "verify_M", "suite_max_M"],
+    )
+    def test_a_huge_argument_gets_its_short_form_s_code_and_one_short_line(
+        self, huge, short, code, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("started work on a refused argument")
+
+        monkeypatch.setattr(digraph, "generate", refuse)
+        monkeypatch.setattr(suite, "population", refuse)
+        for argv in (short, huge):
+            got, out, err = run(argv, capsys)
+            assert (got, out) == (code, "")
+            line = err.encode("utf-8")
+            assert line.startswith(b"error: ") and line.count(b"\n") == 1
+            assert len(line.rstrip(b"\n")) <= 200, err
+
+    def test_a_huge_edge_bound_is_named_by_its_power_of_two(self, capsys):
+        code, _, err = run(["gen", "--kind", "complete_dag", "--M", "9" * 4000], capsys)
+        assert code == EXIT_CAPABILITY
+        assert err == (
+            f"error: complete_dag at M={'9' * 38}...{'9' * 39} makes up to at least 2^26574 "
+            "edges, over the gen bound of 4500000\n"
+        )

@@ -8,6 +8,7 @@ the suite is reproducible.
 
 import cmath
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -166,6 +167,26 @@ def test_pair_closed_form(g, theta, psi):
         assert max(abs(v.x - want.x), abs(v.y - want.y), abs(v.z - want.z)) < 1e-12
     sv = 1.0 - sum(v.norm_sq for v in vectors) / g.M
     assert abs(sv - ed_closed_form(g, gp.theta)) < 1e-10
+
+
+@given(g=digraphs_with_pairs(max_m=10), n_theta=st.integers(0, 11), n_psi=st.integers(0, 11))
+@settings(**COMMON)
+def test_degree_law_is_an_exact_identity(g, n_theta, n_psi):
+    """At theta, psi in (pi/6) Z every vertex meets its pair law exactly, in integers.
+
+    The oracle's phases are checked against the build: a phase off by a
+    local factor would leave every Bloch length, and so the law, exact.
+    """
+    exponents = oracles.phase_exponents(g, n_theta, n_psi)
+    state = build_graph_state(g, GateParams(n_theta * math.pi / 6, n_psi * math.pi / 6))
+    want = 2 ** (-g.M / 2) * np.exp(1j * math.pi / 6 * exponents)
+    assert np.max(np.abs(state.amplitudes - want)) < 1e-14
+    edge_set = set(g.edges)
+    for v, (A, B) in enumerate(oracles.squared_bloch_lengths_exact(exponents, g.M)):
+        d = sum(v in edge for edge in g.edges)
+        p = sum((b, a) in edge_set for a, b in g.edges if a == v)
+        assert B == 0
+        assert Fraction(2 * A, 4**g.M) == oracles.degree_law_exact(d, p, n_theta)
 
 
 @given(g=digraphs(), theta=angles, psi=angles)

@@ -402,6 +402,31 @@ class TestDoublingKernel:
             statevector._check_norms(amps)
         statevector._check_norms(amps[:2])
 
+    def test_the_read_checks_every_row_s_norm(self):
+        # each qubit's p0 + p1 is its row's squared norm, checked before it is divided by
+        amps = np.array([[1.0, 0.0], [0.6, 0.8j], [1.0, 1e-4]])
+        with pytest.raises(NotNormalizedError) as info:
+            statevector.bloch_arrays(amps)
+        assert str(info.value) == "state norm^2 = 1.00000001 deviates from 1 beyond 1e-09"
+        assert statevector.bloch_arrays(amps[:2]).shape == (2, 1, 3)
+
+    def test_a_drifted_row_of_a_multi_block_batch_is_refused_when_read(self):
+        graphs = [generate("erdos_renyi", 17, {"p": 0.3}, seed) for seed in (1, 2)]
+        amps = statevector.build_graph_states(graphs, [GateParams(0.7, 0.3)] * 2).copy()
+        statevector.bloch_arrays(amps)
+        amps[1] *= 1 + 5e-9
+        with pytest.raises(NotNormalizedError, match=r"^state norm\^2 = 1\.00000001"):
+            statevector.bloch_arrays(amps)
+
+    def test_a_batch_build_makes_no_norm_pass_of_its_own(self, monkeypatch):
+        def refuse(amps):
+            raise AssertionError("a separate norm pass")
+
+        monkeypatch.setattr(statevector, "_check_norms", refuse)
+        statevector.build_graph_states([generate("path", 4)] * 2, [GateParams(0.3)] * 2)
+        with pytest.raises(AssertionError):
+            build_graph_state(generate("path", 4), GateParams(0.3))  # PureState still checks
+
     def test_batches_stay_within_one_block(self):
         block = 16 << statevector._BLOCK_BITS
         for M in range(1, 25):
