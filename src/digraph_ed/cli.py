@@ -102,7 +102,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         )
 
     def error(self, message):
-        # "unrecognized arguments" quotes the arguments raw, line breaks and all
+        # argparse quotes a refused word raw, whatever its length, line breaks and all.
+        # A word over 40 characters is cut to 40, ending in "...", as errors.shown cuts
+        # a value: argparse's own text takes up to 147 of the line's 200 bytes (an
+        # invalid sweep-theta --kind, with its choices).
+        message = re.sub(r"\S{41,}", lambda word: word[0][:37] + "...", message)
         self.exit(EXIT_BAD_INPUT, _error_line(f"{self.prog}: {message}"))
 
 
@@ -113,7 +117,10 @@ def _int_range(low: int, high: int | None = None):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {shown(text)}") from None
+            # a decimal that int() refuses is one past Python's digit limit
+            decimal = re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text)
+            problem = "out of range" if decimal else "expected an integer"
+            raise argparse.ArgumentTypeError(f"{problem}, got {shown(text)}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {shown(value)}")
         if high is not None and value > high:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import index
@@ -330,6 +331,9 @@ def read_graph(path) -> DirectedGraph:
             raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
         except RecursionError:
             raise ParseError(f"{path}: JSON nested too deeply to parse") from None
+        except ValueError:  # json.load's one other ValueError: int() past its digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"{path}: a JSON integer has more than {limit} digits") from None
     return from_json_dict(obj)
 
 

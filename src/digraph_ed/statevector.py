@@ -20,13 +20,16 @@ state's frozen amplitude array (peak memory about one state, at most two).
 amplitudes, with no copy of the state, in one of three schemes: one BLAS
 Gram matrix of the float view covers qubits 0 to 4; the others are read in
 one walk over the state in cache-sized blocks, with complex dot products
-along contiguous rows of at most 2^_DOT_BITS amplitudes. Qubits 5 to 9 are
-summed per block and the block sums merged as a balanced binary tree, which
-is numpy's pairwise sum over the whole row-dot array bit for bit; each qubit
-from 10 up writes its row dots into one array, pairing chunks within the
-block below _BLOCK_BITS and the block with a later one from there up, and
-that array is summed once. Within a qubit, p0, p1 and Re<0|rho|1> come from
-one routine and one operand shape, so product states stay exactly pure.
+along contiguous rows of at most 2^_DOT_BITS amplitudes. Every qubit from 5
+up sums its rows' self-dots, split by the qubit's bit, into p0 and p1, and
+one more row dot per pair of rows into <0|rho|1>. Qubits 5 to 9 are summed
+per block and the block sums merged as a balanced binary tree, which is
+numpy's pairwise sum over the whole row-dot array bit for bit; each qubit
+from 10 up shares one array of chunk self-dots and writes its pair dots into
+one array, pairing chunks within the block below _BLOCK_BITS and the block
+with a later one from there up, and that array is summed once. Within a
+qubit, p0, p1 and Re<0|rho|1> come from one routine over rows of one length,
+so product states stay exactly pure.
 
 Both kernels carry a leading batch axis. :func:`build_graph_states` builds
 G states of equal M as the rows of one (G, 2^M) buffer and
@@ -294,22 +297,17 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
             a1 * cmath.exp(1j * (gp.theta - gp.psi) * recs[m].out_degree)
             for a1, gp, recs in zip(alpha1, gps, records)
         ]
-        for j in range(m):
-            _double(upper, 1 << j, factor[..., m, j, None])
+        if m:
+            # into a temporary: an out= view one amplitude past its input,
+            # strided over the rows, takes another numpy loop and other bits
+            upper[..., 1] = upper[..., 0] * factor[..., m, 0]
+        for j in range(1, m):
+            h = 1 << j
+            np.multiply(upper[..., :h], factor[..., m, j, None], out=upper[..., h : 2 * h])
         upper *= amps[..., :n]
         amps[..., :n] *= alpha0
     buf.flags.writeable = False
     return buf
-
-
-def _double(vec: np.ndarray, h: int, factor: np.ndarray) -> None:
-    """One doubling step along the last axis: ``vec[..., h:2h] = vec[..., :h] * factor``."""
-    if h == 1:
-        # into a temporary: an out= view one amplitude past its input,
-        # strided over the rows, takes another numpy loop and other bits
-        vec[..., 1:2] = vec[..., :1] * factor
-    else:
-        np.multiply(vec[..., :h], factor, out=vec[..., h : 2 * h])
 
 
 def build_graph_state(
@@ -441,9 +439,13 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
       numpy's pairwise sums of its whole row-dot arrays:
 
       - qubits L <= i < _DOT_BITS: the block reshaped to (-1, 2, 2^i) puts
-        the bit-i=0 rows a0 and the bit-i=1 rows a1 side by side, and
-        p0 = a0.a0, p1 = a1.a1 and t = a0.a1 are summed per block. The
-        block sums are merged by :func:`_tree_sum`: each is the sum of an
+        the bit-i=0 rows a0 and the bit-i=1 rows a1 side by side. One
+        ``np.vecdot`` of every row with itself, split by row parity, gives
+        the a0.a0 summed into p0 and the a1.a1 summed into p1, as qubits
+        from _DOT_BITS up split their chunk self-dots; a second gives the
+        a0.a1 summed into t. Each is summed per block (a strided sum of
+        the self-dots rounds as a contiguous one does), and the block
+        sums are merged by :func:`_tree_sum`: each is the sum of an
         aligned run of at least 64 row dots, a node of numpy's pairwise
         summation tree, so the merged sums are bit for bit ``np.sum`` of
         the whole row-dot arrays;
@@ -456,8 +458,8 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
         there up. Either way the row dot goes into one array per qubit, in
         the order of c, and each array is summed once at the end.
 
-    Within a qubit, p0, p1 and Re t come from one routine over operands of
-    one shape and are summed in one order, so for a product state with
+    Within a qubit, p0, p1 and Re t come from one routine over rows of one
+    length and are summed in one order, so for a product state with
     equal amplitudes they are bitwise equal and its ED is exactly zero.
     Each qubit's p0 + p1 is its state's squared norm: before dividing by
     it, any that is off 1 by more than 1e-9 raises NotNormalizedError,
@@ -482,20 +484,17 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     blocks = amps.reshape(G, -1, 1 << min(M, _BLOCK_BITS))
     low = range(L, min(M, _DOT_BITS))
     low_sums = []  # per block: p0, p1 and t of each low qubit
-    if M > _DOT_BITS:
-        norms = np.empty((G, N >> _DOT_BITS), np.complex128)
-        dots = [np.empty((G, N >> (_DOT_BITS + 1)), np.complex128) for _ in range(_DOT_BITS, M)]
+    norms = np.empty((G, N >> _DOT_BITS), np.complex128)
+    dots = [np.empty((G, N >> (_DOT_BITS + 1)), np.complex128) for _ in range(_DOT_BITS, M)]
     for b in range(blocks.shape[-2]):
         block = blocks[..., b, :]
         sums = []
         for i in low:
             pairs = block.reshape(G, -1, 2, 1 << i)
-            a0, a1 = pairs[..., 0, :], pairs[..., 1, :]
-            sums += (
-                np.vecdot(a0, a0).sum(axis=-1),
-                np.vecdot(a1, a1).sum(axis=-1),
-                np.vecdot(a0, a1).sum(axis=-1),
-            )
+            # every row's self-dot, split by row parity into p0's and p1's
+            selfs = np.vecdot(pairs, pairs)
+            t = np.vecdot(pairs[..., 0, :], pairs[..., 1, :])
+            sums += (selfs[..., 0].sum(axis=-1), selfs[..., 1].sum(axis=-1), t.sum(axis=-1))
         low_sums.append(sums)
         if M <= _DOT_BITS:
             continue
@@ -516,9 +515,8 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
                 np.vecdot(chunks, partner, out=dot[..., start : start + chunks.shape[-2]])
     sums = [_tree_sum(p) for p in zip(*low_sums)]
     for i in range(_DOT_BITS, M):
-        # contiguous copies, so p0 and p1 are summed in the order t is
         half = norms.reshape(G, -1, 2, 1 << (i - _DOT_BITS))
-        sums += [np.ascontiguousarray(half[..., j, :]).reshape(G, -1).sum(axis=-1) for j in (0, 1)]
+        sums += [half[..., j, :].reshape(G, -1).sum(axis=-1) for j in (0, 1)]
         sums.append(dots[i - _DOT_BITS].sum(axis=-1))
     for i, (s0, s1, t) in enumerate(zip(sums[0::3], sums[1::3], sums[2::3]), L):
         q[..., 0, i], q[..., 1, i], q[..., 2, i], q[..., 3, i] = s0.real, s1.real, t.real, t.imag

@@ -34,10 +34,19 @@ from digraph_ed import cli, digraph
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
-#: Graph files the cases read, written into each case's directory.
+#: Graph files the cases read, written into each case's directory: a document
+#: as JSON, bytes as they are.
 FILES = {
     # 1-based labels; (2, 1) is antiparallel to (1, 2)
     "pair.json": {"M": 4, "labels_base": 1, "edges": [[1, 2], [2, 3], [2, 1], [4, 3]]},
+    # refused, each for its own reason
+    "bad.json": b'{"M": 3, "edges": [[0, 1]]',
+    "latin1.json": b'{"M": 3, "edges": [], "name": "\xe9"}',
+    "loop.json": {"M": 3, "edges": [[0, 1], [2, 2]]},
+    "dup.json": {"M": 3, "edges": [[0, 1], [1, 2], [0, 1]]},
+    "range.json": {"M": 3, "edges": [[0, 3]]},
+    "huge_M.json": b'{"M": ' + b"9" * 5000 + b', "edges": []}',
+    "huge_end.json": b'{"M": 3, "edges": [[0, ' + b"9" * 5000 + b"]]}",
 }
 
 _ANGLES = ["--theta", "0.7", "--psi", "0.3"]
@@ -89,6 +98,25 @@ def cases() -> list[list[str]]:
                 out.append(["gen", "--kind", kind, "--M", str(M), *params, "--seed", str(seed)])
     out.append(["verify", "--kind", "path", "--M", "3", "--theta", "nan"])  # exit 2
     out.append(["verify", "--kind", "path", "--M", "25", "--theta", "1"])  # exit 64
+    # refusals, one per error class (exits 1 and 70 no input should reach)
+    for name in ("bad.json", "latin1.json", "loop.json", "dup.json", "range.json",
+                 "huge_M.json", "missing.json"):
+        out.append(["verify", "--graph", name, "--theta", "1"])  # exit 2
+    out.append(["ed", "--graph", "huge_end.json", "--theta", "1"])
+    out.append(["gen", "--kind", "erdos_renyi", "--M", "3"])  # no --p
+    out.append(["gen", "--kind", "erdos_renyi", "--M", "3", "--p", "1.5"])
+    out.append(["sweep-alpha", "--theta", "1", "--grid", "2"])
+    out.append(["--x", "suite"])
+    word = "x" * 100  # argparse quotes a refused word; the line shows 40 characters of it
+    out.append(["gen", "--kind", word, "--M", "3"])
+    out.append(["verify", "--kind", "path", "--M", "3", "--theta", word])
+    out.append(["suite", word])
+    out.append(["suite", "--max-M", word])
+    out.append(["sweep-theta", "--kind", "path", "--M", "3", "--format", word])
+    out.append(["gen", "--kind", "path", "--M", "9" * 5000])  # past the int digit limit
+    out.append(["suite", "--seed", "9" * 5000])
+    out.append(["suite", "--max-M", "25"])  # exit 64
+    out.append(["gen", "--kind", "complete_dag", "--M", "1000000"])  # exit 64
     return out
 
 
@@ -115,7 +143,8 @@ def run(argv: list[str]) -> tuple[int, str]:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         for name, doc in FILES.items():
-            Path(work, name).write_text(json.dumps(doc), encoding="utf-8")
+            data = doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8")
+            Path(work, name).write_bytes(data)
         os.chdir(work)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

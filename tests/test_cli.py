@@ -597,8 +597,12 @@ class TestInputHardening:
              f"must be <= {cli.MAX_GRID}, got {cli.MAX_GRID + 1}"),
             (["sweep-alpha", "--theta", "1", "--grid", "1000000000"],
              f"must be <= {cli.MAX_GRID}, got 1000000000"),
+            # past Python's 4300-digit limit for reading an int, still an integer
+            (["sweep-alpha", "--theta", "1", "--grid", "9" * 5000],
+             f"out of range, got '{'9' * 36}..."),
         ],
-        ids=["sweep_theta_grid_1", "sweep_theta_grid_over_max", "sweep_alpha_grid_1e9"],
+        ids=["sweep_theta_grid_1", "sweep_theta_grid_over_max", "sweep_alpha_grid_1e9",
+             "sweep_alpha_grid_5000_digits"],
     )
     def test_grid_is_checked_before_any_work(self, argv, bound, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -635,8 +639,13 @@ class TestInputHardening:
              "'labels_base' must be 0 or 1, got True"),
             ('{"M": 2, "edges": [[1, 2]], "labels_base": 1.0}',
              "'labels_base' must be 0 or 1, got 1.0"),
+            ('{"M": ' + "9" * 5000 + ', "edges": []}',
+             "graph.json: a JSON integer has more than 4300 digits"),
+            ('{"M": 3, "edges": [[0, ' + "9" * 5000 + "]]}",
+             "graph.json: a JSON integer has more than 4300 digits"),
         ],
-        ids=["deeply_nested_json", "bool_labels_base", "float_labels_base"],
+        ids=["deeply_nested_json", "bool_labels_base", "float_labels_base",
+             "M_past_the_int_digit_limit", "endpoint_past_the_int_digit_limit"],
     )
     def test_bad_graph_document_is_a_parse_error(self, document, message, tmp_path, capsys):
         path = tmp_path / "graph.json"
@@ -704,9 +713,24 @@ class TestInputHardening:
             (["verify", "--kind", "path", "--M", NINES, "--theta", "1"],
              ["verify", "--kind", "path", "--M", "25", "--theta", "1"], EXIT_CAPABILITY),
             (["suite", "--max-M", NINES], ["suite", "--max-M", "25"], EXIT_CAPABILITY),
+            # argparse's own messages, which quote the word
+            (["gen", "--kind", WORD, "--M", "3"], ["gen", "--kind", "x", "--M", "3"],
+             EXIT_BAD_INPUT),
+            (["verify", "--kind", "path", "--M", "3", "--theta", WORD],
+             ["verify", "--kind", "path", "--M", "3", "--theta", "x"], EXIT_BAD_INPUT),
+            (["suite", WORD], ["suite", "x"], EXIT_BAD_INPUT),
+            (["suite", "--max-M", WORD], ["suite", "--max-M", "x"], EXIT_BAD_INPUT),
+            (["sweep-theta", "--kind", "path", "--M", "3", "--format", WORD],
+             ["sweep-theta", "--kind", "path", "--M", "3", "--format", "x"], EXIT_BAD_INPUT),
+            # past Python's 4300-digit limit for reading an int
+            (["gen", "--kind", "path", "--M", "9" * 5000], ["gen", "--kind", "path", "--M", "0"],
+             EXIT_BAD_INPUT),
+            (["suite", "--seed", "9" * 5000], ["suite", "--seed", "-1"], EXIT_BAD_INPUT),
         ],
         ids=["gen_M_word", "gen_seed_word", "gen_seed_negative", "sweep_alpha_grid",
-             "top_level_option", "gen_path_M", "gen_complete_dag_M", "verify_M", "suite_max_M"],
+             "top_level_option", "gen_path_M", "gen_complete_dag_M", "verify_M", "suite_max_M",
+             "gen_kind_word", "verify_theta_word", "suite_stray_word", "suite_max_M_word",
+             "sweep_theta_format_word", "gen_M_5000_digits", "suite_seed_5000_digits"],
     )
     def test_a_huge_argument_gets_its_short_form_s_code_and_one_short_line(
         self, huge, short, code, capsys, monkeypatch

@@ -482,7 +482,7 @@ class TestBlochVectors:
                 want = oracles.pauli_expectation_dense(st.amplitudes, g.M, i)
                 np.testing.assert_allclose((v.x, v.y, v.z), want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("M", [11, 17, 18, 20, 21])
+    @pytest.mark.parametrize("M", [6, 8, 10, 11, 17, 18, 20, 21])
     @pytest.mark.parametrize("kind", ["erdos_renyi", "star_out", "complete_dag", "random"])
     def test_dot_pass_matches_plain_row_dots_exactly(self, kind, M):
         # M=11 is one block; M=17, 18, 20 and 21 sweep 2, 4, 16 and 32 blocks,
