@@ -26,10 +26,12 @@ Every ``--seed`` is an integer >= 0; a sweep's ``--grid`` is checked at
 parse time: 2 (sweep-theta) or 3 (sweep-alpha) to MAX_GRID (100000)
 points, and so is ``suite --graphs``: 1 to MAX_GRAPHS (10000).
 ``suite --jobs`` is parsed (an integer >= 1) and ignored: the suite runs in
-one thread. ``gen`` builds no state, so the qubit cap does not bound it:
-the most edges a kind can make at M (M for path, cycle and the stars,
-M (M - 1) / 2 for complete_dag and erdos_renyi, which keeps at most one
-edge of a pair) may not exceed MAX_GEN_EDGES (4500000), checked before
+one thread (at ``--max-M`` 17 and up the Bloch read of a state past one
+block takes a second, see :func:`~digraph_ed.statevector.bloch_arrays`).
+``gen`` builds no state, so the qubit cap does not bound it: the most
+edges a kind can make at M (M for path, cycle and the stars, M (M - 1) / 2
+for complete_dag and erdos_renyi, which keeps at most one edge of a pair)
+may not exceed MAX_GEN_EDGES (4500000), checked before
 generating.
 Degrees from ``g.degrees``, policy from :func:`~digraph_ed.digraph.validate`,
 at entry: ``ed``, ``verify`` and ``sweep-theta`` apply the edge policy once,
@@ -102,12 +104,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         )
 
     def error(self, message):
-        # argparse quotes a refused word raw, whatever its length, line breaks and all.
-        # A word over 40 characters is cut to 40, ending in "...", as errors.shown cuts
-        # a value: argparse's own text takes up to 147 of the line's 200 bytes (an
-        # invalid sweep-theta --kind, with its choices).
+        # argparse quotes refused words raw, whatever their length and number, line
+        # breaks and all. A word over 40 characters is cut to 40, ending in "...", as
+        # errors.shown cuts a value: argparse's own text takes up to 147 of the line's
+        # 200 bytes (an invalid sweep-theta --kind, with its choices). A line that
+        # many words still make longer is cut to 200 bytes, ending in "...".
         message = re.sub(r"\S{41,}", lambda word: word[0][:37] + "...", message)
-        self.exit(EXIT_BAD_INPUT, _error_line(f"{self.prog}: {message}"))
+        line = _error_line(f"{self.prog}: {message}")
+        raw = line.encode("utf-8", "backslashreplace")  # as stderr writes it
+        if len(raw) > 201:  # 200 bytes and the newline
+            line = raw[:197].decode("utf-8", "ignore") + "...\n"
+        self.exit(EXIT_BAD_INPUT, line)
 
 
 def _int_range(low: int, high: int | None = None):

@@ -29,7 +29,11 @@ from 10 up shares one array of chunk self-dots and writes its pair dots into
 one array, pairing chunks within the block below _BLOCK_BITS and the block
 with a later one from there up, and that array is summed once. Within a
 qubit, p0, p1 and Re<0|rho|1> come from one routine over rows of one length,
-so product states stay exactly pure.
+so product states stay exactly pure. For a state of more than one block
+(M >= 17) the Gram runs on a second thread while the calling thread walks
+the blocks; numpy releases the GIL in both, so they run on two cores. The
+bits do not change: it is the same one BLAS call over the whole state, and
+neither part reads what the other writes. Smaller states start no thread.
 
 Both kernels carry a leading batch axis. :func:`build_graph_states` builds
 G states of equal M as the rows of one (G, 2^M) buffer and
@@ -63,6 +67,7 @@ import functools
 import itertools
 import math
 import numbers
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -416,6 +421,50 @@ def _tree_sum(parts):
     return parts[0]
 
 
+def _walk(amps: np.ndarray, L: int) -> list:
+    """The block walk of :func:`bloch_arrays`: p0, p1 and t of each qubit from L up, in turn."""
+    G, N = amps.shape
+    M = N.bit_length() - 1
+    blocks = amps.reshape(G, -1, 1 << min(M, _BLOCK_BITS))
+    low = range(L, min(M, _DOT_BITS))
+    low_sums = []  # per block: p0, p1 and t of each low qubit
+    norms = np.empty((G, N >> _DOT_BITS), np.complex128)
+    dots = [np.empty((G, N >> (_DOT_BITS + 1)), np.complex128) for _ in range(_DOT_BITS, M)]
+    for b in range(blocks.shape[-2]):
+        block = blocks[..., b, :]
+        sums = []
+        for i in low:
+            pairs = block.reshape(G, -1, 2, 1 << i)
+            # every row's self-dot, split by row parity into p0's and p1's
+            selfs = np.vecdot(pairs, pairs)
+            t = np.vecdot(pairs[..., 0, :], pairs[..., 1, :])
+            sums += (selfs[..., 0].sum(axis=-1), selfs[..., 1].sum(axis=-1), t.sum(axis=-1))
+        low_sums.append(sums)
+        if M <= _DOT_BITS:
+            continue
+        chunks = block.reshape(G, -1, 1 << _DOT_BITS)
+        first = b * chunks.shape[-2]
+        np.vecdot(chunks, chunks, out=norms[..., first : first + chunks.shape[-2]])
+        for i, dot in enumerate(dots, _DOT_BITS):
+            # the block's pairs fill a run of qubit i's row dots, from its
+            # first chunk with bit h clear, numbered with bit h dropped
+            h = i - _DOT_BITS
+            start = (first >> (h + 1) << h) | (first & ((1 << h) - 1))
+            if i < _BLOCK_BITS:  # both chunks of a pair lie in this block
+                pairs = chunks.reshape(G, -1, 2, 1 << h, 1 << _DOT_BITS)
+                out = dot[..., start : start + chunks.shape[-2] // 2].reshape(G, -1, 1 << h)
+                np.vecdot(pairs[..., 0, :, :], pairs[..., 1, :, :], out=out)
+            elif not b >> (i - _BLOCK_BITS) & 1:  # the partner is a later block
+                partner = blocks[..., b + (1 << (i - _BLOCK_BITS)), :].reshape(chunks.shape)
+                np.vecdot(chunks, partner, out=dot[..., start : start + chunks.shape[-2]])
+    sums = [_tree_sum(p) for p in zip(*low_sums)]
+    for i in range(_DOT_BITS, M):
+        half = norms.reshape(G, -1, 2, 1 << (i - _DOT_BITS))
+        sums += [half[..., j, :].reshape(G, -1).sum(axis=-1) for j in (0, 1)]
+        sums.append(dots[i - _DOT_BITS].sum(axis=-1))
+    return sums
+
+
 def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     """Bloch vectors of G states of equal M, the rows of ``amps``: a (G, M, 3) array.
 
@@ -458,6 +507,14 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
         there up. Either way the row dot goes into one array per qubit, in
         the order of c, and each array is summed once at the end.
 
+    The two parts share nothing. When the rows span more than one block,
+    the Gram runs on a second thread beside the walk (numpy releases the
+    GIL in both), so they take two cores; it is still the one whole-state
+    ``np.matmul`` (per-panel Grams would round differently), so every bit
+    is as if they ran in turn. An exception on that thread is raised here,
+    after it has been joined, and no thread outlives the call. Within one
+    block no thread is started.
+
     Within a qubit, p0, p1 and Re t come from one routine over rows of one
     length and are summed in one order, so for a product state with
     equal amplitudes they are bitwise equal and its ED is exactly zero.
@@ -474,50 +531,35 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     L = min(M, _GRAM_QUBITS)
     q = np.empty((G, 4, M))  # p0, p1, Re t and Im t of every qubit
     f = amps.view(np.float64).reshape(G, -1, 2 << L)
-    gram = np.matmul(f.swapaxes(-1, -2), f).reshape(G, -1)
+    grams = []  # the Gram, or what computing it raised
+
+    def gram() -> None:
+        try:
+            grams.append(np.matmul(f.swapaxes(-1, -2), f).reshape(G, -1))
+        except BaseException as error:
+            grams.append(error)
+
+    # past one block the Gram runs on a second thread, beside the walk (numpy
+    # releases the GIL in both); it is the same call on the same array either way
+    worker = threading.Thread(target=gram) if N > 1 << _BLOCK_BITS else None
+    if worker is None:
+        gram()
+    else:
+        worker.start()
+    try:
+        sums = _walk(amps, L)
+    finally:
+        if worker is not None:
+            worker.join()
+    (gram,) = grams
+    if isinstance(gram, BaseException):
+        raise gram
     sym, cross = _gram_entries(L)
     # take lays the gathered entries out state by state (gram[:, sym] would
     # put the state axis innermost), so each sum runs in the one-state order
     q[..., :3, :L] = gram.take(sym, axis=-1).sum(axis=-1)
     im = gram.take(cross, axis=-1).sum(axis=-1)
     np.subtract(im[..., 0, :], im[..., 1, :], out=q[..., 3, :L])
-    blocks = amps.reshape(G, -1, 1 << min(M, _BLOCK_BITS))
-    low = range(L, min(M, _DOT_BITS))
-    low_sums = []  # per block: p0, p1 and t of each low qubit
-    norms = np.empty((G, N >> _DOT_BITS), np.complex128)
-    dots = [np.empty((G, N >> (_DOT_BITS + 1)), np.complex128) for _ in range(_DOT_BITS, M)]
-    for b in range(blocks.shape[-2]):
-        block = blocks[..., b, :]
-        sums = []
-        for i in low:
-            pairs = block.reshape(G, -1, 2, 1 << i)
-            # every row's self-dot, split by row parity into p0's and p1's
-            selfs = np.vecdot(pairs, pairs)
-            t = np.vecdot(pairs[..., 0, :], pairs[..., 1, :])
-            sums += (selfs[..., 0].sum(axis=-1), selfs[..., 1].sum(axis=-1), t.sum(axis=-1))
-        low_sums.append(sums)
-        if M <= _DOT_BITS:
-            continue
-        chunks = block.reshape(G, -1, 1 << _DOT_BITS)
-        first = b * chunks.shape[-2]
-        np.vecdot(chunks, chunks, out=norms[..., first : first + chunks.shape[-2]])
-        for i, dot in enumerate(dots, _DOT_BITS):
-            # the block's pairs fill a run of qubit i's row dots, from its
-            # first chunk with bit h clear, numbered with bit h dropped
-            h = i - _DOT_BITS
-            start = (first >> (h + 1) << h) | (first & ((1 << h) - 1))
-            if i < _BLOCK_BITS:  # both chunks of a pair lie in this block
-                pairs = chunks.reshape(G, -1, 2, 1 << h, 1 << _DOT_BITS)
-                out = dot[..., start : start + chunks.shape[-2] // 2].reshape(G, -1, 1 << h)
-                np.vecdot(pairs[..., 0, :, :], pairs[..., 1, :, :], out=out)
-            elif not b >> (i - _BLOCK_BITS) & 1:  # the partner is a later block
-                partner = blocks[..., b + (1 << (i - _BLOCK_BITS)), :].reshape(chunks.shape)
-                np.vecdot(chunks, partner, out=dot[..., start : start + chunks.shape[-2]])
-    sums = [_tree_sum(p) for p in zip(*low_sums)]
-    for i in range(_DOT_BITS, M):
-        half = norms.reshape(G, -1, 2, 1 << (i - _DOT_BITS))
-        sums += [half[..., j, :].reshape(G, -1).sum(axis=-1) for j in (0, 1)]
-        sums.append(dots[i - _DOT_BITS].sum(axis=-1))
     for i, (s0, s1, t) in enumerate(zip(sums[0::3], sums[1::3], sums[2::3]), L):
         q[..., 0, i], q[..., 1, i], q[..., 2, i], q[..., 3, i] = s0.real, s1.real, t.real, t.imag
     p0, p1 = q[..., 0, :], q[..., 1, :]

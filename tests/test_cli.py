@@ -726,11 +726,16 @@ class TestInputHardening:
             (["gen", "--kind", "path", "--M", "9" * 5000], ["gen", "--kind", "path", "--M", "0"],
              EXIT_BAD_INPUT),
             (["suite", "--seed", "9" * 5000], ["suite", "--seed", "-1"], EXIT_BAD_INPUT),
+            # many short words, each quoted by argparse
+            (["suite", *map(str, range(1, 1001))], ["suite", "1"], EXIT_BAD_INPUT),
+            (["gen", "--kind", "x " * 1000, "--M", "3"], ["gen", "--kind", "x ", "--M", "3"],
+             EXIT_BAD_INPUT),
         ],
         ids=["gen_M_word", "gen_seed_word", "gen_seed_negative", "sweep_alpha_grid",
              "top_level_option", "gen_path_M", "gen_complete_dag_M", "verify_M", "suite_max_M",
              "gen_kind_word", "verify_theta_word", "suite_stray_word", "suite_max_M_word",
-             "sweep_theta_format_word", "gen_M_5000_digits", "suite_seed_5000_digits"],
+             "sweep_theta_format_word", "gen_M_5000_digits", "suite_seed_5000_digits",
+             "suite_1000_stray_words", "gen_kind_1000_short_words"],
     )
     def test_a_huge_argument_gets_its_short_form_s_code_and_one_short_line(
         self, huge, short, code, capsys, monkeypatch

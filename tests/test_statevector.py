@@ -545,6 +545,79 @@ class TestBlochVectors:
         assert peak < st.amplitudes.nbytes / 16
 
 
+class _CountedThread(statevector.threading.Thread):
+    """A Thread that records each construction, for monkeypatching into statevector."""
+
+    made: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made.append(self)
+
+
+class _InlineThread(_CountedThread):
+    """Runs its target inside start(), on the calling thread: the read with no second thread."""
+
+    def start(self):
+        self.run()
+
+    def join(self, timeout=None):
+        pass
+
+
+class TestThreadedRead:
+    """bloch_arrays computes the Gram of a state past one block on a second thread."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        monkeypatch.setattr(_CountedThread, "made", [])
+        return _CountedThread.made
+
+    @staticmethod
+    def _states(M, G):
+        graphs = [generate("erdos_renyi", M, {"p": 0.3}, seed=s) for s in range(G)]
+        gps = [GateParams(0.7 + s, -1.3) for s in range(G)]
+        return statevector.build_graph_states(graphs, gps, [0.6] * G, [0.8j] * G)
+
+    @pytest.mark.parametrize("M,G", [(17, 1), (18, 1), (17, 2)], ids=["M17", "M18", "M17_batch"])
+    def test_same_bits_as_with_no_second_thread(self, M, G, made, monkeypatch):
+        amps = self._states(M, G)
+        monkeypatch.setattr(statevector.threading, "Thread", _CountedThread)
+        threaded = statevector.bloch_arrays(amps)
+        assert len(made) == 1
+        monkeypatch.setattr(statevector.threading, "Thread", _InlineThread)
+        inline = statevector.bloch_arrays(amps)
+        assert len(made) == 2
+        assert threaded.tobytes() == inline.tobytes()
+
+    @pytest.mark.parametrize("kernel", ["matmul", "vecdot"])
+    def test_an_error_on_either_thread_is_raised_and_no_thread_outlives_the_call(
+        self, kernel, monkeypatch
+    ):
+        # matmul is the Gram, on the second thread; vecdot is the walk, on the calling one
+        amps = self._states(17, 1)
+        raised_on = []
+
+        def refuse(*args, **kwargs):
+            raised_on.append(statevector.threading.current_thread())
+            raise MemoryError("refused")
+
+        before = statevector.threading.active_count()
+        monkeypatch.setattr(np, kernel, refuse)
+        with pytest.raises(MemoryError, match="refused"):
+            statevector.bloch_arrays(amps)
+        assert statevector.threading.active_count() == before
+        on_caller = raised_on[0] is statevector.threading.current_thread()
+        assert on_caller == (kernel == "vecdot")
+
+    def test_small_states_start_no_thread(self, made, monkeypatch):
+        monkeypatch.setattr(statevector.threading, "Thread", _CountedThread)
+        for M in range(1, 17):
+            statevector.bloch_arrays(self._states(M, 1))
+        statevector.bloch_arrays(self._states(12, statevector.batch_size(12)))
+        assert made == []
+
+
 class TestPauliExpectation:
     def test_plus_product_state(self):
         for M in (1, 4, 16):
