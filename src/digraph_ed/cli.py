@@ -27,7 +27,9 @@ parse time: 2 (sweep-theta) or 3 (sweep-alpha) to MAX_GRID (100000)
 points, and so is ``suite --graphs``: 1 to MAX_GRAPHS (10000).
 ``suite --jobs`` is parsed (an integer >= 1) and ignored: the suite runs in
 one thread (at ``--max-M`` 17 and up the Bloch read of a state past one
-block takes a second, see :func:`~digraph_ed.statevector.bloch_arrays`).
+block takes a second, see :func:`~digraph_ed.statevector.bloch_arrays`,
+and from 19 up the build does too). ``verify --trace PATH`` writes where
+the run's time went, one JSON line per span (see :mod:`digraph_ed.trace`).
 ``gen`` builds no state, so the qubit cap does not bound it: the most
 edges a kind can make at M (M for path, cycle and the stars, M (M - 1) / 2
 for complete_dag and erdos_renyi, which keeps at most one edge of a pair)
@@ -53,7 +55,7 @@ import sys
 
 import numpy as np
 
-from . import digraph, statevector, suite as suite_mod
+from . import digraph, statevector, suite as suite_mod, trace
 from .entanglement import (
     EDReport,
     GateParams,
@@ -86,8 +88,17 @@ MAX_GEN_EDGES = 4_500_000
 
 
 def _error_line(message) -> str:
-    """``error: <message>`` as one line: each line break in the message becomes a space."""
-    return "error: " + " ".join(str(message).splitlines()) + "\n"
+    """``error: <message>`` as one line of at most 200 bytes and the newline.
+
+    Each line break in the message becomes a space, and a line that is still
+    longer (a long path in an ``OSError``, many words in a usage error) is
+    cut to 200 bytes, ending in "...".
+    """
+    line = "error: " + " ".join(str(message).splitlines())
+    raw = line.encode("utf-8", "backslashreplace")  # as stderr writes it
+    if len(raw) > 200:
+        line = raw[:197].decode("utf-8", "ignore") + "..."
+    return line + "\n"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -106,15 +117,11 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         # argparse quotes refused words raw, whatever their length and number, line
         # breaks and all. A word over 40 characters is cut to 40, ending in "...", as
-        # errors.shown cuts a value: argparse's own text takes up to 147 of the line's
-        # 200 bytes (an invalid sweep-theta --kind, with its choices). A line that
-        # many words still make longer is cut to 200 bytes, ending in "...".
+        # errors.shown cuts a value, so argparse's own text, which takes up to 147 of
+        # the line's 200 bytes (an invalid sweep-theta --kind, with its choices), stays in
+        # view when _error_line cuts the line to 200 bytes
         message = re.sub(r"\S{41,}", lambda word: word[0][:37] + "...", message)
-        line = _error_line(f"{self.prog}: {message}")
-        raw = line.encode("utf-8", "backslashreplace")  # as stderr writes it
-        if len(raw) > 201:  # 200 bytes and the newline
-            line = raw[:197].decode("utf-8", "ignore") + "...\n"
-        self.exit(EXIT_BAD_INPUT, line)
+        self.exit(EXIT_BAD_INPUT, _error_line(f"{self.prog}: {message}"))
 
 
 def _int_range(low: int, high: int | None = None):
@@ -188,6 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     _add_angles(p)
     p.add_argument("--out", metavar="PATH")
+    p.add_argument(
+        "--trace", metavar="PATH",
+        help="write where the run's time went as JSON lines, one per span (see README)",
+    )
 
     p = sub.add_parser("sweep-theta", help="sweep theta over [0, pi]")
     _add_graph_source(p)
@@ -367,7 +378,8 @@ def main(argv=None) -> int:
     # looked up per call, so a rebound command (a test double, a tracer) is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        with trace.recording(getattr(args, "trace", None)), trace.span("cli." + args.command):
+            return command(args)
     except CapacityError as e:
         sys.stderr.write(_error_line(e))
         return EXIT_CAPABILITY

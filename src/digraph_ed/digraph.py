@@ -29,6 +29,7 @@ from operator import index
 
 import numpy as np
 
+from . import trace
 from .errors import (
     AntiparallelPairError,
     BadParamsError,
@@ -86,7 +87,8 @@ class DirectedGraph:
 
     @functools.cached_property
     def _edge_walk(self) -> tuple[tuple[DegreeRecord, ...], tuple[int, int] | None]:
-        return _walk(self)
+        with trace.span("digraph.degrees", M=self.M, L=len(self.edges), G=1):
+            return _walk(self)
 
 
 def _edge(e) -> tuple[int, int]:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import digraph, statevector
+from . import digraph, statevector, trace
 from .digraph import DirectedGraph
 from .errors import BadGridError, BadParamsError, NegativeEigenvalueError, integer
 from .statevector import (
@@ -85,18 +85,19 @@ class EDReport:
 
     def to_json(self) -> str:
         """Serialize with fixed key names and 17-significant-digit floats."""
-        fields = [
-            ('"per_vertex": [' + ", ".join(fmt17(v) for v in self.per_vertex) + "]"),
-            f'"total_sv": {fmt17(self.total_statevector)}',
-            f'"total_cf": {fmt17(self.total_closed_form)}',
-            f'"discrepancy": {fmt17(self.discrepancy)}',
-            f'"theta": {fmt17(self.gp.theta)}',
-            f'"psi": {fmt17(self.gp.psi)}',
-            f'"graph_hash": {json.dumps(self.graph_hash)}',
-            f'"policy": {json.dumps(self.policy)}',
-            f'"seed_info": {json.dumps(self.seed_info)}',
-        ]
-        return "{" + ", ".join(fields) + "}"
+        with trace.span("entanglement.report", M=len(self.per_vertex), G=1):
+            fields = [
+                ('"per_vertex": [' + ", ".join(fmt17(v) for v in self.per_vertex) + "]"),
+                f'"total_sv": {fmt17(self.total_statevector)}',
+                f'"total_cf": {fmt17(self.total_closed_form)}',
+                f'"discrepancy": {fmt17(self.discrepancy)}',
+                f'"theta": {fmt17(self.gp.theta)}',
+                f'"psi": {fmt17(self.gp.psi)}',
+                f'"graph_hash": {json.dumps(self.graph_hash)}',
+                f'"policy": {json.dumps(self.policy)}',
+                f'"seed_info": {json.dumps(self.seed_info)}',
+            ]
+            return "{" + ", ".join(fields) + "}"
 
 
 @dataclass(frozen=True)
@@ -135,13 +136,14 @@ def ed_closed_form(g: DirectedGraph, theta: float) -> float:
     pairs every cos(2 theta) factor is exactly 1.0, so the value is the
     paper's cos(theta)^(2d) law bit for bit.
     """
-    c = math.cos(theta)
-    c2 = math.cos(2.0 * theta)
-    acc = 0.0
-    for rec in g.degrees:
-        p = rec.pairs
-        acc += c ** (2 * (rec.total - 2 * p)) * c2 ** (2 * p)
-    return 1.0 - acc / g.M
+    with trace.span("entanglement.closed_form", M=g.M, L=g.num_edges, G=1):
+        c = math.cos(theta)
+        c2 = math.cos(2.0 * theta)
+        acc = 0.0
+        for rec in g.degrees:
+            p = rec.pairs
+            acc += c ** (2 * (rec.total - 2 * p)) * c2 ** (2 * p)
+        return 1.0 - acc / g.M
 
 
 def pauli_vector_closed_form(d_out: int, d_in: int, gp: GateParams, pairs: int = 0) -> PauliVector:

@@ -18,22 +18,33 @@ O(2^M) work whatever the edge count, in one buffer that becomes the
 state's frozen amplitude array (peak memory about one state, at most two).
 :func:`bloch_vectors` reads every qubit's Bloch vector from views of the
 amplitudes, with no copy of the state, in one of three schemes: one BLAS
-Gram matrix of the float view covers qubits 0 to 4; the others are read in
-one walk over the state in cache-sized blocks, with complex dot products
-along contiguous rows of at most 2^_DOT_BITS amplitudes. Every qubit from 5
-up sums its rows' self-dots, split by the qubit's bit, into p0 and p1, and
-one more row dot per pair of rows into <0|rho|1>. Qubits 5 to 9 are summed
-per block and the block sums merged as a balanced binary tree, which is
-numpy's pairwise sum over the whole row-dot array bit for bit; each qubit
+Gram matrix of the float view covers qubits 0 to 4; qubit 5 is summed over
+the whole state, and the others are read in one walk over the state in
+cache-sized blocks, with complex dot products along contiguous rows of at
+most 2^_DOT_BITS amplitudes. Every qubit from 5 up sums its rows'
+self-dots, split by the qubit's bit, into p0 and p1, and one more row dot
+per pair of rows into <0|rho|1>. Qubits 6 to 9 are summed per block and
+the block sums merged as a balanced binary tree, which is numpy's pairwise
+sum over the whole row-dot array bit for bit, as qubit 5's is; each qubit
 from 10 up shares one array of chunk self-dots and writes its pair dots into
 one array, pairing chunks within the block below _BLOCK_BITS and the block
 with a later one from there up, and that array is summed once. Within a
 qubit, p0, p1 and Re<0|rho|1> come from one routine over rows of one length,
-so product states stay exactly pure. For a state of more than one block
-(M >= 17) the Gram runs on a second thread while the calling thread walks
-the blocks; numpy releases the GIL in both, so they run on two cores. The
-bits do not change: it is the same one BLAS call over the whole state, and
-neither part reads what the other writes. Smaller states start no thread.
+so product states stay exactly pure.
+
+A large state takes two cores, in numpy calls that release the GIL: the
+build's elementwise multiplies, the Gram's one BLAS call and ``np.vecdot``
+over whole-state rows (a vecdot of fewer than about 500 rows holds it, so
+the walk's calls cannot be split usefully). For a state of more than one
+block (M >= 17) a second thread computes the Gram and qubit 5, from one
+vecdot over the whole state, while the calling thread walks the blocks
+from qubit 6; from 2^_SPLIT_BITS amplitudes the build runs its steps for
+qubits _BLOCK_BITS and up on two threads, each on one half of every
+block's low indices. The bits do not change: every amplitude and every row
+dot is the same arithmetic in the same order, the Gram is still one BLAS
+call over the whole state, no step on one thread reads what the other
+writes, and each thread is joined before the call returns or raises.
+Smaller states start no thread.
 
 Both kernels carry a leading batch axis. :func:`build_graph_states` builds
 G states of equal M as the rows of one (G, 2^M) buffer and
@@ -73,6 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trace
 from .digraph import DirectedGraph
 from .errors import (
     BadParamsError,
@@ -105,6 +117,12 @@ _BLOCK_BITS = 16
 # sum is a node of numpy's summation tree, and the tree merge of the block sums
 # in bloch_arrays is np.sum of the whole array, bit for bit.
 assert _BLOCK_BITS - _DOT_BITS >= 6
+#: From 2^_SPLIT_BITS amplitudes the build splits its steps for qubits
+#: _BLOCK_BITS and up over two threads. Against one thread, the split cost
+#: 0.29-0.35 ms at M=17 and 0.18-0.31 ms at M=18, and saved 0.14-0.23 ms at
+#: M=19 and 1.0 ms at M=20 (two runs of 20 alternating rounds, medians; one
+#: Erdos-Renyi p=0.3 state, 2 vCPU).
+_SPLIT_BITS = 19
 
 
 def _canonical_angle(x: float) -> float:
@@ -267,6 +285,16 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     ``(alpha0, alpha1)`` of every row), bit for bit what
     :func:`build_graph_state` makes of it alone. Reading each graph's
     degrees checks its structure; antiparallel pairs are built.
+
+    Below 2^_SPLIT_BITS amplitudes every qubit is built in turn on the
+    calling thread. From there up, qubits below _BLOCK_BITS still are; for
+    each qubit m from _BLOCK_BITS up, that thread then writes the first
+    2^_BLOCK_BITS entries of m's phase vector (its head phase and doubling
+    steps j < _BLOCK_BITS): nothing before m's own step reads or writes
+    them, so writing them early gives the same values. The rest of each
+    top qubit's step combines only entries of one low index (see
+    :func:`_top_qubits`), so the two halves of the low indices go to two
+    threads, joined once.
     """
     records = [g.degrees for g in graphs]
     M = graphs[0].M
@@ -294,25 +322,92 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     buf = np.empty(G << M, dtype=np.complex128)
     amps = buf.reshape(G, -1)
     amps[..., 0] = 1.0
-    for m in range(M):
-        n = 1 << m
-        upper = amps[..., n : 2 * n]
-        # qubit m's phase vector starts at alpha1 e^{i(theta-psi) d_out(m)}
-        upper[..., 0] = [
-            a1 * cmath.exp(1j * (gp.theta - gp.psi) * recs[m].out_degree)
-            for a1, gp, recs in zip(alpha1, gps, records)
-        ]
-        if m:
-            # into a temporary: an out= view one amplitude past its input,
-            # strided over the rows, takes another numpy loop and other bits
-            upper[..., 1] = upper[..., 0] * factor[..., m, 0]
-        for j in range(1, m):
-            h = 1 << j
-            np.multiply(upper[..., :h], factor[..., m, j, None], out=upper[..., h : 2 * h])
-        upper *= amps[..., :n]
-        amps[..., :n] *= alpha0
+    # from 2^_SPLIT_BITS amplitudes, qubits _BLOCK_BITS and up finish on two threads
+    split = M > _BLOCK_BITS and buf.size >= 1 << _SPLIT_BITS
+    with trace.span("statevector.build", M=M, L=len(ends) // 2, G=G):
+        for m in range(M):
+            n = 1 << m
+            upper = amps[..., n : 2 * n]
+            # qubit m's phase vector starts at alpha1 e^{i(theta-psi) d_out(m)}
+            upper[..., 0] = [
+                a1 * cmath.exp(1j * (gp.theta - gp.psi) * recs[m].out_degree)
+                for a1, gp, recs in zip(alpha1, gps, records)
+            ]
+            if m:
+                # into a temporary: an out= view one amplitude past its input,
+                # strided over the rows, takes another numpy loop and other bits
+                upper[..., 1] = upper[..., 0] * factor[..., m, 0]
+            # when split, a top qubit's phase vector is grown here only over its
+            # first block, which nothing before its own step reads or writes
+            for j in range(1, min(m, _BLOCK_BITS) if split else m):
+                h = 1 << j
+                np.multiply(upper[..., :h], factor[..., m, j, None], out=upper[..., h : 2 * h])
+            if m < _BLOCK_BITS or not split:
+                upper *= amps[..., :n]
+                amps[..., :n] *= alpha0
+        if split:  # one half of every block's low indices on each thread
+            top = functools.partial(
+                _top_qubits, amps.reshape(G, -1, 1 << _BLOCK_BITS), factor, alpha0
+            )
+            half = 1 << (_BLOCK_BITS - 1)
+            _beside(functools.partial(top, slice(half, None)), functools.partial(top, slice(half)))
     buf.flags.writeable = False
     return buf
+
+
+def _top_qubits(blocks: np.ndarray, factor, alpha0, cols: slice) -> None:
+    """The build's steps for qubits _BLOCK_BITS and up, on columns ``cols`` of every block.
+
+    ``blocks`` is the build buffer as (G, 2^(M - _BLOCK_BITS), 2^_BLOCK_BITS),
+    each qubit's first block of phases already written. Every step combines
+    entries of one column (one low index) only, elementwise as the step over
+    whole rows does, so any split of the columns gives the same bits.
+    """
+    G, count, _ = blocks.shape
+    tops = count.bit_length() - 1  # qubits from _BLOCK_BITS up
+    part = blocks[..., cols]
+    with trace.span("statevector.build_half", M=_BLOCK_BITS + tops, G=G):
+        for b in range(tops):
+            n, m = 1 << b, _BLOCK_BITS + b
+            upper = part[..., n : 2 * n, :]
+            for j in range(b):
+                h = 1 << j
+                np.multiply(
+                    upper[..., :h, :], factor[..., m, _BLOCK_BITS + j, None, None],
+                    out=upper[..., h : 2 * h, :],
+                )
+            upper *= part[..., :n, :]
+            part[..., :n, :] *= alpha0[..., None]
+
+
+def _beside(side, main, threaded: bool = True) -> tuple:
+    """``(side(), main())``, with side() on a second thread beside main() when ``threaded``.
+
+    Unthreaded, both run here, side first. An exception on either thread is
+    raised here, after the second thread has been joined, so no thread
+    outlives the call.
+    """
+    if not threaded:
+        return side(), main()
+    side = trace.carry(side)
+    box = []
+
+    def run() -> None:
+        try:
+            box.append((True, side()))
+        except BaseException as error:
+            box.append((False, error))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        mine = main()
+    finally:
+        worker.join()
+    ((ok, theirs),) = box
+    if not ok:
+        raise theirs
+    return theirs, mine
 
 
 def build_graph_state(
@@ -421,25 +516,31 @@ def _tree_sum(parts):
     return parts[0]
 
 
-def _walk(amps: np.ndarray, L: int) -> list:
-    """The block walk of :func:`bloch_arrays`: p0, p1 and t of each qubit from L up, in turn."""
+def _row_sums(x: np.ndarray, i: int) -> list:
+    """p0, p1 and t of qubit i < _DOT_BITS over the rows of ``x``, each one ``np.sum``.
+
+    ``x`` reshaped to (G, -1, 2, 2^i) puts the bit-i=0 rows a0 and the
+    bit-i=1 rows a1 side by side: one ``np.vecdot`` of every row with itself,
+    split by row parity, gives the a0.a0 and a1.a1, and a second the a0.a1.
+    """
+    pairs = x.reshape(x.shape[0], -1, 2, 1 << i)
+    selfs = np.vecdot(pairs, pairs)
+    t = np.vecdot(pairs[..., 0, :], pairs[..., 1, :])
+    return [selfs[..., 0].sum(axis=-1), selfs[..., 1].sum(axis=-1), t.sum(axis=-1)]
+
+
+def _walk(amps: np.ndarray, lowest: int) -> list:
+    """The block walk of :func:`bloch_arrays`: p0, p1 and t of each qubit from ``lowest`` up."""
     G, N = amps.shape
     M = N.bit_length() - 1
     blocks = amps.reshape(G, -1, 1 << min(M, _BLOCK_BITS))
-    low = range(L, min(M, _DOT_BITS))
+    low = range(lowest, min(M, _DOT_BITS))
     low_sums = []  # per block: p0, p1 and t of each low qubit
     norms = np.empty((G, N >> _DOT_BITS), np.complex128)
     dots = [np.empty((G, N >> (_DOT_BITS + 1)), np.complex128) for _ in range(_DOT_BITS, M)]
     for b in range(blocks.shape[-2]):
         block = blocks[..., b, :]
-        sums = []
-        for i in low:
-            pairs = block.reshape(G, -1, 2, 1 << i)
-            # every row's self-dot, split by row parity into p0's and p1's
-            selfs = np.vecdot(pairs, pairs)
-            t = np.vecdot(pairs[..., 0, :], pairs[..., 1, :])
-            sums += (selfs[..., 0].sum(axis=-1), selfs[..., 1].sum(axis=-1), t.sum(axis=-1))
-        low_sums.append(sums)
+        low_sums.append([s for i in low for s in _row_sums(block, i)])
         if M <= _DOT_BITS:
             continue
         chunks = block.reshape(G, -1, 1 << _DOT_BITS)
@@ -480,14 +581,14 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
       the same BLAS routine per state).
       Each qubit's p0, p1, Re t and Im t is a sum of Gram entries, gathered
       for all low qubits at once (see :func:`_gram_entries`);
-    * every higher qubit is read in one walk over the state in blocks of
+    * every qubit above L is read in one walk over the state in blocks of
       2^_BLOCK_BITS amplitudes (1 MiB, a core's L2 cache), doing all of
       them on a block while it is in cache. Its row dots are complex
       ``np.vecdot`` calls along contiguous rows of at most 2^_DOT_BITS
       amplitudes, so no BLAS dot runs long, and each qubit's sums are
       numpy's pairwise sums of its whole row-dot arrays:
 
-      - qubits L <= i < _DOT_BITS: the block reshaped to (-1, 2, 2^i) puts
+      - qubits L < i < _DOT_BITS: the block reshaped to (-1, 2, 2^i) puts
         the bit-i=0 rows a0 and the bit-i=1 rows a1 side by side. One
         ``np.vecdot`` of every row with itself, split by row parity, gives
         the a0.a0 summed into p0 and the a1.a1 summed into p1, as qubits
@@ -507,13 +608,17 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
         there up. Either way the row dot goes into one array per qubit, in
         the order of c, and each array is summed once at the end.
 
-    The two parts share nothing. When the rows span more than one block,
-    the Gram runs on a second thread beside the walk (numpy releases the
-    GIL in both), so they take two cores; it is still the one whole-state
-    ``np.matmul`` (per-panel Grams would round differently), so every bit
-    is as if they ran in turn. An exception on that thread is raised here,
-    after it has been joined, and no thread outlives the call. Within one
-    block no thread is started.
+    Qubit L (qubit 5, where M > 5) is not walked: its three sums are taken
+    over the whole state, one ``np.vecdot`` of all its rows and one
+    ``np.sum`` per quantity, which is bit for bit what the merged block
+    sums give. That and the Gram share nothing with the walk. When the
+    rows span more than one block, both run on a second thread beside the
+    walk (numpy releases the GIL in the BLAS call and in a vecdot of that
+    many rows), so they take two cores; the Gram is still the one
+    whole-state ``np.matmul`` (per-panel Grams would round differently),
+    so every bit is as if they ran in turn. An exception on that thread is
+    raised here, after it has been joined, and no thread outlives the
+    call. Within one block they run here, first, and no thread is started.
 
     Within a qubit, p0, p1 and Re t come from one routine over rows of one
     length and are summed in one order, so for a product state with
@@ -529,54 +634,51 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     G, N = amps.shape
     M = N.bit_length() - 1
     L = min(M, _GRAM_QUBITS)
-    q = np.empty((G, 4, M))  # p0, p1, Re t and Im t of every qubit
-    f = amps.view(np.float64).reshape(G, -1, 2 << L)
-    grams = []  # the Gram, or what computing it raised
 
-    def gram() -> None:
-        try:
-            grams.append(np.matmul(f.swapaxes(-1, -2), f).reshape(G, -1))
-        except BaseException as error:
-            grams.append(error)
+    def low_qubits() -> tuple:
+        # the Gram, and qubit L's sums over the whole state (per-panel Grams
+        # would round differently; np.sum of the whole row-dot arrays is what
+        # the walk's merged block sums give)
+        with trace.span("statevector.gram", M=M, G=G):
+            f = amps.view(np.float64).reshape(G, -1, 2 << L)
+            gram = np.matmul(f.swapaxes(-1, -2), f).reshape(G, -1)
+            return gram, _row_sums(amps, L) if L < M else []
 
-    # past one block the Gram runs on a second thread, beside the walk (numpy
-    # releases the GIL in both); it is the same call on the same array either way
-    worker = threading.Thread(target=gram) if N > 1 << _BLOCK_BITS else None
-    if worker is None:
-        gram()
-    else:
-        worker.start()
-    try:
-        sums = _walk(amps, L)
-    finally:
-        if worker is not None:
-            worker.join()
-    (gram,) = grams
-    if isinstance(gram, BaseException):
-        raise gram
-    sym, cross = _gram_entries(L)
-    # take lays the gathered entries out state by state (gram[:, sym] would
-    # put the state axis innermost), so each sum runs in the one-state order
-    q[..., :3, :L] = gram.take(sym, axis=-1).sum(axis=-1)
-    im = gram.take(cross, axis=-1).sum(axis=-1)
-    np.subtract(im[..., 0, :], im[..., 1, :], out=q[..., 3, :L])
-    for i, (s0, s1, t) in enumerate(zip(sums[0::3], sums[1::3], sums[2::3]), L):
-        q[..., 0, i], q[..., 1, i], q[..., 2, i], q[..., 3, i] = s0.real, s1.real, t.real, t.imag
-    p0, p1 = q[..., 0, :], q[..., 1, :]
-    nrm = p0 + p1  # each qubit's p0 + p1 is its state's squared norm
-    drift = np.abs(nrm - 1.0)
-    if drift.max() > _NORM_TOL:
-        worst = float(nrm.flat[drift.argmax()])
-        raise NotNormalizedError(f"state norm^2 = {worst!r} deviates from 1 beyond {_NORM_TOL}")
-    out = np.empty((G, 3, M))  # x, y and z of every qubit
-    np.multiply(2.0, q[..., 2:, :], out=out[..., :2, :])
-    out[..., :2, :] /= nrm[..., None, :]
-    np.subtract(p0, p1, out=out[..., 2, :])
-    out[..., 2, :] /= nrm
-    worst = float((out * out).sum(axis=-2).max())  # x*x + y*y + z*z, in that order
-    if worst > 1.0 + _BLOCH_TOL:
-        raise ValueError(f"Bloch bound violated: |v|^2 = {worst}")
-    return out.swapaxes(1, 2)
+    def walk() -> list:
+        with trace.span("statevector.walk", M=M, G=G):
+            return _walk(amps, L + 1)
+
+    with trace.span("statevector.read", M=M, G=G):
+        # past one block the low qubits run on a second thread, beside the walk
+        (gram, sums), walked = _beside(low_qubits, walk, threaded=N > 1 << _BLOCK_BITS)
+        sums += walked
+        q = np.empty((G, 4, M))  # p0, p1, Re t and Im t of every qubit
+        sym, cross = _gram_entries(L)
+        # take lays the gathered entries out state by state (gram[:, sym] would
+        # put the state axis innermost), so each sum runs in the one-state order
+        q[..., :3, :L] = gram.take(sym, axis=-1).sum(axis=-1)
+        im = gram.take(cross, axis=-1).sum(axis=-1)
+        np.subtract(im[..., 0, :], im[..., 1, :], out=q[..., 3, :L])
+        for i, (s0, s1, t) in enumerate(zip(sums[0::3], sums[1::3], sums[2::3]), L):
+            q[..., 0, i], q[..., 1, i] = s0.real, s1.real
+            q[..., 2, i], q[..., 3, i] = t.real, t.imag
+        p0, p1 = q[..., 0, :], q[..., 1, :]
+        nrm = p0 + p1  # each qubit's p0 + p1 is its state's squared norm
+        drift = np.abs(nrm - 1.0)
+        if drift.max() > _NORM_TOL:
+            worst = float(nrm.flat[drift.argmax()])
+            raise NotNormalizedError(
+                f"state norm^2 = {worst!r} deviates from 1 beyond {_NORM_TOL}"
+            )
+        out = np.empty((G, 3, M))  # x, y and z of every qubit
+        np.multiply(2.0, q[..., 2:, :], out=out[..., :2, :])
+        out[..., :2, :] /= nrm[..., None, :]
+        np.subtract(p0, p1, out=out[..., 2, :])
+        out[..., 2, :] /= nrm
+        worst = float((out * out).sum(axis=-2).max())  # x*x + y*y + z*z, in that order
+        if worst > 1.0 + _BLOCH_TOL:
+            raise ValueError(f"Bloch bound violated: |v|^2 = {worst}")
+        return out.swapaxes(1, 2)
 
 
 def bloch_vectors(state: PureState) -> tuple[PauliVector, ...]:

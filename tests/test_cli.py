@@ -752,6 +752,38 @@ class TestInputHardening:
             assert line.startswith(b"error: ") and line.count(b"\n") == 1
             assert len(line.rstrip(b"\n")) <= 200, err
 
+    LONG_PATH = "d" * 3000 + ".json"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--graph", LONG_PATH, "--theta", "1"],
+            ["verify", "--kind", "path", "--M", "3", "--theta", "1", "--out", LONG_PATH],
+        ],
+        ids=["graph", "out"],
+    )
+    def test_a_long_path_gets_one_line_of_at_most_200_bytes(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        # the OSError names the path in full; every exit path cuts its line to 200 bytes
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        line = err.encode("utf-8")
+        assert line.startswith(b"error: ") and line.count(b"\n") == 1
+        assert len(line) == 201 and line.endswith(b"...\n"), err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_internal_error_line_is_cut_to_200_bytes(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("x" + "\u00e9" * 3000)
+
+        monkeypatch.setattr(cli, "cmd_verify", broken)
+        code, _, err = run(["verify", "--kind", "path", "--M", "3", "--theta", "0.4"], capsys)
+        assert code == cli.EXIT_INTERNAL
+        # the cut drops a two-byte character it would split
+        assert err == "error: internal: RuntimeError: x" + "\u00e9" * 82 + "...\n"
+
     def test_a_huge_edge_bound_is_named_by_its_power_of_two(self, capsys):
         code, _, err = run(["gen", "--kind", "complete_dag", "--M", "9" * 4000], capsys)
         assert code == EXIT_CAPABILITY

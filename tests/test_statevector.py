@@ -566,7 +566,7 @@ class _InlineThread(_CountedThread):
 
 
 class TestThreadedRead:
-    """bloch_arrays computes the Gram of a state past one block on a second thread."""
+    """Past one block, bloch_arrays and the build each take a second thread."""
 
     @pytest.fixture
     def made(self, monkeypatch):
@@ -574,10 +574,10 @@ class TestThreadedRead:
         return _CountedThread.made
 
     @staticmethod
-    def _states(M, G):
+    def _states(M, G, alpha0=0.6, alpha1=0.8j):
         graphs = [generate("erdos_renyi", M, {"p": 0.3}, seed=s) for s in range(G)]
         gps = [GateParams(0.7 + s, -1.3) for s in range(G)]
-        return statevector.build_graph_states(graphs, gps, [0.6] * G, [0.8j] * G)
+        return statevector.build_graph_states(graphs, gps, [alpha0] * G, [alpha1] * G)
 
     @pytest.mark.parametrize("M,G", [(17, 1), (18, 1), (17, 2)], ids=["M17", "M18", "M17_batch"])
     def test_same_bits_as_with_no_second_thread(self, M, G, made, monkeypatch):
@@ -590,16 +590,39 @@ class TestThreadedRead:
         assert len(made) == 2
         assert threaded.tobytes() == inline.tobytes()
 
-    @pytest.mark.parametrize("kernel", ["matmul", "vecdot"])
+    @pytest.mark.parametrize("M,G", [(19, 1), (20, 1), (19, 2)], ids=["M19", "M20", "M19_batch"])
+    def test_build_and_read_same_bits_as_with_no_second_thread(self, M, G, made, monkeypatch):
+        graphs = [generate("erdos_renyi", M, {"p": 0.3}, seed=s) for s in range(G)]
+        gps = [GateParams(0.7 + s, -1.3 + s) for s in range(G)]
+        alphas = ([0.6, INV_SQRT2][:G], [0.8j, -INV_SQRT2 * 1j][:G])
+        runs = []
+        for thread in (_CountedThread, _InlineThread):
+            monkeypatch.setattr(statevector.threading, "Thread", thread)
+            amps = statevector.build_graph_states(graphs, gps, *alphas)
+            runs.append(amps.tobytes() + statevector.bloch_arrays(amps).tobytes())
+            assert len(made) == 2 * len(runs)  # one in the build, one in the read
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "kernel,thread",
+        [("matmul", "worker"), ("vecdot", "caller"), ("vecdot", "worker")],
+        ids=["matmul", "vecdot", "vecdot_on_worker"],
+    )
     def test_an_error_on_either_thread_is_raised_and_no_thread_outlives_the_call(
-        self, kernel, monkeypatch
+        self, kernel, thread, monkeypatch
     ):
-        # matmul is the Gram, on the second thread; vecdot is the walk, on the calling one
+        # matmul is the Gram, on the second thread; vecdot runs on both, in the
+        # walk on the calling thread and for qubit 5 beside the Gram
         amps = self._states(17, 1)
+        caller = statevector.threading.current_thread()
+        real = getattr(np, kernel)
         raised_on = []
 
         def refuse(*args, **kwargs):
-            raised_on.append(statevector.threading.current_thread())
+            here = statevector.threading.current_thread()
+            if (here is caller) != (thread == "caller"):
+                return real(*args, **kwargs)
+            raised_on.append(here)
             raise MemoryError("refused")
 
         before = statevector.threading.active_count()
@@ -607,14 +630,42 @@ class TestThreadedRead:
         with pytest.raises(MemoryError, match="refused"):
             statevector.bloch_arrays(amps)
         assert statevector.threading.active_count() == before
-        on_caller = raised_on[0] is statevector.threading.current_thread()
-        assert on_caller == (kernel == "vecdot")
+        assert raised_on
+
+    def test_an_error_on_the_build_s_thread_is_raised_and_no_thread_outlives_the_call(
+        self, monkeypatch
+    ):
+        caller = statevector.threading.current_thread()
+        real = np.multiply
+        raised_on = []
+
+        def refuse(*args, **kwargs):
+            here = statevector.threading.current_thread()
+            if here is caller:
+                return real(*args, **kwargs)
+            raised_on.append(here)
+            raise MemoryError("refused")
+
+        before = statevector.threading.active_count()
+        monkeypatch.setattr(np, "multiply", refuse)
+        with pytest.raises(MemoryError, match="refused"):
+            self._states(statevector._SPLIT_BITS, 1)
+        assert statevector.threading.active_count() == before
+        assert raised_on
 
     def test_small_states_start_no_thread(self, made, monkeypatch):
         monkeypatch.setattr(statevector.threading, "Thread", _CountedThread)
         for M in range(1, 17):
-            statevector.bloch_arrays(self._states(M, 1))
-        statevector.bloch_arrays(self._states(12, statevector.batch_size(12)))
+            amps = self._states(M, 1)
+            assert made == []
+            statevector.bloch_arrays(amps)
+        amps = self._states(12, statevector.batch_size(12))
+        assert made == []
+        statevector.bloch_arrays(amps)
+        assert made == []
+        # past one block the read takes a second thread; the build only from 2^_SPLIT_BITS
+        for M in range(17, statevector._SPLIT_BITS):
+            self._states(M, 1)
         assert made == []
 
 
