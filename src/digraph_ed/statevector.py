@@ -117,11 +117,11 @@ _BLOCK_BITS = 16
 # sum is a node of numpy's summation tree, and the tree merge of the block sums
 # in bloch_arrays is np.sum of the whole array, bit for bit.
 assert _BLOCK_BITS - _DOT_BITS >= 6
-#: From 2^_SPLIT_BITS amplitudes the build splits its steps for qubits
-#: _BLOCK_BITS and up over two threads. Against one thread, the split cost
-#: 0.29-0.35 ms at M=17 and 0.18-0.31 ms at M=18, and saved 0.14-0.23 ms at
-#: M=19 and 1.0 ms at M=20 (two runs of 20 alternating rounds, medians; one
-#: Erdos-Renyi p=0.3 state, 2 vCPU).
+#: From 2^_SPLIT_BITS amplitudes the build runs its two halves of the low
+#: indices for qubits _BLOCK_BITS and up on two threads. Against both halves
+#: on one thread, two threads cost 0.22-0.29 ms at M=17 and 0.15-0.19 ms at
+#: M=18, and saved 0.07-0.19 ms at M=19 and 0.77-0.90 ms at M=20 (two runs
+#: of 20 alternating rounds, medians; one Erdos-Renyi p=0.3 state, 2 vCPU).
 _SPLIT_BITS = 19
 
 
@@ -286,15 +286,14 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     :func:`build_graph_state` makes of it alone. Reading each graph's
     degrees checks its structure; antiparallel pairs are built.
 
-    Below 2^_SPLIT_BITS amplitudes every qubit is built in turn on the
-    calling thread. From there up, qubits below _BLOCK_BITS still are; for
+    Qubits below _BLOCK_BITS are built in turn on the calling thread; for
     each qubit m from _BLOCK_BITS up, that thread then writes the first
     2^_BLOCK_BITS entries of m's phase vector (its head phase and doubling
     steps j < _BLOCK_BITS): nothing before m's own step reads or writes
     them, so writing them early gives the same values. The rest of each
     top qubit's step combines only entries of one low index (see
-    :func:`_top_qubits`), so the two halves of the low indices go to two
-    threads, joined once.
+    :func:`_top_qubits`), so it runs on each half of the low indices in
+    turn, and from 2^_SPLIT_BITS amplitudes on two threads, joined once.
     """
     records = [g.degrees for g in graphs]
     M = graphs[0].M
@@ -322,8 +321,6 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     buf = np.empty(G << M, dtype=np.complex128)
     amps = buf.reshape(G, -1)
     amps[..., 0] = 1.0
-    # from 2^_SPLIT_BITS amplitudes, qubits _BLOCK_BITS and up finish on two threads
-    split = M > _BLOCK_BITS and buf.size >= 1 << _SPLIT_BITS
     with trace.span("statevector.build", M=M, L=len(ends) // 2, G=G):
         for m in range(M):
             n = 1 << m
@@ -337,35 +334,36 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
                 # into a temporary: an out= view one amplitude past its input,
                 # strided over the rows, takes another numpy loop and other bits
                 upper[..., 1] = upper[..., 0] * factor[..., m, 0]
-            # when split, a top qubit's phase vector is grown here only over its
-            # first block, which nothing before its own step reads or writes
-            for j in range(1, min(m, _BLOCK_BITS) if split else m):
+            # a top qubit's phase vector is grown here only over its first
+            # block, which nothing before its own step reads or writes
+            for j in range(1, min(m, _BLOCK_BITS)):
                 h = 1 << j
                 np.multiply(upper[..., :h], factor[..., m, j, None], out=upper[..., h : 2 * h])
-            if m < _BLOCK_BITS or not split:
+            if m < _BLOCK_BITS:
                 upper *= amps[..., :n]
                 amps[..., :n] *= alpha0
-        if split:  # one half of every block's low indices on each thread
-            top = functools.partial(
-                _top_qubits, amps.reshape(G, -1, 1 << _BLOCK_BITS), factor, alpha0
+        if M > _BLOCK_BITS:  # one half of every block's low indices at a time
+            blocks, half = amps.reshape(G, -1, 1 << _BLOCK_BITS), 1 << (_BLOCK_BITS - 1)
+            _beside(
+                lambda: _top_qubits(blocks[..., half:], factor, alpha0),
+                lambda: _top_qubits(blocks[..., :half], factor, alpha0),
+                threaded=buf.size >= 1 << _SPLIT_BITS,
             )
-            half = 1 << (_BLOCK_BITS - 1)
-            _beside(functools.partial(top, slice(half, None)), functools.partial(top, slice(half)))
     buf.flags.writeable = False
     return buf
 
 
-def _top_qubits(blocks: np.ndarray, factor, alpha0, cols: slice) -> None:
-    """The build's steps for qubits _BLOCK_BITS and up, on columns ``cols`` of every block.
+def _top_qubits(part: np.ndarray, factor, alpha0) -> None:
+    """The build's steps for qubits _BLOCK_BITS and up, on some columns of every block.
 
-    ``blocks`` is the build buffer as (G, 2^(M - _BLOCK_BITS), 2^_BLOCK_BITS),
-    each qubit's first block of phases already written. Every step combines
-    entries of one column (one low index) only, elementwise as the step over
-    whole rows does, so any split of the columns gives the same bits.
+    ``part`` is a range of columns of the build buffer viewed as (G,
+    2^(M - _BLOCK_BITS), 2^_BLOCK_BITS), each qubit's first block of phases
+    already written. Every step combines entries of one column (one low
+    index) only, elementwise as the step over whole rows does, so any split
+    of the columns gives the same bits.
     """
-    G, count, _ = blocks.shape
+    G, count, _ = part.shape
     tops = count.bit_length() - 1  # qubits from _BLOCK_BITS up
-    part = blocks[..., cols]
     with trace.span("statevector.build_half", M=_BLOCK_BITS + tops, G=G):
         for b in range(tops):
             n, m = 1 << b, _BLOCK_BITS + b

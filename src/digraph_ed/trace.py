@@ -88,23 +88,24 @@ def recording(path):
 
     One object per span, in opening order, then ``{"summary": {name:
     {"count": n, "total_s": seconds}}}``, names in order of first opening.
-    With ``path`` None nothing is recorded. Nothing is written when the body
-    raises.
+    With ``path`` None nothing is recorded. ``path`` is opened before the
+    body runs, so a path that cannot be written fails before any work; the
+    file stays empty when the body raises.
     """
     global _records, _t0
     if path is None:
         yield
         return
-    _records, _t0 = [], time.perf_counter()
-    try:
-        yield
-    finally:
-        records, _records = _records, None
-    totals: dict = {}
-    for r in records:
-        entry = totals.setdefault(r["name"], {"count": 0, "total_s": 0.0})
-        entry["count"] += 1
-        entry["total_s"] += r["end_s"] - r["start_s"]
-    lines = [json.dumps(r) for r in records] + [json.dumps({"summary": totals})]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
+        _records, _t0 = [], time.perf_counter()
+        try:
+            yield
+        finally:
+            records, _records = _records, None
+        totals: dict = {}
+        for r in records:
+            entry = totals.setdefault(r["name"], {"count": 0, "total_s": 0.0})
+            entry["count"] += 1
+            entry["total_s"] += r["end_s"] - r["start_s"]
+        lines = [json.dumps(r) for r in records] + [json.dumps({"summary": totals})]
         f.write("\n".join(lines) + "\n")

@@ -759,13 +759,15 @@ class TestInputHardening:
         [
             ["verify", "--graph", LONG_PATH, "--theta", "1"],
             ["verify", "--kind", "path", "--M", "3", "--theta", "1", "--out", LONG_PATH],
+            ["verify", "--kind", "path", "--M", "3", "--theta", "1", "--trace", LONG_PATH],
         ],
-        ids=["graph", "out"],
+        ids=["graph", "out", "trace"],
     )
     def test_a_long_path_gets_one_line_of_at_most_200_bytes(
         self, argv, capsys, tmp_path, monkeypatch
     ):
-        # the OSError names the path in full; every exit path cuts its line to 200 bytes
+        # the OSError names the path in full; every exit path cuts its line to 200 bytes.
+        # --trace is opened before the command runs, so nothing reaches stdout
         monkeypatch.chdir(tmp_path)
         code, out, err = run(argv, capsys)
         assert (code, out) == (EXIT_BAD_INPUT, "")

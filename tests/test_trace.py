@@ -81,11 +81,11 @@ def test_tracing_off_is_one_shared_context_and_records_nothing():
     assert trace._records is None
 
 
-def test_a_failed_command_writes_no_trace(tmp_path, capsys):
+def test_a_failed_command_leaves_the_trace_empty(tmp_path, capsys):
     path = tmp_path / "trace.jsonl"
     argv = ["verify", "--kind", "path", "--M", "3", "--theta", "nan", "--trace", str(path)]
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
-    assert not path.exists() and trace._records is None
+    assert path.read_bytes() == b"" and trace._records is None
     assert capsys.readouterr().err.startswith("error: ")
 
 
