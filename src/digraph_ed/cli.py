@@ -26,10 +26,11 @@ Every ``--seed`` is an integer >= 0; a sweep's ``--grid`` is checked at
 parse time: 2 (sweep-theta) or 3 (sweep-alpha) to MAX_GRID (100000)
 points, and so is ``suite --graphs``: 1 to MAX_GRAPHS (10000).
 ``suite --jobs`` is parsed (an integer >= 1) and ignored: the suite runs in
-one thread (at ``--max-M`` 17 and up the Bloch read of a state past one
-block takes a second, see :func:`~digraph_ed.statevector.bloch_arrays`,
-and from 19 up the build does too). ``verify --trace PATH`` writes where
-the run's time went, one JSON line per span (see :mod:`digraph_ed.trace`).
+one thread (at ``--max-M`` 17 and up the build and the Bloch read of a
+state past one block each take a second, see :mod:`digraph_ed.statevector`).
+``verify --trace PATH`` writes where the run's time went, one JSON line per
+span (see :mod:`digraph_ed.trace`), and exits 2 before any work when PATH
+is the ``--out`` file.
 ``gen`` builds no state, so the qubit cap does not bound it: the most
 edges a kind can make at M (M for path, cycle and the stars, M (M - 1) / 2
 for complete_dag and erdos_renyi, which keeps at most one edge of a pair)
@@ -50,6 +51,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
@@ -377,8 +379,12 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else EXIT_OK
     # looked up per call, so a rebound command (a test double, a tracer) is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
+    trace_path = getattr(args, "trace", None)  # verify's, which also takes --out
     try:
-        with trace.recording(getattr(args, "trace", None)), trace.span("cli." + args.command):
+        # the trace file is opened, and emptied, before the command writes --out
+        if trace_path and args.out and os.path.realpath(args.out) == os.path.realpath(trace_path):
+            raise DigraphEdError(f"--out and --trace name one file, {shown(args.out)}")
+        with trace.recording(trace_path), trace.span("cli." + args.command):
             return command(args)
     except CapacityError as e:
         sys.stderr.write(_error_line(e))

@@ -17,34 +17,19 @@ index, which :func:`build_graph_state` writes directly by qubit doubling:
 O(2^M) work whatever the edge count, in one buffer that becomes the
 state's frozen amplitude array (peak memory about one state, at most two).
 :func:`bloch_vectors` reads every qubit's Bloch vector from views of the
-amplitudes, with no copy of the state, in one of three schemes: one BLAS
-Gram matrix of the float view covers qubits 0 to 4; qubit 5 is summed over
-the whole state, and the others are read in one walk over the state in
-cache-sized blocks, with complex dot products along contiguous rows of at
-most 2^_DOT_BITS amplitudes. Every qubit from 5 up sums its rows'
-self-dots, split by the qubit's bit, into p0 and p1, and one more row dot
-per pair of rows into <0|rho|1>. Qubits 6 to 9 are summed per block and
-the block sums merged as a balanced binary tree, which is numpy's pairwise
-sum over the whole row-dot array bit for bit, as qubit 5's is; each qubit
-from 10 up shares one array of chunk self-dots and writes its pair dots into
-one array, pairing chunks within the block below _BLOCK_BITS and the block
-with a later one from there up, and that array is summed once. Within a
-qubit, p0, p1 and Re<0|rho|1> come from one routine over rows of one length,
-so product states stay exactly pure.
+amplitudes, with no copy of the state: one BLAS Gram matrix of the float
+view for qubits 0 to 4, and complex row dot products, summed in numpy's
+pairwise order, for the rest (see :func:`bloch_arrays`). Within a qubit,
+p0, p1 and Re<0|rho|1> come from one routine over rows of one length, so
+product states stay exactly pure.
 
-A large state takes two cores, in numpy calls that release the GIL: the
-build's elementwise multiplies, the Gram's one BLAS call and ``np.vecdot``
-over whole-state rows (a vecdot of fewer than about 500 rows holds it, so
-the walk's calls cannot be split usefully). For a state of more than one
-block (M >= 17) a second thread computes the Gram and qubit 5, from one
-vecdot over the whole state, while the calling thread walks the blocks
-from qubit 6; from 2^_SPLIT_BITS amplitudes the build runs its steps for
-qubits _BLOCK_BITS and up on two threads, each on one half of every
-block's low indices. The bits do not change: every amplitude and every row
-dot is the same arithmetic in the same order, the Gram is still one BLAS
-call over the whole state, no step on one thread reads what the other
-writes, and each thread is joined before the call returns or raises.
-Smaller states start no thread.
+One rule decides the engine's second thread: a state of more than one
+2^_BLOCK_BITS-amplitude block (M >= 17) is built and read on two threads,
+and a smaller one starts no thread. The build splits its steps for qubits
+_BLOCK_BITS and up by low index (see :func:`_build`), and the read takes
+the Gram and qubit 5 beside its block walk (see :func:`bloch_arrays`).
+The bits are those of one thread, and the second thread is joined before
+the call returns or raises.
 
 Both kernels carry a leading batch axis. :func:`build_graph_states` builds
 G states of equal M as the rows of one (G, 2^M) buffer and
@@ -117,12 +102,6 @@ _BLOCK_BITS = 16
 # sum is a node of numpy's summation tree, and the tree merge of the block sums
 # in bloch_arrays is np.sum of the whole array, bit for bit.
 assert _BLOCK_BITS - _DOT_BITS >= 6
-#: From 2^_SPLIT_BITS amplitudes the build runs its two halves of the low
-#: indices for qubits _BLOCK_BITS and up on two threads. Against both halves
-#: on one thread, two threads cost 0.22-0.29 ms at M=17 and 0.15-0.19 ms at
-#: M=18, and saved 0.07-0.19 ms at M=19 and 0.77-0.90 ms at M=20 (two runs
-#: of 20 alternating rounds, medians; one Erdos-Renyi p=0.3 state, 2 vCPU).
-_SPLIT_BITS = 19
 
 
 def _canonical_angle(x: float) -> float:
@@ -292,8 +271,11 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     steps j < _BLOCK_BITS): nothing before m's own step reads or writes
     them, so writing them early gives the same values. The rest of each
     top qubit's step combines only entries of one low index (see
-    :func:`_top_qubits`), so it runs on each half of the low indices in
-    turn, and from 2^_SPLIT_BITS amplitudes on two threads, joined once.
+    :func:`_top_qubits`), so it runs on the two halves of the low indices
+    on two threads, joined once, and gives the bits it gives on one: each
+    entry takes the same arithmetic in the same order, and no step on one
+    thread reads what the other writes. These threads work in numpy's
+    elementwise multiplies, which release the GIL.
     """
     records = [g.degrees for g in graphs]
     M = graphs[0].M
@@ -342,12 +324,11 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
             if m < _BLOCK_BITS:
                 upper *= amps[..., :n]
                 amps[..., :n] *= alpha0
-        if M > _BLOCK_BITS:  # one half of every block's low indices at a time
+        if M > _BLOCK_BITS:  # each half of every block's low indices on its own thread
             blocks, half = amps.reshape(G, -1, 1 << _BLOCK_BITS), 1 << (_BLOCK_BITS - 1)
             _beside(
                 lambda: _top_qubits(blocks[..., half:], factor, alpha0),
                 lambda: _top_qubits(blocks[..., :half], factor, alpha0),
-                threaded=buf.size >= 1 << _SPLIT_BITS,
             )
     buf.flags.writeable = False
     return buf
@@ -387,7 +368,6 @@ def _beside(side, main, threaded: bool = True) -> tuple:
     """
     if not threaded:
         return side(), main()
-    side = trace.carry(side)
     box = []
 
     def run() -> None:
@@ -396,7 +376,7 @@ def _beside(side, main, threaded: bool = True) -> tuple:
         except BaseException as error:
             box.append((False, error))
 
-    worker = threading.Thread(target=run)
+    worker = threading.Thread(target=trace.carry(run))
     worker.start()
     try:
         mine = main()
@@ -527,41 +507,42 @@ def _row_sums(x: np.ndarray, i: int) -> list:
     return [selfs[..., 0].sum(axis=-1), selfs[..., 1].sum(axis=-1), t.sum(axis=-1)]
 
 
-def _walk(amps: np.ndarray, lowest: int) -> list:
-    """The block walk of :func:`bloch_arrays`: p0, p1 and t of each qubit from ``lowest`` up."""
+def _walk(amps: np.ndarray) -> list:
+    """The block walk of :func:`bloch_arrays`: p0, p1 and t of each qubit past _GRAM_QUBITS."""
     G, N = amps.shape
     M = N.bit_length() - 1
-    blocks = amps.reshape(G, -1, 1 << min(M, _BLOCK_BITS))
-    low = range(lowest, min(M, _DOT_BITS))
-    low_sums = []  # per block: p0, p1 and t of each low qubit
-    norms = np.empty((G, N >> _DOT_BITS), np.complex128)
-    dots = [np.empty((G, N >> (_DOT_BITS + 1)), np.complex128) for _ in range(_DOT_BITS, M)]
-    for b in range(blocks.shape[-2]):
-        block = blocks[..., b, :]
-        low_sums.append([s for i in low for s in _row_sums(block, i)])
-        if M <= _DOT_BITS:
-            continue
-        chunks = block.reshape(G, -1, 1 << _DOT_BITS)
-        first = b * chunks.shape[-2]
-        np.vecdot(chunks, chunks, out=norms[..., first : first + chunks.shape[-2]])
-        for i, dot in enumerate(dots, _DOT_BITS):
-            # the block's pairs fill a run of qubit i's row dots, from its
-            # first chunk with bit h clear, numbered with bit h dropped
-            h = i - _DOT_BITS
-            start = (first >> (h + 1) << h) | (first & ((1 << h) - 1))
-            if i < _BLOCK_BITS:  # both chunks of a pair lie in this block
-                pairs = chunks.reshape(G, -1, 2, 1 << h, 1 << _DOT_BITS)
-                out = dot[..., start : start + chunks.shape[-2] // 2].reshape(G, -1, 1 << h)
-                np.vecdot(pairs[..., 0, :, :], pairs[..., 1, :, :], out=out)
-            elif not b >> (i - _BLOCK_BITS) & 1:  # the partner is a later block
-                partner = blocks[..., b + (1 << (i - _BLOCK_BITS)), :].reshape(chunks.shape)
-                np.vecdot(chunks, partner, out=dot[..., start : start + chunks.shape[-2]])
-    sums = [_tree_sum(p) for p in zip(*low_sums)]
-    for i in range(_DOT_BITS, M):
-        half = norms.reshape(G, -1, 2, 1 << (i - _DOT_BITS))
-        sums += [half[..., j, :].reshape(G, -1).sum(axis=-1) for j in (0, 1)]
-        sums.append(dots[i - _DOT_BITS].sum(axis=-1))
-    return sums
+    with trace.span("statevector.walk", M=M, G=G):
+        blocks = amps.reshape(G, -1, 1 << min(M, _BLOCK_BITS))
+        low = range(_GRAM_QUBITS + 1, min(M, _DOT_BITS))
+        low_sums = []  # per block: p0, p1 and t of each low qubit
+        norms = np.empty((G, N >> _DOT_BITS), np.complex128)
+        dots = [np.empty((G, N >> (_DOT_BITS + 1)), np.complex128) for _ in range(_DOT_BITS, M)]
+        for b in range(blocks.shape[-2]):
+            block = blocks[..., b, :]
+            low_sums.append([s for i in low for s in _row_sums(block, i)])
+            if M <= _DOT_BITS:
+                continue
+            chunks = block.reshape(G, -1, 1 << _DOT_BITS)
+            first = b * chunks.shape[-2]
+            np.vecdot(chunks, chunks, out=norms[..., first : first + chunks.shape[-2]])
+            for i, dot in enumerate(dots, _DOT_BITS):
+                # the block's pairs fill a run of qubit i's row dots, from its
+                # first chunk with bit h clear, numbered with bit h dropped
+                h = i - _DOT_BITS
+                start = (first >> (h + 1) << h) | (first & ((1 << h) - 1))
+                if i < _BLOCK_BITS:  # both chunks of a pair lie in this block
+                    pairs = chunks.reshape(G, -1, 2, 1 << h, 1 << _DOT_BITS)
+                    out = dot[..., start : start + chunks.shape[-2] // 2].reshape(G, -1, 1 << h)
+                    np.vecdot(pairs[..., 0, :, :], pairs[..., 1, :, :], out=out)
+                elif not b >> (i - _BLOCK_BITS) & 1:  # the partner is a later block
+                    partner = blocks[..., b + (1 << (i - _BLOCK_BITS)), :].reshape(chunks.shape)
+                    np.vecdot(chunks, partner, out=dot[..., start : start + chunks.shape[-2]])
+        sums = [_tree_sum(p) for p in zip(*low_sums)]
+        for i in range(_DOT_BITS, M):
+            half = norms.reshape(G, -1, 2, 1 << (i - _DOT_BITS))
+            sums += [half[..., j, :].reshape(G, -1).sum(axis=-1) for j in (0, 1)]
+            sums.append(dots[i - _DOT_BITS].sum(axis=-1))
+        return sums
 
 
 def bloch_arrays(amps: np.ndarray) -> np.ndarray:
@@ -612,11 +593,14 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     sums give. That and the Gram share nothing with the walk. When the
     rows span more than one block, both run on a second thread beside the
     walk (numpy releases the GIL in the BLAS call and in a vecdot of that
-    many rows), so they take two cores; the Gram is still the one
-    whole-state ``np.matmul`` (per-panel Grams would round differently),
-    so every bit is as if they ran in turn. An exception on that thread is
-    raised here, after it has been joined, and no thread outlives the
-    call. Within one block they run here, first, and no thread is started.
+    many rows; a vecdot of fewer than about 500 rows holds it, so the
+    walk's own calls are not split), so they take two cores; the Gram is
+    still the one whole-state ``np.matmul`` (per-panel Grams would round
+    differently), so every bit is as if they ran in turn, and the build
+    takes its second thread by the same rule (see :func:`_build`). An
+    exception on that thread is raised here, after it has been joined, and
+    no thread outlives the call. Within one block they run here, first,
+    and no thread is started.
 
     Within a qubit, p0, p1 and Re t come from one routine over rows of one
     length and are summed in one order, so for a product state with
@@ -642,13 +626,9 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
             gram = np.matmul(f.swapaxes(-1, -2), f).reshape(G, -1)
             return gram, _row_sums(amps, L) if L < M else []
 
-    def walk() -> list:
-        with trace.span("statevector.walk", M=M, G=G):
-            return _walk(amps, L + 1)
-
     with trace.span("statevector.read", M=M, G=G):
         # past one block the low qubits run on a second thread, beside the walk
-        (gram, sums), walked = _beside(low_qubits, walk, threaded=N > 1 << _BLOCK_BITS)
+        (gram, sums), walked = _beside(low_qubits, lambda: _walk(amps), N > 1 << _BLOCK_BITS)
         sums += walked
         q = np.empty((G, 4, M))  # p0, p1, Re t and Im t of every qubit
         sym, cross = _gram_entries(L)

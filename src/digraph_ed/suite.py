@@ -21,14 +21,13 @@ every row share full batches, the antiparallel row's pair graphs among
 them: the engine builds any structurally valid graph, so no row needs a
 pass of its own. The oracle rows build their few states one at a time. The
 values are those of one state at a time, bit for bit, so the report is
-too. Everything runs in one thread, save the Gram and qubit 5 of a state
-past one block (``max_m`` 17 and up), which the read takes on a second,
-and the top qubits of a state of 2^19 amplitudes or more (``max_m`` 19 and
-up), which the build splits over two. Degrees
-from ``g.degrees``, policy from :func:`~digraph_ed.digraph.validate`, at
-entry: the battery's graphs enter through
-:func:`~digraph_ed.digraph.generate`, each graph's edges are walked once,
-and a row's measure gets the very case objects that were read.
+too. Everything runs in one thread, save the build and the read of a
+state past one block (``max_m`` 17 and up), which each take a second (see
+:mod:`digraph_ed.statevector`). Degrees from ``g.degrees``, policy from
+:func:`~digraph_ed.digraph.validate`, at entry: the battery's graphs
+enter through :func:`~digraph_ed.digraph.generate`, each graph's edges
+are walked once, and a row's measure gets the very case objects that
+were read.
 """
 
 from __future__ import annotations

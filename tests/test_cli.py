@@ -210,6 +210,27 @@ class TestVerify:
         assert cli.main(argv + ["--out", str(p2)]) == EXIT_OK
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_out_and_trace_on_one_file_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # the trace file is opened first and written last, so it would overwrite the report
+        def refuse(*args, **kwargs):
+            raise AssertionError("started work with --out and --trace on one file")
+
+        argv = ["verify", "--kind", "path", "--M", "3", "--theta", "1"]
+        report = tmp_path / "report.json"
+        assert cli.main(argv + ["--out", str(report)]) == EXIT_OK
+        before = report.read_bytes()
+        (tmp_path / "link.json").symlink_to(report)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(digraph, "generate", refuse)
+        for out, trace in [(str(report), str(report)), ("report.json", "./link.json"),
+                           ("new.json", "new.json")]:
+            code, stdout, err = run(argv + ["--out", out, "--trace", trace], capsys)
+            assert (code, stdout) == (EXIT_BAD_INPUT, "")
+            assert err.startswith("error: --out and --trace name one file, ")
+            assert err.count("\n") == 1
+        assert report.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]
+
     def test_report_is_pinned(self, capsys):
         # every bit of a 9-qubit build and read, as the doubling build wrote
         # them one qubit at a time (a changed numpy loop shows in the last digit)
