@@ -366,6 +366,13 @@ def cmd_suite(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
+def _one_file(a: str, b: str) -> bool:
+    """True if two paths name one file: by hard link or symlink if both exist, else by path."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     first = argv[0].partition("=")[0] if argv else ""
@@ -382,7 +389,7 @@ def main(argv=None) -> int:
     trace_path = getattr(args, "trace", None)  # verify's, which also takes --out
     try:
         # the trace file is opened, and emptied, before the command writes --out
-        if trace_path and args.out and os.path.realpath(args.out) == os.path.realpath(trace_path):
+        if trace_path and args.out and _one_file(args.out, trace_path):
             raise DigraphEdError(f"--out and --trace name one file, {shown(args.out)}")
         with trace.recording(trace_path), trace.span("cli." + args.command):
             return command(args)

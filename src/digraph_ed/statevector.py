@@ -53,7 +53,9 @@ phase-only gates any drift signals a kernel bug. The norm is checked where
 a state is made into a :class:`PureState`, and where :func:`bloch_arrays`
 reads it: there each qubit's p0 + p1, which the read sums anyway, is the
 state's squared norm, so a batch from :func:`build_graph_states` needs no
-pass of its own.
+pass of its own. Both sites call :func:`_check_norm`, as both Bloch-bound
+sites call :func:`_check_bloch`; each check asks that the value lie within
+its bound, so a NaN raises.
 """
 
 from __future__ import annotations
@@ -163,18 +165,21 @@ class PureState:
             raise NotNormalizedError(
                 f"expected {1 << self.M} amplitudes for M={self.M}, got shape {amps.shape}"
             )
-        _check_norms(amps)
+        _check_norm(float(np.vecdot(amps, amps).real))
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
 
-def _check_norms(amps: np.ndarray) -> None:
-    """Raise unless the state ``amps``, or each of its rows, has unit norm to 1e-9."""
-    for norm_sq in np.vecdot(amps, amps).real.reshape(-1).tolist():
-        if abs(norm_sq - 1.0) > _NORM_TOL:
-            raise NotNormalizedError(
-                f"state norm^2 = {norm_sq!r} deviates from 1 beyond {_NORM_TOL}"
-            )
+def _check_norm(norm_sq: float) -> None:
+    """Raise unless a state's squared norm is 1 to 1e-9; a NaN raises too."""
+    if not abs(norm_sq - 1.0) <= _NORM_TOL:
+        raise NotNormalizedError(f"state norm^2 = {norm_sq!r} deviates from 1 beyond {_NORM_TOL}")
+
+
+def _check_bloch(norm_sq: float) -> None:
+    """Raise unless a squared Bloch length lies in the unit ball to 1e-9; a NaN raises too."""
+    if not norm_sq <= 1.0 + _BLOCH_TOL:
+        raise ValueError(f"Bloch bound violated: |v|^2 = {norm_sq}")
 
 
 @dataclass(frozen=True)
@@ -186,8 +191,7 @@ class PauliVector:
     z: float
 
     def __post_init__(self):
-        if self.norm_sq > 1.0 + _BLOCH_TOL:
-            raise ValueError(f"Bloch bound violated: |v|^2 = {self.norm_sq}")
+        _check_bloch(self.norm_sq)
 
     @property
     def norm_sq(self) -> float:
@@ -204,11 +208,11 @@ class DensityMatrix1Q:
     rho11: complex
 
     def __post_init__(self):
-        if abs(self.rho10 - np.conj(self.rho01)) > 1e-12:
+        if not abs(self.rho10 - np.conj(self.rho01)) <= 1e-12:
             raise ValueError("density matrix is not Hermitian: rho10 != conj(rho01)")
-        if abs(self.rho00.imag) > 1e-12 or abs(self.rho11.imag) > 1e-12:
+        if not (abs(self.rho00.imag) <= 1e-12 and abs(self.rho11.imag) <= 1e-12):
             raise ValueError("diagonal of a density matrix must be real")
-        if abs(self.rho00 + self.rho11 - 1.0) > 1e-10:
+        if not abs(self.rho00 + self.rho11 - 1.0) <= 1e-10:
             raise ValueError(f"trace {self.rho00 + self.rho11} deviates from 1 beyond 1e-10")
 
     @property
@@ -233,7 +237,7 @@ def _qubit_amplitudes(M: int, alpha0: complex, alpha1: complex) -> tuple[complex
     alpha0 = complex(alpha0)
     alpha1 = complex(alpha1)
     nrm = abs(alpha0) ** 2 + abs(alpha1) ** 2
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:
         raise NotNormalizedError(f"|alpha0|^2 + |alpha1|^2 = {nrm!r} deviates from 1 beyond 1e-12")
     return alpha0, alpha1
 
@@ -548,6 +552,9 @@ def _walk(amps: np.ndarray) -> list:
 def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     """Bloch vectors of G states of equal M, the rows of ``amps``: a (G, M, 3) array.
 
+    Rows of any numeric dtype are read as their complex128 values; a
+    C-contiguous complex128 array, such as a built batch, is read in place.
+
     Entry [r, i] is (x, y, z) of qubit i of state r, the same quantities as
     :func:`~digraph_ed.reference.pauli_expectation`, with t = sum(conj(a0) *
     a1) over the amplitude pairs that differ in bit i, read from views of the
@@ -606,13 +613,14 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     length and are summed in one order, so for a product state with
     equal amplitudes they are bitwise equal and its ED is exactly zero.
     Each qubit's p0 + p1 is its state's squared norm: before dividing by
-    it, any that is off 1 by more than 1e-9 raises NotNormalizedError,
-    naming the worst, as :class:`PureState` does. A squared length above
-    1 + 1e-9 raises ValueError, as :class:`PauliVector` does. States of
-    more than one block are read right in any number, but then each step's
-    working set is G blocks, out of cache; :func:`batch_size` keeps them
-    alone.
+    it, any that is off 1 by more than 1e-9, or NaN, raises
+    NotNormalizedError, naming the worst, as :class:`PureState` does. A
+    squared length above 1 + 1e-9 raises ValueError, as
+    :class:`PauliVector` does. States of more than one block are read
+    right in any number, but then each step's working set is G blocks, out
+    of cache; :func:`batch_size` keeps them alone.
     """
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
     G, N = amps.shape
     M = N.bit_length() - 1
     L = min(M, _GRAM_QUBITS)
@@ -642,20 +650,13 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
             q[..., 2, i], q[..., 3, i] = t.real, t.imag
         p0, p1 = q[..., 0, :], q[..., 1, :]
         nrm = p0 + p1  # each qubit's p0 + p1 is its state's squared norm
-        drift = np.abs(nrm - 1.0)
-        if drift.max() > _NORM_TOL:
-            worst = float(nrm.flat[drift.argmax()])
-            raise NotNormalizedError(
-                f"state norm^2 = {worst!r} deviates from 1 beyond {_NORM_TOL}"
-            )
+        _check_norm(float(nrm.flat[np.abs(nrm - 1.0).argmax()]))  # argmax takes the first NaN
         out = np.empty((G, 3, M))  # x, y and z of every qubit
         np.multiply(2.0, q[..., 2:, :], out=out[..., :2, :])
         out[..., :2, :] /= nrm[..., None, :]
         np.subtract(p0, p1, out=out[..., 2, :])
         out[..., 2, :] /= nrm
-        worst = float((out * out).sum(axis=-2).max())  # x*x + y*y + z*z, in that order
-        if worst > 1.0 + _BLOCH_TOL:
-            raise ValueError(f"Bloch bound violated: |v|^2 = {worst}")
+        _check_bloch(float((out * out).sum(axis=-2).max()))  # x*x + y*y + z*z, in that order
         return out.swapaxes(1, 2)
 
 

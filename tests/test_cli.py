@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -220,16 +221,18 @@ class TestVerify:
         assert cli.main(argv + ["--out", str(report)]) == EXIT_OK
         before = report.read_bytes()
         (tmp_path / "link.json").symlink_to(report)
+        os.link(report, tmp_path / "hard.json")
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(digraph, "generate", refuse)
         for out, trace in [(str(report), str(report)), ("report.json", "./link.json"),
-                           ("new.json", "new.json")]:
+                           ("report.json", "hard.json"), ("new.json", "new.json")]:
             code, stdout, err = run(argv + ["--out", out, "--trace", trace], capsys)
             assert (code, stdout) == (EXIT_BAD_INPUT, "")
             assert err.startswith("error: --out and --trace name one file, ")
             assert err.count("\n") == 1
         assert report.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["hard.json", "link.json", "report.json"]
 
     def test_report_is_pinned(self, capsys):
         # every bit of a 9-qubit build and read, as the doubling build wrote

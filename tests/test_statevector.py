@@ -13,6 +13,7 @@ from digraph_ed.entanglement import pauli_vector_closed_form
 from digraph_ed.errors import (
     BadParamsError,
     CapacityError,
+    DigraphEdError,
     IndexOutOfRangeError,
     NotNormalizedError,
     SelfLoopError,
@@ -397,10 +398,11 @@ class TestDoublingKernel:
         assert str(info.value) == "a batch holds states of one M, got [3, 4]"
 
     def test_norm_check_sees_every_row(self):
-        amps = np.array([[1.0, 0.0], [0.6, 0.8j], [1.0, 1e-4]])
         with pytest.raises(NotNormalizedError, match="1.00000001"):
-            statevector._check_norms(amps)
-        statevector._check_norms(amps[:2])
+            statevector._check_norm(1.00000001)
+        with pytest.raises(NotNormalizedError, match="= nan "):
+            statevector._check_norm(math.nan)
+        statevector._check_norm(1.0)
 
     def test_the_read_checks_every_row_s_norm(self):
         # each qubit's p0 + p1 is its row's squared norm, checked before it is divided by
@@ -419,10 +421,10 @@ class TestDoublingKernel:
             statevector.bloch_arrays(amps)
 
     def test_a_batch_build_makes_no_norm_pass_of_its_own(self, monkeypatch):
-        def refuse(amps):
+        def refuse(norm_sq):
             raise AssertionError("a separate norm pass")
 
-        monkeypatch.setattr(statevector, "_check_norms", refuse)
+        monkeypatch.setattr(statevector, "_check_norm", refuse)
         statevector.build_graph_states([generate("path", 4)] * 2, [GateParams(0.3)] * 2)
         with pytest.raises(AssertionError):
             build_graph_state(generate("path", 4), GateParams(0.3))  # PureState still checks
@@ -543,6 +545,41 @@ class TestBlochVectors:
         finally:
             tracemalloc.stop()
         assert peak < st.amplitudes.nbytes / 16
+
+    @pytest.mark.parametrize("M", [1, 6, 8])
+    def test_real_and_integer_rows_read_as_their_complex_copies(self, M):
+        # a float64 view of a real array is the array itself, not (re, im) pairs
+        rng = np.random.default_rng(M)
+        real = rng.normal(size=(2, 1 << M))
+        real /= np.linalg.norm(real, axis=-1, keepdims=True)
+        ints = np.eye(1 << M, dtype=np.int64)[[0, -1]]
+        for amps in (real, ints):
+            got = statevector.bloch_arrays(amps)
+            assert got.tobytes() == statevector.bloch_arrays(amps.astype(np.complex128)).tobytes()
+
+
+class TestNaNIsRefused:
+    # a NaN compares false with any bound, so a check written "x > bound" passes it
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_graph_state(generate("path", 3), GateParams(0.7), math.nan, 0),
+            lambda: statevector.build_graph_states(
+                [generate("path", 3)] * 2, [GateParams(0.7)] * 2, [1.0, math.nan], [0.0, 0.0]
+            ),
+            lambda: init_product_state(2, math.nan, 0),
+            lambda: PureState(1, [math.nan, 0]),
+            lambda: statevector.bloch_arrays(np.array([[1, 0], [math.nan, 0]], dtype=complex)),
+            lambda: PauliVector(math.nan, 0, 0),
+            lambda: DensityMatrix1Q(math.nan, 0, 0, 1),
+            lambda: DensityMatrix1Q(0.5, math.nan, 0, 0.5),
+        ],
+        ids=["build", "batch_build", "init", "pure_state", "read", "pauli_vector",
+             "density_trace", "density_rho01"],
+    )
+    def test_a_nan_input_raises(self, make):
+        with pytest.raises((DigraphEdError, ValueError)):
+            make()
 
 
 class _CountedThread(statevector.threading.Thread):
