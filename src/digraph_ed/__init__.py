@@ -17,7 +17,6 @@ from .digraph import (
     permute,
     read_graph,
     reverse_edges,
-    to_json_dict,
     validate,
 )
 from .entanglement import (
@@ -100,7 +99,6 @@ __all__ = [
     "reduced_density_1q",
     "reverse_edges",
     "run_suite",
-    "to_json_dict",
     "validate",
     "verify_and_total",
     "verify_graph",

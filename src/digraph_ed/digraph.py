@@ -12,9 +12,10 @@ first read of :attr:`DirectedGraph.degrees` is the one walk over an edge
 list: it raises on a structural fault and keeps one :class:`DegreeRecord`
 per vertex (out-degree, in-degree, antiparallel pairs) on the graph, for
 the state and ED layers to read. :func:`validate` applies the antiparallel
-rule, a choice of inputs, only where a graph enters: :func:`generate`,
-:func:`reverse_edges` and the CLI's ``--allow-antiparallel``. Every integer
-argument is read by :func:`~digraph_ed.errors.integer`.
+rule, a choice of inputs, only where a graph enters: :func:`reverse_edges`
+and the CLI's ``--allow-antiparallel``. :func:`generate` walks nothing: its
+constructions admit no fault, so its graphs pass the default policy as
+made. Every integer argument is read by :func:`~digraph_ed.errors.integer`.
 """
 
 from __future__ import annotations
@@ -76,17 +77,13 @@ class DirectedGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @property
+    @functools.cached_property
     def degrees(self) -> tuple[DegreeRecord, ...]:
         """One :class:`DegreeRecord` per vertex, from one walk, kept; no policy applied.
 
         The first read raises on the first structural fault in edge order.
         The records live outside the fields: equality, hashing and repr ignore them.
         """
-        return self._edge_walk[0]
-
-    @functools.cached_property
-    def _edge_walk(self) -> tuple[tuple[DegreeRecord, ...], tuple[int, int] | None]:
         with trace.span("digraph.degrees", M=self.M, L=len(self.edges), G=1):
             return _walk(self)
 
@@ -122,14 +119,12 @@ class DegreeRecord:
         return self.out_degree + self.in_degree
 
 
-def _walk(g: DirectedGraph) -> tuple[tuple[DegreeRecord, ...], tuple[int, int] | None]:
+def _walk(g: DirectedGraph) -> tuple[DegreeRecord, ...]:
     """Check and count ``g``'s edge list in one pass.
 
     Raises on the first edge, in edge order, with an out-of-range endpoint,
     a self-loop or a repeat of an earlier edge. Otherwise returns the degree
-    records and the first antiparallel pair, as the earlier of its two edges
-    (None when there is none), so the edge policy can be applied without
-    walking again.
+    records, each vertex's antiparallel pairs counted.
     """
     M = g.M
     if M < 1:
@@ -137,7 +132,6 @@ def _walk(g: DirectedGraph) -> tuple[tuple[DegreeRecord, ...], tuple[int, int] |
     out = [0] * M
     inc = [0] * M
     pairs = [0] * M
-    first = None
     seen: set[tuple[int, int]] = set()
     for e in g.edges:
         a, b = e
@@ -153,9 +147,7 @@ def _walk(g: DirectedGraph) -> tuple[tuple[DegreeRecord, ...], tuple[int, int] |
         if (b, a) in seen:
             pairs[a] += 1
             pairs[b] += 1
-            if first is None:
-                first = (b, a)
-    return tuple(map(DegreeRecord, out, inc, pairs)), first
+    return tuple(map(DegreeRecord, out, inc, pairs))
 
 
 def validate(g: DirectedGraph, allow_antiparallel: bool = False) -> tuple[DegreeRecord, ...]:
@@ -163,11 +155,17 @@ def validate(g: DirectedGraph, allow_antiparallel: bool = False) -> tuple[Degree
 
     Structural faults raise first, from ``g.degrees``. Antiparallel pairs
     (a, b)/(b, a) are then rejected by default, naming the first one in edge
-    order; ``allow_antiparallel=True`` admits them. Returns ``g.degrees``.
+    order (the pair completed earliest, its earlier edge named first); only
+    a graph so refused has its edges scanned again, to find that pair.
+    ``allow_antiparallel=True`` admits them. Returns ``g.degrees``.
     """
-    records, pair = g._edge_walk
-    if pair is not None and not allow_antiparallel:
-        raise AntiparallelPairError(*pair)
+    records = g.degrees
+    if not allow_antiparallel and any(r.pairs for r in records):
+        seen = set()
+        for a, b in g.edges:
+            if (b, a) in seen:
+                raise AntiparallelPairError(b, a)
+            seen.add((a, b))
     return records
 
 
@@ -179,14 +177,17 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     None, and ``seed`` is an integer >= 0.
     The Erdos-Renyi sampler draws each ordered pair (a, b), a != b, with
     probability p in the scan order a = 0..M-1, b = 0..M-1 and skips draws
-    that would create an antiparallel pair, so the output always passes
-    :func:`validate` under the default policy. All M (M - 1) draws come
+    that would create an antiparallel pair. All M (M - 1) draws come
     from one ``rng.random((M, M - 1))`` call, the same stream as one scalar
     draw per pair, so the edges and their order are those of the scan: a
     pair with a < b is kept if its draw is below p, and a pair with a > b
     only if its mirror (b, a), drawn earlier, was not kept. The work is
-    O(M^2) numpy operations plus O(|L|) Python for the edge list and its
-    validation.
+    O(M^2) numpy operations plus O(|L|) Python for the edge list.
+
+    Every kind's construction keeps each endpoint in range and makes no
+    self-loop, no duplicate and no antiparallel pair, so every output
+    passes :func:`validate` under the default policy; the edges are not
+    walked here, and the first read of ``degrees`` walks them.
     """
     if params is not None and not isinstance(params, Mapping):
         raise BadParamsError(f"params must be a mapping or None, got {shown(params)}")
@@ -214,19 +215,18 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
     if params:
         raise BadParamsError(f"unexpected params for kind {kind!r}: {sorted(params)}")
 
-    edges: list[tuple[int, int]] = []
     if kind == "path":
-        edges = [(i, i + 1) for i in range(M - 1)]
+        edges = ((i, i + 1) for i in range(M - 1))
     elif kind == "cycle":
         if M < 3:
             raise BadParamsError(f"cycle needs M >= 3 (M={M} would violate edge policy)")
-        edges = [(i, (i + 1) % M) for i in range(M)]
+        edges = ((i, (i + 1) % M) for i in range(M))
     elif kind == "star_out":
-        edges = [(0, j) for j in range(1, M)]
+        edges = ((0, j) for j in range(1, M))
     elif kind == "star_in":
-        edges = [(j, 0) for j in range(1, M)]
+        edges = ((j, 0) for j in range(1, M))
     elif kind == "complete_dag":
-        edges = [(i, j) for i in range(M) for j in range(i + 1, M)]
+        edges = ((i, j) for i in range(M) for j in range(i + 1, M))
     else:  # erdos_renyi
         # row a, column c of the draws is the ordered pair (a, c + (c >= a)):
         # the scan order a = 0..M-1, b = 0..M-1, b != a, one draw per pair
@@ -236,11 +236,8 @@ def generate(kind: str, M: int, params: dict | None = None, seed: int = 0) -> Di
         # if the mirror missed, so no pair is kept both ways
         lower = np.arange(M)[:, None] > np.arange(M)
         keep = hit & ~(hit.T & lower)
-        edges = list(zip(*(axis.tolist() for axis in np.nonzero(keep))))
-
-    g = DirectedGraph(M, tuple(edges))
-    validate(g)
-    return g
+        edges = zip(*(axis.tolist() for axis in np.nonzero(keep)))
+    return DirectedGraph(M, edges)
 
 
 def permute(g: DirectedGraph, perm: list[int] | tuple[int, ...]) -> DirectedGraph:
@@ -279,7 +276,7 @@ def reverse_edges(g: DirectedGraph, subset) -> DirectedGraph:
 
 def graph_hash(g: DirectedGraph) -> str:
     """SHA-256 digest of the canonical JSON form (edge order included)."""
-    canon = json.dumps(to_json_dict(g), separators=(",", ":"))
+    canon = json.dumps(_document(g), separators=(",", ":"))
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
@@ -288,8 +285,9 @@ def graph_hash(g: DirectedGraph) -> str:
 # an optional {"labels_base": 1} requests 1-based interpretation on input.
 # ------------------------------------------------------------------
 
-def to_json_dict(g: DirectedGraph) -> dict:
-    return {"M": g.M, "edges": [[a, b] for a, b in g.edges]}
+def _document(g: DirectedGraph) -> dict:
+    """The schema's object for ``g``, holding its own edge tuples (json writes them as arrays)."""
+    return {"M": g.M, "edges": g.edges}
 
 
 def from_json_dict(obj) -> DirectedGraph:
@@ -341,4 +339,4 @@ def read_graph(path) -> DirectedGraph:
 
 def dump_graph(g: DirectedGraph) -> str:
     """Canonical serialized form, newline-terminated."""
-    return json.dumps(to_json_dict(g), separators=(", ", ": ")) + "\n"
+    return json.dumps(_document(g), separators=(", ", ": ")) + "\n"

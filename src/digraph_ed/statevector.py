@@ -428,10 +428,11 @@ def build_graph_states(
 ) -> np.ndarray:
     """The states of G graphs of equal M, as the rows of one frozen (G, 2^M) array.
 
-    ``gps[r]`` are the angles of ``graphs[r]``. ``alpha0`` and ``alpha1``
-    are both numbers, one initial state for every row, or both sequences of
-    G numbers, one per row; every row's pair is checked as
-    :func:`~digraph_ed.reference.init_product_state` checks it. Each step of
+    ``gps[r]`` are the angles of ``graphs[r]``, one pair per graph.
+    ``alpha0`` and ``alpha1`` are both numbers, one initial state for every
+    row, or both sequences of G numbers, one per row; every row's pair is
+    checked as :func:`~digraph_ed.reference.init_product_state` checks it,
+    and a count of angle pairs other than G raises first. Each step of
     the doubling build of :func:`build_graph_state` is one numpy call over
     all G rows, so a batch of small states costs about what one of them
     does; row r is bit for bit
@@ -440,10 +441,13 @@ def build_graph_states(
     the tolerance :class:`PureState` applies. Callers keep a batch within
     one block (see :func:`batch_size`).
     """
-    graphs = list(graphs)
-    if not graphs:
+    graphs, gps = list(graphs), list(gps)
+    G = len(graphs)
+    if not G:
         raise BadParamsError("a batch needs at least one graph, got none")
-    return _build(graphs, list(gps), alpha0, alpha1).reshape(len(graphs), -1)
+    if len(gps) != G:
+        raise BadParamsError(f"{G} states need {G} gate angle pairs, got {len(gps)}")
+    return _build(graphs, gps, alpha0, alpha1).reshape(G, -1)
 
 
 def batch_size(M: int) -> int:
@@ -554,6 +558,8 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
 
     Rows of any numeric dtype are read as their complex128 values; a
     C-contiguous complex128 array, such as a built batch, is read in place.
+    Any other shape than (G, 2^M), G >= 1 and M >= 1, raises
+    NotNormalizedError naming it, as :class:`PureState` does.
 
     Entry [r, i] is (x, y, z) of qubit i of state r, the same quantities as
     :func:`~digraph_ed.reference.pauli_expectation`, with t = sum(conj(a0) *
@@ -621,7 +627,9 @@ def bloch_arrays(amps: np.ndarray) -> np.ndarray:
     of cache; :func:`batch_size` keeps them alone.
     """
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    G, N = amps.shape
+    G, N = amps.shape if amps.ndim == 2 else (0, 0)
+    if G < 1 or N < 2 or N & (N - 1):
+        raise NotNormalizedError(f"expected a (G, 2^M) array, G, M >= 1, got shape {amps.shape}")
     M = N.bit_length() - 1
     L = min(M, _GRAM_QUBITS)
 

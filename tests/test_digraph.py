@@ -35,6 +35,12 @@ class TestValidate:
             digraph.validate(g)
         digraph.validate(g, allow_antiparallel=True)  # escape hatch
 
+    def test_the_refusal_names_the_pair_completed_first(self):
+        # (2, 3)/(3, 2) is complete at the third edge, (0, 1)/(1, 0) only at the fourth
+        g = DirectedGraph(4, ((0, 1), (2, 3), (3, 2), (1, 0)))
+        with pytest.raises(AntiparallelPairError, match=r"pair \(2, 3\) / \(3, 2\);"):
+            digraph.validate(g)
+
     def test_duplicate_rejected(self):
         # duplicates stay rejected even under the escape hatch, and are found
         # before the policy is applied to an earlier antiparallel pair

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from digraph_ed import digraph
 from digraph_ed.digraph import (
+    GENERATOR_KINDS,
     DirectedGraph,
     generate,
     permute,
@@ -301,16 +302,23 @@ def test_one_walk_counts_degrees_and_pairs(g):
 
 
 @given(
-    M=st.integers(2, 8),
+    kind_and_M=st.sampled_from(GENERATOR_KINDS).flatmap(
+        lambda kind: st.tuples(st.just(kind), st.integers(3 if kind == "cycle" else 1, 40))
+    ),
     p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     seed=st.integers(0, 2**63 - 1),
 )
 @settings(**COMMON)
-def test_generator_is_pure_and_policy_valid(M, p, seed):
-    g1 = generate("erdos_renyi", M, {"p": p}, seed)
-    g2 = generate("erdos_renyi", M, {"p": p}, seed)
+def test_generator_is_pure_and_policy_valid(kind_and_M, p, seed):
+    """generate walks nothing, so its construction alone must keep every
+    kind's output pure and admitted by the default policy."""
+    kind, M = kind_and_M
+    params = {"p": p} if kind == "erdos_renyi" else {}
+    g1 = generate(kind, M, params, seed)
+    g2 = generate(kind, M, params, seed)
     assert g1 == g2
-    validate(g1)
+    recs = validate(g1)
+    assert sum(r.total for r in recs) == 2 * g1.num_edges
 
 
 @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 6))

@@ -92,7 +92,6 @@ def admits_pairs(call: ast.Call) -> bool:
 
 #: Where a graph enters: the only callers of the edge-policy gate.
 GATE_CALLERS = {
-    ("digraph", "generate"),
     ("digraph", "reverse_edges"),
     ("cli", "_report"),
     ("cli", "cmd_sweep_theta"),

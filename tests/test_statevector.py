@@ -384,6 +384,17 @@ class TestDoublingKernel:
         with pytest.raises(BadParamsError):
             statevector.build_graph_states(graphs, gps, [1.0, 0.6], [0.0, 0.8])
 
+    @pytest.mark.parametrize("n_graphs, n_gps", [(2, 1), (1, 2)])
+    def test_each_graph_needs_one_gate_angle_pair(self, n_graphs, n_gps):
+        # too few once escaped as numpy's IndexError, too many built at the first angles
+        graphs = [generate("path", 3), generate("star_out", 3)][:n_graphs]
+        gps = [GateParams(0.4), GateParams(1.1, 0.2)][:n_gps]
+        with pytest.raises(BadParamsError) as info:
+            statevector.build_graph_states(graphs, gps)
+        assert str(info.value) == (
+            f"{n_graphs} states need {n_graphs} gate angle pairs, got {n_gps}"
+        )
+
     def test_an_empty_batch_is_refused(self):
         # it once escaped as a bare IndexError from graphs[0]
         with pytest.raises(BadParamsError) as info:
@@ -465,6 +476,13 @@ class TestPureStateOwnership:
 
 
 class TestBlochVectors:
+    @pytest.mark.parametrize("shape", [(1, 3), (1, 6), (4,), (0, 4), (2, 1), (1, 2, 2)], ids=str)
+    def test_a_malformed_shape_is_named(self, shape):
+        # each once gave numpy's own ValueError text
+        with pytest.raises(NotNormalizedError) as info:
+            statevector.bloch_arrays(np.ones(shape))
+        assert str(info.value).endswith(f"got shape {shape}")
+
     def test_matches_dense_oracle(self):
         # M up to 10 covers the Gram qubits and the vecdot qubits
         rng = np.random.default_rng(58)
