@@ -275,8 +275,12 @@ def reverse_edges(g: DirectedGraph, subset) -> DirectedGraph:
 
 
 def graph_hash(g: DirectedGraph) -> str:
-    """SHA-256 digest of the canonical JSON form (edge order included)."""
-    canon = json.dumps(_document(g), separators=(",", ":"))
+    """SHA-256 digest of the canonical JSON form (edge order included).
+
+    The form is the text ``json.dumps`` makes of the graph's document with
+    no spaces, written here directly.
+    """
+    canon = '{"M":%d,"edges":[%s]}' % (g.M, ",".join(["[%d,%d]" % e for e in g.edges]))
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 

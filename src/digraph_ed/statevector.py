@@ -43,10 +43,15 @@ amplitudes and Grams together, by one 2^_BLOCK_BITS-amplitude block
 (1 MiB); from M = 15 up a state is always read alone.
 
 The builders take every structurally valid graph, antiparallel pairs
-included: degrees from ``g.degrees``, policy from
-:func:`~digraph_ed.digraph.validate`, at entry (see :mod:`digraph_ed.digraph`).
-The independent oracles the kernels are checked against live in
-:mod:`digraph_ed.reference`.
+included: each graph's degrees are read at entry, which checks its
+structure, and the policy is :func:`~digraph_ed.digraph.validate`'s (see
+:mod:`digraph_ed.digraph`). The build kernel, :func:`_build`, reads no
+graph: it takes a (G, M, M) directed edge-count table, (G,) angle arrays and
+(G, 1) initial amplitudes, takes the out-degrees from the table's row sums,
+and writes every qubit's head phase at once, part by part as
+Python's complex product is written, since numpy's complex multiply may
+fuse a product into a sum and round otherwise. The independent oracles the
+kernels are checked against live in :mod:`digraph_ed.reference`.
 
 States are never renormalized; norm drift beyond 1e-9 raises, since with
 phase-only gates any drift signals a kernel bug. The norm is checked where
@@ -60,7 +65,6 @@ its bound, so a NaN raises.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -242,32 +246,61 @@ def _qubit_amplitudes(M: int, alpha0: complex, alpha1: complex) -> tuple[complex
     return alpha0, alpha1
 
 
-def _initial_amplitudes(M: int, G: int, alpha0, alpha1) -> tuple[list, list]:
-    """The (alpha0, alpha1) of each of G rows, each pair checked.
+def _initial_amplitudes(M: int, G: int, alpha0, alpha1) -> np.ndarray:
+    """The (alpha0, alpha1) of each of G rows, each pair checked: a (G, 2) array.
 
     Both are numbers, one initial state for every row, or both are
     sequences of G numbers, one per row.
     """
     if isinstance(alpha0, numbers.Number) and isinstance(alpha1, numbers.Number):
-        alpha0, alpha1 = _qubit_amplitudes(M, alpha0, alpha1)
-        return [alpha0] * G, [alpha1] * G
+        return np.array([_qubit_amplitudes(M, alpha0, alpha1)] * G)
     alpha0, alpha1 = list(alpha0), list(alpha1)
     if len(alpha0) != G or len(alpha1) != G:
         raise BadParamsError(
             f"{G} states need {G} initial states, got {len(alpha0)} and {len(alpha1)}"
         )
-    checked = [_qubit_amplitudes(M, x, y) for x, y in zip(alpha0, alpha1)]
-    return [x for x, _ in checked], [y for _, y in checked]
+    return np.array([_qubit_amplitudes(M, x, y) for x, y in zip(alpha0, alpha1)])
 
 
-def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
+def _arrays(graphs, gps, alpha0, alpha1) -> tuple:
+    """The arrays :func:`_build` takes for G graphs of one M, their angles and initial states.
+
+    Every graph's degrees are read, which checks its structure, before the
+    graphs' M are compared; then the initial states are checked (see
+    :func:`_initial_amplitudes`). Returns the (G, M, M) table holding 1 at
+    [r, a, b] for each edge (a, b) of ``graphs[r]``, the (G,) theta and psi
+    of ``gps`` and the (G, 1) alpha0 and alpha1.
+    """
+    sizes = {len(g.degrees) for g in graphs}  # one degree record per vertex
+    if len(sizes) > 1:
+        raise BadParamsError(f"a batch holds states of one M, got {sorted(sizes)}")
+    ((M,), G) = sizes, len(graphs)
+    alphas = _initial_amplitudes(M, G, alpha0, alpha1)
+    # ends: a0, b0, a1, b1, ... over the edges of every graph, in order
+    flat = itertools.chain.from_iterable
+    ends = np.fromiter(flat(flat(g.edges for g in graphs)), dtype=np.intp)
+    rows = np.repeat(np.arange(0, G * M * M, M * M), [g.num_edges for g in graphs])
+    directed = np.bincount(rows + ends[0::2] * M + ends[1::2], minlength=G * M * M)
+    theta, psi = np.array([(gp.theta, gp.psi) for gp in gps]).T
+    return directed.reshape(G, M, M), theta, psi, alphas[:, :1], alphas[:, 1:]
+
+
+def _build(directed, theta, psi, alpha0, alpha1) -> np.ndarray:
     """G graph states of equal M, built together into one owned buffer, frozen.
 
-    Row r of ``buf.reshape(G, 2^M)`` is the state of ``graphs[r]`` at
-    ``gps[r]`` from the initial state ``(alpha0[r], alpha1[r])`` (or the one
-    ``(alpha0, alpha1)`` of every row), bit for bit what
-    :func:`build_graph_state` makes of it alone. Reading each graph's
-    degrees checks its structure; antiparallel pairs are built.
+    ``directed`` is a (G, M, M) table holding 1 at [r, a, b] for each edge
+    (a, b) of row r, ``theta`` and ``psi`` the (G,) gate angles and
+    ``alpha0`` and ``alpha1`` the (G, 1) initial amplitudes, all taken as
+    given. Row r of ``buf.reshape(G, 2^M)`` is bit for bit what
+    :func:`build_graph_state` makes of row r alone. The out-degrees are the
+    table's row sums; no graph is read here.
+
+    Qubit m's phase vector starts at its head phase alpha1 e^{i(theta -
+    psi) d_out(m)}, at index 2^m, which no step before m's own touches, so
+    the heads of every qubit are written first, all at once. Each head is
+    taken by parts, re * cos - im * sin and re * sin + im * cos, as Python
+    writes a complex product: numpy's complex multiply may fuse one of the
+    products into the sum and give other bits.
 
     Qubits below _BLOCK_BITS are built in turn on the calling thread; for
     each qubit m from _BLOCK_BITS up, that thread then writes the first
@@ -281,41 +314,25 @@ def _build(graphs, gps, alpha0, alpha1) -> np.ndarray:
     thread reads what the other writes. These threads work in numpy's
     elementwise multiplies, which release the GIL.
     """
-    records = [g.degrees for g in graphs]
-    M = graphs[0].M
-    if any(g.M != M for g in graphs):
-        raise BadParamsError(f"a batch holds states of one M, got {sorted({g.M for g in graphs})}")
-    G = len(graphs)
-    alpha0, alpha1 = _initial_amplitudes(M, G, alpha0, alpha1)
-    # ends: a0, b0, a1, b1, ... over the edges of every graph, in order
-    ends = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs)),
-        dtype=np.intp,
-    )
-    rows = np.repeat(np.arange(0, G * M * M, M * M), [g.num_edges for g in graphs])
-    # directed[r, a, b]: 1 if (a, b) is an edge of graphs[r]
-    directed = np.bincount(rows + ends[0::2] * M + ends[1::2], minlength=G * M * M)
-    directed = directed.reshape(G, M, M)
-    # counts[r, m, j]: edges between m and j in graphs[r], either way
+    G, M, _ = directed.shape
+    # counts[r, m, j]: edges between m and j in row r, either way
     counts = directed + directed.swapaxes(1, 2)
-    # phase picked up per edge between two set bits, of which there are at most two
-    pair_phase = np.array(
-        [(1.0, cmath.exp(-2j * gp.theta), cmath.exp(-4j * gp.theta)) for gp in gps]
-    )
+    # phase picked up per edge between two set bits, of which there are at most
+    # two: 1 (exp of 0j), e^{-2i theta} and e^{-4i theta}
+    pair_phase = np.exp(theta[:, None] * [0j, -2j, -4j])
     factor = pair_phase.ravel()[counts + np.arange(0, 3 * G, 3)[:, None, None]]
-    alpha0 = np.array(alpha0)[:, None]
+    turn = np.exp(1j * (theta - psi)[:, None] * directed.sum(axis=-1))
     buf = np.empty(G << M, dtype=np.complex128)
     amps = buf.reshape(G, -1)
     amps[..., 0] = 1.0
-    with trace.span("statevector.build", M=M, L=len(ends) // 2, G=G):
+    # qubit m's head alpha1 * turn[m], at index 2^m, as Python's complex product
+    re, im, heads = alpha1.real, alpha1.imag, 1 << np.arange(M)
+    amps.real[..., heads] = re * turn.real - im * turn.imag
+    amps.imag[..., heads] = re * turn.imag + im * turn.real
+    with trace.span("statevector.build", M=M, L=int(np.count_nonzero(directed)), G=G):
         for m in range(M):
             n = 1 << m
             upper = amps[..., n : 2 * n]
-            # qubit m's phase vector starts at alpha1 e^{i(theta-psi) d_out(m)}
-            upper[..., 0] = [
-                a1 * cmath.exp(1j * (gp.theta - gp.psi) * recs[m].out_degree)
-                for a1, gp, recs in zip(alpha1, gps, records)
-            ]
             if m:
                 # into a temporary: an out= view one amplitude past its input,
                 # strided over the rows, takes another numpy loop and other bits
@@ -413,11 +430,12 @@ def build_graph_state(
     by alpha0. The phase vector, head phase included, is itself grown by
     doubling over the lower qubits, inside the |1> half. Total cost is
     O(2^M) whatever |L|, in one buffer that the returned state adopts.
-    d_out(m) is read from ``g.degrees``, and M
-    may not exceed :data:`DEFAULT_MAX_QUBITS`. This is the one-state case of
+    Reading ``g.degrees`` checks the graph; the kernel, :func:`_build`, takes
+    its edges as a count table and d_out(m) as that table's row sums. M may
+    not exceed :data:`DEFAULT_MAX_QUBITS`. This is the one-state case of
     :func:`build_graph_states`, which runs the same steps on G rows at once.
     """
-    return PureState(g.M, _build([g], [gp], alpha0, alpha1))
+    return PureState(g.M, _build(*_arrays([g], [gp], alpha0, alpha1)))
 
 
 def build_graph_states(
@@ -432,7 +450,10 @@ def build_graph_states(
     ``alpha0`` and ``alpha1`` are both numbers, one initial state for every
     row, or both sequences of G numbers, one per row; every row's pair is
     checked as :func:`~digraph_ed.reference.init_product_state` checks it,
-    and a count of angle pairs other than G raises first. Each step of
+    and a count of angle pairs other than G raises first. Every graph is
+    walked for its check before the graphs' M are compared, and the batch
+    then goes to the kernel as one (G, M, M) edge-count table with (G,)
+    angles and (G, 1) initial amplitudes (see :func:`_build`). Each step of
     the doubling build of :func:`build_graph_state` is one numpy call over
     all G rows, so a batch of small states costs about what one of them
     does; row r is bit for bit
@@ -447,7 +468,7 @@ def build_graph_states(
         raise BadParamsError("a batch needs at least one graph, got none")
     if len(gps) != G:
         raise BadParamsError(f"{G} states need {G} gate angle pairs, got {len(gps)}")
-    return _build(graphs, gps, alpha0, alpha1).reshape(G, -1)
+    return _build(*_arrays(graphs, gps, alpha0, alpha1)).reshape(G, -1)
 
 
 def batch_size(M: int) -> int:

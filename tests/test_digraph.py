@@ -1,9 +1,11 @@
 """Tests for graph validation, degrees, generators, and transforms."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from digraph_ed import digraph
@@ -378,6 +380,18 @@ class TestJsonSchema:
 
 
 class TestGraphHash:
+    @given(
+        M=st.integers(min_value=-(2**70), max_value=2**70),
+        edges=st.lists(st.tuples(*[st.integers(min_value=-(2**70), max_value=2**70)] * 2)),
+    )
+    @example(M=3, edges=[])
+    @example(M=2**64, edges=[(2**63, 2**64 + 1), (0, -(2**63) - 1)])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_digest_is_that_of_the_compact_json_document(self, M, edges):
+        g = DirectedGraph(M, edges)
+        canon = json.dumps(digraph._document(g), separators=(",", ":"))
+        assert digraph.graph_hash(g) == hashlib.sha256(canon.encode("ascii")).hexdigest()
+
     def test_stable_and_order_sensitive(self):
         g = DirectedGraph(3, ((0, 1), (1, 2)))
         assert digraph.graph_hash(g) == digraph.graph_hash(DirectedGraph(3, ((0, 1), (1, 2))))

@@ -1,5 +1,6 @@
 """Statevector engine tests: kernels, expectations, and cross-validation."""
 
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -322,6 +323,28 @@ class TestDoublingKernel:
                 np.testing.assert_array_equal(
                     st.amplitudes, init_product_state(M, alpha0, alpha1).amplitudes
                 )
+
+    def test_complex_heads_are_python_s_complex_products_bit_for_bit(self):
+        # amplitude 2^m of a row is qubit m's head alpha1 e^{i(theta-psi) d_out(m)}
+        # times alpha0 once per other qubit, in the build's order: the m
+        # factors of amps[0], then one per later qubit. With alpha0 real each
+        # of those products rounds once per part on any install, so the head
+        # alone decides the bits, and it must be Python's complex product
+        M, a0 = 9, complex(0.6)
+        graphs = [generate("erdos_renyi", M, {"p": 0.4}, seed=s) for s in range(4)]
+        graphs += [generate("star_out", M), generate("star_in", M)]
+        gps = [GateParams(0.4 + 0.7 * r, -1.3 + 0.5 * r) for r in range(len(graphs))]
+        alpha1 = [0.8 * cmath.exp(1j * (0.3 + r)) for r in range(len(graphs))]
+        assert all(a1.real and a1.imag for a1 in alpha1)
+        amps = statevector.build_graph_states(graphs, gps, [a0] * len(graphs), alpha1)
+        for row, g, gp, a1 in zip(amps, graphs, gps, alpha1):
+            lower = complex(1.0)  # amps[0] before qubit m's step
+            for m, record in enumerate(g.degrees):
+                want = a1 * cmath.exp(1j * (gp.theta - gp.psi) * record.out_degree) * lower
+                for _ in range(m + 1, M):
+                    want *= a0
+                assert row[1 << m].tobytes() == np.complex128(want).tobytes(), (m, row[1 << m], want)
+                lower *= a0
 
     def test_makes_no_edge_gate_calls(self, monkeypatch):
         calls = []

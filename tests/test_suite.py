@@ -123,10 +123,11 @@ def test_one_pass_builds_in_few_batches(monkeypatch):
     assert run_suite(seed=0).ok
     # the battery and the antiparallel, orientation, relabeling, psi,
     # maximal-entanglement (174 graphs and the empty one at seed 0) and
-    # degree-sufficiency cases share batches; the alpha sweep makes its own
+    # degree-sufficiency cases share batches; the alpha sweep makes no graph
+    # and calls the kernel with its own arrays
     assert len(batches) <= 30, batches
-    assert sum(batches) == 200 + 24 + 50 + 50 + 50 + 175 + 12 + 101
+    assert sum(batches) == 200 + 24 + 50 + 50 + 50 + 175 + 12
     # the oracle rows build their states one at a time
     assert len(lone) == 26
     # no graph is walked twice: the measures read the records its one walk kept
-    assert len(walks) == 361
+    assert len(walks) == 360
